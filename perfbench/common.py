@@ -6,6 +6,7 @@ Nothing here imports the program under test.
 from __future__ import annotations
 
 import ctypes
+import gc
 import os
 import platform
 import statistics
@@ -34,6 +35,39 @@ def percentile(values, q: float) -> float:
 def median(values) -> float:
     """Median of ``values``; NaN when empty."""
     return statistics.median(values) if len(values) else float("nan")
+
+
+def interquartile_mean(values) -> float:
+    """Mean of the middle half of ``values``; NaN when empty.
+
+    A quarter of the values at each end is dropped (rounded down, so
+    fewer than four values give their plain mean). Like the median it
+    ignores a few outliers; unlike it, it averages over every value of
+    the middle half, so it moves less with which one sits in the middle.
+    """
+    if len(values) == 0:
+        return float("nan")
+    ordered = sorted(values)
+    cut = len(ordered) // 4
+    return statistics.fmean(ordered[cut:len(ordered) - cut])
+
+
+def release_free_memory() -> None:
+    """Collect garbage and hand the C allocator's free pages back to the OS.
+
+    Run before the timed region's peak-RSS reset, so the baseline it
+    starts from is live memory rather than whatever the set-ups left
+    cached in the allocator (glibc ``malloc_trim``; a no-op elsewhere).
+    """
+    gc.collect()
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim(0)
 
 
 def wait_until(deadline: float, clock=time.perf_counter) -> None:
@@ -110,7 +144,7 @@ def environment(root: Path, seed: int) -> dict:
         pass
     return {
         "cores": os.cpu_count(),
-        "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "blas": {
             "name": blas.get("name"),
             "version": blas.get("version"),

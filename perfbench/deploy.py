@@ -1,10 +1,10 @@
 """Set-up: from a seed to a serving deployment.
 
-One :func:`deploy` call is what ``setup_s`` times: it writes the seeded
-sharded corpus, merges and splits it, trains the set-up models briefly,
-publishes the first one to a :class:`~repro.app.lifecycle.ModelStore`,
-starts a :class:`~repro.app.service.RecommendationService` on the
-published version and warms both request paths and the cache.
+One :func:`deploy` call is one set-up: it writes the seeded sharded
+corpus, merges and splits it, trains the set-up models briefly, publishes
+the first one to a :class:`~repro.app.lifecycle.ModelStore`, starts a
+:class:`~repro.app.service.RecommendationService` on the published
+version and warms both request paths and the cache.
 """
 
 from __future__ import annotations
@@ -28,33 +28,37 @@ from repro.perf.rss import measure_phase_rss
 from repro.pipeline.merge import MergeConfig
 from repro.pipeline.streaming import merge_sharded_corpus
 
-from perfbench.params import K, Scale
+from perfbench.params import (
+    BATCH, BRIEF_EPOCHS, CORPUS_SEED, K, MIN_BOOK_READINGS, MIN_USER_READINGS,
+    N_ANOBII_USERS, N_AUTHORS, N_BCT_USERS, N_BOOKS, N_LOANS, N_RATINGS,
+    N_SHARDS, ROWS_PER_CHUNK, STREAM_LENGTH, USER_ACTIVITY_SIGMA, WARMUP_USERS,
+)
 from perfbench.traffic import uniform_stream, zipf_stream
 
 #: Stream requests sent at set-up so timed traffic meets a warm cache.
 WARM_REQUESTS = 2048
 
 
-def corpus_config(scale: Scale) -> CorpusConfig:
-    """The sharded corpus every workload reads (see ``Scale.corpus_seed``)."""
+def corpus_config() -> CorpusConfig:
+    """The sharded corpus every workload reads (see :data:`CORPUS_SEED`)."""
     return CorpusConfig(
-        n_books=scale.n_books,
-        n_authors=scale.n_authors,
-        n_bct_users=scale.n_bct_users,
-        n_anobii_users=scale.n_anobii_users,
-        n_loans=scale.n_loans,
-        n_ratings=scale.n_ratings,
-        n_shards=scale.n_shards,
-        rows_per_chunk=scale.rows_per_chunk,
-        seed=scale.corpus_seed,
-        user_activity_sigma=scale.user_activity_sigma,
+        n_books=N_BOOKS,
+        n_authors=N_AUTHORS,
+        n_bct_users=N_BCT_USERS,
+        n_anobii_users=N_ANOBII_USERS,
+        n_loans=N_LOANS,
+        n_ratings=N_RATINGS,
+        n_shards=N_SHARDS,
+        rows_per_chunk=ROWS_PER_CHUNK,
+        seed=CORPUS_SEED,
+        user_activity_sigma=USER_ACTIVITY_SIGMA,
     )
 
 
-def merge_config(scale: Scale) -> MergeConfig:
+def merge_config() -> MergeConfig:
     return MergeConfig(
-        min_user_readings=scale.min_user_readings,
-        min_book_readings=scale.min_book_readings,
+        min_user_readings=MIN_USER_READINGS,
+        min_book_readings=MIN_BOOK_READINGS,
     )
 
 
@@ -87,41 +91,36 @@ class Deployment:
 
 
 def deploy(
-    scale: Scale,
     seed: int,
     root: Path,
     n_models: int,
     stream_kind: str,
-    batch: int,
     tracer=None,
     metrics=None,
     service_tracer=None,
 ) -> Deployment:
     """Build one deployment under ``root`` (see the module docstring).
 
-    ``stream_kind`` is ``"zipf"`` or ``"uniform"``; ``batch`` is the
-    traffic's users per call. ``service_tracer`` is handed to the
-    service (serve-churn hands it none: its requests and swaps run on two
-    threads and a tracer keeps one span stack).
+    ``stream_kind`` is ``"zipf"`` or ``"uniform"``. ``service_tracer`` is
+    handed to the service (serve-churn hands it none: its requests and
+    swaps run on two threads and a tracer keeps one span stack).
     """
     root.mkdir(parents=True, exist_ok=True)
     with start_span(tracer, "bench.setup", seed=seed):
         with start_span(tracer, "bench.corpus_write") as span:
-            config = corpus_config(scale)
+            config = corpus_config()
             corpus = ShardedCorpusWriter(root / "corpus", config).write()
             span.set_attrs(events=config.n_loans + config.n_ratings)
         with start_span(tracer, "bench.merge"):
             merged = merge_sharded_corpus(
-                corpus, merge_config(scale), tracer=tracer, metrics=metrics
+                corpus, merge_config(), tracer=tracer, metrics=metrics
             ).dataset
         with start_span(tracer, "bench.split"):
             split = split_readings(merged)
         models = []
         for index in range(n_models):
             with start_span(tracer, "bench.fit", model=index) as span:
-                config = BPRConfig(
-                    epochs=scale.brief_epochs, seed=model_seed(seed, index)
-                )
+                config = BPRConfig(epochs=BRIEF_EPOCHS, seed=model_seed(seed, index))
                 model = BPR(config, tracer=tracer, metrics=metrics)
                 _, rss = measure_phase_rss(lambda: model.fit(split.train))
                 span.set_attrs(rss_delta_bytes=rss.delta_bytes)
@@ -142,27 +141,23 @@ def deploy(
             )
         with start_span(tracer, "bench.streams"):
             if stream_kind == "zipf":
-                stream = zipf_stream(scale, seed, train.users.ids, scale.stream_length)
+                stream = zipf_stream(seed, train.users.ids, STREAM_LENGTH)
             else:
-                stream = uniform_stream(seed, train.users.ids, scale.stream_length)
+                stream = uniform_stream(seed, train.users.ids, STREAM_LENGTH)
         deployment = Deployment(
             root=root, corpus=corpus, merged=merged, split=split, store=store,
             models=models, service=service, mostread=mostread, stream=stream,
         )
         with start_span(tracer, "bench.warm_up"):
-            deployment.warmup = warm_up(
-                service, train, scale, seed, stream[:WARM_REQUESTS], batch
-            )
+            deployment.warmup = warm_up(service, train, seed, stream[:WARM_REQUESTS])
     return deployment
 
 
 def warm_up(
     service: RecommendationService,
     train,
-    scale: Scale,
     seed: int,
     warm_stream: list[RecommendationRequest],
-    batch: int,
 ) -> dict:
     """Exercise every request path once, then fill the cache.
 
@@ -174,7 +169,7 @@ def warm_up(
     """
     rng = np.random.default_rng([seed, 97])
     ids = train.users.ids
-    sample = rng.choice(len(ids), size=min(2 * scale.warmup_users, len(ids)), replace=False)
+    sample = rng.choice(len(ids), size=min(2 * WARMUP_USERS, len(ids)), replace=False)
     single = [RecommendationRequest(user_id=str(ids[i]), k=K) for i in sample[: len(sample) // 2]]
     batched = [RecommendationRequest(user_id=str(ids[i]), k=K) for i in sample[len(sample) // 2:]]
     cold = [RecommendationRequest(user_id=f"warmup-new-{i}", k=K) for i in range(20)]
@@ -185,11 +180,11 @@ def warm_up(
             started = clock()
             service.recommend_response(request)
             times[label].append((clock() - started) * 1e6)
-    for start in range(0, len(batched), scale.batch):
-        chunk = batched[start:start + scale.batch]
+    for start in range(0, len(batched), BATCH):
+        chunk = batched[start:start + BATCH]
         started = clock()
         service.recommend_many_responses(chunk)
         times["batch_per_user"].append((clock() - started) * 1e6 / len(chunk))
-    for start in range(0, len(warm_stream), batch):
-        service.recommend_many_responses(warm_stream[start:start + batch])
+    for start in range(0, len(warm_stream), BATCH):
+        service.recommend_many_responses(warm_stream[start:start + BATCH])
     return times

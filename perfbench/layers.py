@@ -19,10 +19,8 @@ import time
 
 import numpy as np
 
-from repro.obs.trace import Tracer
-
 from perfbench.common import median, nesting_errors, percentile, self_times, span_records
-from perfbench.params import K
+from perfbench.params import BATCH, K
 
 #: Pipeline stages whose self time is reported (children of the merge span).
 PIPELINE_STAGES = (
@@ -75,6 +73,8 @@ PER_LAYER = (
     ("core.recommend_us", "us", "lower"),
     ("core.recommend_batch_us_per_user", "us", "lower"),
     ("service.overhead_us", "us", "lower"),
+    ("gen.p50_ms.low", "ms", "lower"),
+    ("gen.p50_ms.high", "ms", "lower"),
     ("gen.p99_ms.low", "ms", "lower"),
     ("gen.p99_ms.high", "ms", "lower"),
     ("gen.capacity_rps", "req/s", "higher"),
@@ -118,14 +118,6 @@ class _Spans:
                 return record
         return None
 
-    def subtree(self, root: dict) -> list[dict]:
-        out, todo = [], [root]
-        while todo:
-            record = todo.pop()
-            out.append(record)
-            todo.extend(self.children.get(record["span_id"], []))
-        return out
-
 
 def _seconds(record: dict | None) -> float:
     if record is None:
@@ -148,17 +140,7 @@ def _ratio_overhead(traced: float, untraced: float) -> float:
     return traced / untraced - 1.0
 
 
-def _span_cost_s(samples: int = 20_000) -> float:
-    """Measured cost of opening and closing one span on a scratch tracer."""
-    tracer = Tracer(seed=0, max_spans=samples + 1)
-    started = time.perf_counter()
-    for _ in range(samples):
-        with tracer.span("probe"):
-            pass
-    return (time.perf_counter() - started) / samples
-
-
-def _replay(model, users: list[int], batch: int) -> tuple[float, float]:
+def _replay(model, users: list[int]) -> tuple[float, float]:
     """The model's own ``recommend``/``recommend_batch`` on served misses."""
     users = users[:REPLAY_USERS]
     singles = []
@@ -167,8 +149,8 @@ def _replay(model, users: list[int], batch: int) -> tuple[float, float]:
         model.recommend(int(user), K)
         singles.append((time.perf_counter() - started) * 1e6)
     per_user = []
-    for start in range(0, len(users), batch):
-        chunk = np.asarray(users[start:start + batch], dtype=np.int64)
+    for start in range(0, len(users), BATCH):
+        chunk = np.asarray(users[start:start + BATCH], dtype=np.int64)
         started = time.perf_counter()
         model.recommend_batch(chunk, K)
         per_user.append((time.perf_counter() - started) * 1e6 / len(chunk))
@@ -182,7 +164,6 @@ def per_layer(context, setup_s: list[float], quality: dict) -> dict:
     swapper = context["swapper"]
     checker = context["checker"]
     deployment = context["deployment"]
-    scale = context["scale"]
     service = deployment.service
     spans = _Spans(span_records(tracing.tracers()))
     values: dict[str, float] = {}
@@ -261,12 +242,14 @@ def per_layer(context, setup_s: list[float], quality: dict) -> dict:
     if not missed:
         rng = np.random.default_rng(context["seed"])
         missed = rng.integers(0, deployment.split.train.n_users, size=REPLAY_USERS).tolist()
-    recommend_us, batch_per_user = _replay(service.model, missed, scale.batch)
+    recommend_us, batch_per_user = _replay(service.model, missed)
     values["core.recommend_us"] = recommend_us
     values["core.recommend_batch_us_per_user"] = batch_per_user
     values["service.overhead_us"] = values["service.miss_us.p50"] - recommend_us
 
     values["gen.capacity_rps"] = traffic.samples("sat.traced").capacity_rps()
+    for rate in ("low", "high"):
+        values[f"gen.p50_ms.{rate}"] = traffic.samples(f"{rate}.traced").p50_ms()
     for rate in ("low", "high"):
         samples = traffic.samples(f"{rate}.traced")
         values[f"gen.p99_ms.{rate}"] = samples.p99_ms()
@@ -278,7 +261,12 @@ def per_layer(context, setup_s: list[float], quality: dict) -> dict:
 
 
 def _overheads(context, spans: _Spans, setup_s: list[float]) -> dict:
-    """Traced ÷ untraced − 1 on interleaved units of the same run."""
+    """Traced ÷ untraced − 1 on interleaved units of the same run.
+
+    The units: set-ups (the last is traced), swaps and traffic rounds
+    (every other one is traced), and rebuilds on refresh (the last is
+    traced) or scheduled swaps' publish → first response on serve-churn.
+    """
     traffic = context["traffic"]
     swapper = context["swapper"]
     out: dict[str, float] = {}
@@ -290,12 +278,12 @@ def _overheads(context, spans: _Spans, setup_s: list[float]) -> dict:
     out["trace.overhead.swap_s"] = _ratio_overhead(
         median([r["swap_s"] for r in swaps[True]]), median([r["swap_s"] for r in swaps[False]])
     )
-    if context["cycles"]:
-        # Every rebuild of a traced run is traced: estimate from the spans
-        # the last one opened and the measured cost of one span.
-        root = spans.last("bench.refresh")
-        n_spans = len(spans.subtree(root)) if root else 0
-        out["trace.overhead.refresh_s"] = n_spans * _span_cost_s() / context["cycles"][-1]["refresh_s"]
+    cycles = context["cycles"]
+    if cycles:
+        out["trace.overhead.refresh_s"] = _ratio_overhead(
+            median([c["refresh_s"] for c in cycles if c["traced"]]),
+            median([c["refresh_s"] for c in cycles if not c["traced"]]),
+        )
     else:
         seen = traffic.first_seen
         lag = {

@@ -1,14 +1,10 @@
 """Fixed parameters of the end-to-end benchmark.
 
 Everything a workload depends on, apart from the seed, lives here, so two
-runs with the same seed see identical inputs. ``FULL`` is the shape the
-benchmark is run at; ``TOY`` is the same pipeline shrunk so the self-check
-(``perfbench/test_perfbench.py``) runs every workload in seconds.
+runs with the same seed see identical inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 #: The paper's deployed list length.
 K = 20
@@ -28,90 +24,71 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+# --- corpus: the `paper` preset's world, users and events scaled down
 
-@dataclass(frozen=True)
-class Scale:
-    """Corpus shape, traffic and schedule of one benchmark scale."""
+N_BOOKS = 4300
+N_AUTHORS = 1300
+#: Few, active users (~32 training pairs each): the writer draws books by
+#: popularity within a user's source, so which catalogue a user reads from
+#: is all a model can learn beyond popularity, and with ~16 pairs per user
+#: the default BPR fit overfits and falls below ``MostReadItems``.
+N_BCT_USERS = 600
+N_ANOBII_USERS = 1500
+N_LOANS = 110_000
+N_RATINGS = 80_000
+N_SHARDS = 4
+ROWS_PER_CHUNK = 65_536
+USER_ACTIVITY_SIGMA = 0.3
+#: Seed of the corpus (the catalogue world and the event log). It is fixed
+#: so the spread between runs measures the system rather than the luck of
+#: one generated catalogue; ``--seed`` drives everything else.
+CORPUS_SEED = 20230331
 
-    # --- corpus: the `paper` preset's world, users and events scaled down
-    n_books: int = 4300
-    n_authors: int = 1300
-    n_bct_users: int = 2200
-    n_anobii_users: int = 5500
-    n_loans: int = 110_000
-    n_ratings: int = 80_000
-    n_shards: int = 4
-    rows_per_chunk: int = 65_536
-    corpus_seed: int = 20230331
-    """Seed of the corpus (the catalogue world and the event log). It is
-    fixed so the spread between runs measures the system rather than the
-    luck of one generated catalogue; ``--seed`` drives everything else."""
-    user_activity_sigma: float = 0.3
-    min_user_readings: int = 10
-    min_book_readings: int = 6
-    """Book floor that keeps the merged catalogue near the paper's 2,332."""
+#: Merge floors on readings per user and per book; the book floor keeps
+#: the merged catalogue near the paper's 2,332 books.
+MIN_USER_READINGS = 10
+MIN_BOOK_READINGS = 6
 
-    # --- models
-    brief_epochs: int = 2
-    """Epochs of the setup-trained models (v1, and churn's second model)."""
-    setup_repeats: int = 3
-    """Full set-ups per run; ``setup_s`` is their median."""
+# --- set-up
 
-    # --- patron traffic
-    zipf_exponent: float = 1.1
-    cold_share: float = 0.05
-    """Share of the Zipf patron requests from unknown user ids."""
-    zipf_rates: tuple[float, float] = (1500.0, 5000.0)
-    """Zipf patron traffic (refresh) fixed offered rates, users/s."""
-    batch: int = 8
-    """Patron requests per ``recommend_many_responses`` call (one user each)."""
-    churn_rates: tuple[float, float] = (1000.0, 2500.0)
-    """serve-churn fixed offered rates, users/s (batches/s x batch size)."""
-    slice_seconds: float = 0.5
-    """Length of one low / high / saturation slice; rounds cycle them."""
-    stream_length: int = 1 << 18
-    """Pre-generated request ids per run (the stream wraps around)."""
-    warmup_users: int = 400
-    """Known users sent through the single and batch paths at set-up."""
+#: Full set-ups per run; ``setup_s`` is their median.
+SETUP_REPEATS = 3
 
-    # --- swaps (serve-churn triggers one at the start of every slice)
-    idle_swaps: int = 5
-    """Hot swaps with no traffic after each rebuild (refresh)."""
+#: Epochs of the set-up-trained models (v1, and serve-churn's second model).
+BRIEF_EPOCHS = 2
 
-    # --- refresh
-    refresh_cycles: int = 2
-    """Rebuilds per run; ``refresh_s`` is their median."""
-    patron_rounds: int = 8
-    """Rounds of Zipf patron traffic served by the refreshed models."""
+#: Known users sent through the single and batch paths at set-up.
+WARMUP_USERS = 400
 
+#: Pre-generated request ids per run (the stream wraps around).
+STREAM_LENGTH = 1 << 18
 
-FULL = Scale()
+# --- traffic
 
-TOY = replace(
-    FULL,
-    n_books=500,
-    n_authors=160,
-    n_bct_users=250,
-    n_anobii_users=500,
-    n_loans=14_000,
-    n_ratings=9_000,
-    n_shards=2,
-    rows_per_chunk=4096,
-    user_activity_sigma=0.5,
-    min_book_readings=3,
-    setup_repeats=2,
-    zipf_rates=(400.0, 800.0),
-    churn_rates=(400.0, 800.0),
-    batch=8,
-    slice_seconds=0.1,
-    stream_length=1 << 13,
-    warmup_users=40,
-    idle_swaps=2,
-    refresh_cycles=2,
-    patron_rounds=2,
-)
+#: Zipf exponent of the patron ids and the share of unknown ids among them.
+ZIPF_EXPONENT = 1.1
+COLD_SHARE = 0.05
 
+#: Users per ``recommend_many_responses`` call (one request each).
+BATCH = 8
 
-def scale_named(name: str) -> Scale:
-    """``"full"`` or ``"toy"``."""
-    return {"full": FULL, "toy": TOY}[name]
+#: Fixed offered rates, users/s: Zipf patron traffic (refresh) and
+#: uniform traffic (serve-churn).
+ZIPF_RATES = (1500.0, 5000.0)
+CHURN_RATES = (1000.0, 2500.0)
+
+#: Length of one low / high / saturation slice (s); rounds cycle them.
+SLICE_SECONDS = 0.5
+
+# --- refresh
+
+#: Rebuilds per run; ``refresh_s`` is their median. A traced run traces
+#: the last one only, so the first gives the untraced baseline.
+REFRESH_CYCLES = 2
+
+#: Rounds of Zipf patron traffic, split over the blocks before, between
+#: and after the rebuilds (three in each).
+PATRON_ROUNDS = 9
+
+#: Hot swaps with no traffic after each rebuild.
+IDLE_SWAPS = 5

@@ -1,6 +1,6 @@
 """Run one workload of the end-to-end benchmark and print its result.
 
-    python3 perfbench/run.py --workload refresh --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload refresh --seed 1 --seconds 30 --trace 0
 
 Runs from the root of a source checkout: the program under test is
 imported from ``src/``. The last line of standard output is one JSON
@@ -26,17 +26,25 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.params import THREAD_VARS, WORKLOADS, scale_named  # noqa: E402
+from perfbench.params import THREAD_VARS, WORKLOADS  # noqa: E402
 
 WORK = ROOT / ".perfbench-work"
 
 
 def _pin_threads() -> None:
-    """One BLAS / OpenMP thread; must run before numpy is imported."""
+    """One BLAS / OpenMP thread on one CPU; must run before numpy is imported.
+
+    The service runs Python under one interpreter lock, so a second CPU
+    adds nothing but hand-offs of that lock between CPUs (serve-churn's
+    request and swap threads) and migrations, whose cost depends on what
+    else the host runs.
+    """
     if "numpy" in sys.modules:
         raise RuntimeError("numpy was imported before the thread pools were pinned")
     for var in THREAD_VARS:
         os.environ[var] = "1"
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -45,8 +53,6 @@ def _parse(argv) -> argparse.Namespace:
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--trace", required=True, type=int, choices=(0, 1))
-    parser.add_argument("--scale", default="full", choices=("full", "toy"),
-                        help="toy: the self-check's shrunken corpus and schedule")
     return parser.parse_args(argv)
 
 
@@ -55,7 +61,6 @@ def run(args: argparse.Namespace) -> tuple[dict, dict, list]:
     from perfbench.common import environment, log, speed_probe
     from perfbench.workloads import run_workload
 
-    scale = scale_named(args.scale)
     workdir = WORK / f"run-{os.getpid()}"
     shutil.rmtree(workdir, ignore_errors=True)
     report: dict = {"environment": environment(ROOT, args.seed)}
@@ -63,7 +68,7 @@ def run(args: argparse.Namespace) -> tuple[dict, dict, list]:
     log(f"perfbench: {args.workload} seed={args.seed} seconds={args.seconds} trace={args.trace}")
     try:
         result = run_workload(
-            args.workload, args.seed, args.seconds, bool(args.trace), scale, workdir
+            args.workload, args.seed, args.seconds, bool(args.trace), workdir
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -1,11 +1,13 @@
-"""Self-check of the benchmark at toy scale.
+"""Self-check of the benchmark.
 
     python3 -m pytest perfbench -q
 
-Runs every workload end to end on the toy corpus (seconds each), in both
-modes, and checks the benchmark contract: every declared metric is
-printed with its unit, inputs are a pure function of the seed, traced
-spans nest, and a checkout without the program fails cleanly.
+Runs every workload end to end in both modes with two seconds of
+traffic (``refresh`` is fixed work: about a minute a run), and checks the
+benchmark contract: every run passes its checks and prints
+every declared metric with its unit, inputs are a pure function of the
+seed, traced spans nest, and a checkout without the program fails
+cleanly.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _declared(kind: str) -> dict[str, str]:
 def test_workload_emits_every_metric(workload: str, trace: int) -> None:
     proc = _run(
         ROOT, "--workload", workload, "--seed", "3", "--seconds", "2",
-        "--trace", str(trace), "--scale", "toy",
+        "--trace", str(trace),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -52,7 +54,7 @@ def test_workload_emits_every_metric(workload: str, trace: int) -> None:
         assert metric["unit"] == declared[name], name
         assert isinstance(metric["value"], float) and math.isfinite(metric["value"]), name
     if not trace:
-        for name in ("setup_s", "refresh_s", "p50_ms.low", "p50_ms.high"):
+        for name in ("setup_s", "refresh_s", "latency_iqm_ms.low"):
             assert result["metrics"][name]["value"] > 0, name
         return
     # Traced spans nest: every parent exists and contains its children.
@@ -71,12 +73,11 @@ def test_inputs_are_a_pure_function_of_the_seed(tmp_path: Path) -> None:
     from repro.datasets.corpus import ShardedCorpusWriter
 
     from perfbench.deploy import corpus_config
-    from perfbench.params import TOY
     from perfbench.traffic import uniform_stream, zipf_stream
 
     shards = []
     for name in ("a", "b"):
-        corpus = ShardedCorpusWriter(tmp_path / name, corpus_config(TOY)).write()
+        corpus = ShardedCorpusWriter(tmp_path / name, corpus_config()).write()
         shards.append(list(corpus.iter_loan_shards()) + list(corpus.iter_rating_shards()))
     for left, right in zip(*shards):
         assert left.keys() == right.keys()
@@ -87,10 +88,18 @@ def test_inputs_are_a_pure_function_of_the_seed(tmp_path: Path) -> None:
     def ids(stream):
         return [request.user_id for request in stream]
 
-    assert ids(zipf_stream(TOY, 5, users, 2000)) == ids(zipf_stream(TOY, 5, users, 2000))
-    assert ids(zipf_stream(TOY, 5, users, 2000)) != ids(zipf_stream(TOY, 6, users, 2000))
+    assert ids(zipf_stream(5, users, 2000)) == ids(zipf_stream(5, users, 2000))
+    assert ids(zipf_stream(5, users, 2000)) != ids(zipf_stream(6, users, 2000))
     assert ids(uniform_stream(5, users, 2000)) == ids(uniform_stream(5, users, 2000))
     assert ids(uniform_stream(5, users, 2000)) != ids(uniform_stream(6, users, 2000))
+
+
+def test_interquartile_mean_drops_a_quarter_at_each_end() -> None:
+    from perfbench.common import interquartile_mean
+
+    assert interquartile_mean([9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 100.0]) == 4.5
+    assert interquartile_mean([3.0, 1.0, 2.0]) == 2.0
+    assert math.isnan(interquartile_mean([]))
 
 
 def test_benchmark_json_matches_the_code() -> None:

@@ -1,15 +1,15 @@
 """The workloads and the metrics they report.
 
-Every run has the same shape: ``setup_repeats`` full set-ups (the last
-one is kept), a timed region, then checks. What the timed region does is
+Every run has the same shape: :data:`SETUP_REPEATS` full set-ups (the last
+one is kept; ``setup_s`` is their median), a timed region, then checks. What the timed region does is
 what tells the workloads apart:
 
-- ``refresh`` — the nightly rebuild: merge → split → load ``CURRENT`` →
+- ``refresh`` — read-mostly patron traffic (``recommend_many_responses``
+  batches of Zipf ids plus unknown ids, in low / high / saturation
+  slices) around nightly rebuilds: merge → split → load ``CURRENT`` →
   warm-started ``BPR.fit`` (default ``BPRConfig``) → evaluate on val and
   test → publish → ``refresh_from_store`` → one request answered by the
-  new version. Then idle hot swaps of the refreshed model, and the day's
-  read-mostly patron traffic on it: ``recommend_many_responses`` batches
-  of Zipf ids plus unknown ids, in low / high / saturation slices.
+  new version; after each, idle hot swaps of the refreshed model.
 - ``serve-churn`` — uniform ids in ``recommend_many_responses`` batches,
   while a second thread publishes and hot-swaps the other set-up model at
   the start of every slice.
@@ -28,7 +28,6 @@ import numpy as np
 from repro.app.service import RecommendationRequest
 from repro.core.bpr import BPR, BPRConfig
 from repro.core.most_read import MostReadItems
-from repro.core.random_items import RandomItems
 from repro.eval.evaluator import evaluate_model
 from repro.eval.split import split_readings
 from repro.obs.metrics import MetricsRegistry
@@ -37,9 +36,14 @@ from repro.perf.rss import current_rss_bytes, measure_phase_rss, reset_peak_rss,
 from repro.pipeline.streaming import merge_sharded_corpus
 
 from perfbench import layers
-from perfbench.common import median, percentile, span_records
+from perfbench.common import (
+    interquartile_mean, median, percentile, release_free_memory, span_records,
+)
 from perfbench.deploy import WARM_REQUESTS, deploy, merge_config
-from perfbench.params import K, P99_LIMIT_MS, Scale
+from perfbench.params import (
+    BATCH, CHURN_RATES, IDLE_SWAPS, K, P99_LIMIT_MS, PATRON_ROUNDS, REFRESH_CYCLES,
+    SETUP_REPEATS, SLICE_SECONDS, ZIPF_RATES,
+)
 from perfbench.swaps import Swapper
 from perfbench.traffic import Checker, Traffic, expected_lists
 
@@ -60,28 +64,26 @@ class Tracing:
         return [tracer for tracer in (self.main, self.swap) if tracer is not None]
 
 
-def run_workload(name: str, seed: int, seconds: float, trace: bool, scale: Scale, workdir) -> dict:
+def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir) -> dict:
     """Run one workload; returns the result (see :func:`perfbench.run.main`)."""
     churn = name == "serve-churn"
     tracing = Tracing(trace, seed)
-    batch = scale.batch
 
     # ------------------------------------------------------------------ setup
     setup_s: list[float] = []
     deployment = None
-    for index in range(scale.setup_repeats):
+    for index in range(SETUP_REPEATS):
         if deployment is not None:
             deployment.close()
             deployment = None
         gc.collect()
-        traced = trace and index == scale.setup_repeats - 1
+        traced = trace and index == SETUP_REPEATS - 1
         tracer = tracing.main if traced else None
         started = time.perf_counter()
         deployment = deploy(
-            scale, seed, workdir / f"setup-{index}",
+            seed, workdir / f"setup-{index}",
             n_models=2 if churn else 1,
             stream_kind="uniform" if churn else "zipf",
-            batch=batch,
             tracer=tracer,
             metrics=tracing.metrics if traced else None,
             service_tracer=None if churn else tracer,
@@ -103,21 +105,21 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, scale: Scale
         cold_list=tuple(item_ids[deployment.mostread.top_items(K)].tolist()),
         version_model=version_model,
     )
-    traffic = Traffic(service, deployment.stream, batch, checker, start=WARM_REQUESTS)
+    traffic = Traffic(service, deployment.stream, checker, start=WARM_REQUESTS)
     swapper = Swapper(
         deployment, version_model,
         tracer=tracing.swap if churn else tracing.main,
         metrics=tracing.metrics,
     )
     context = {
-        "name": name, "seed": seed, "seconds": seconds, "scale": scale,
+        "name": name, "seed": seed, "seconds": seconds,
         "deployment": deployment, "traffic": traffic, "swapper": swapper,
         "checker": checker, "tracing": tracing, "models": models,
         "cycles": [], "hard_failures": [], "rounds": 0,
     }
 
     # ------------------------------------------------------------ timed region
-    gc.collect()
+    release_free_memory()
     rss_reset = reset_peak_rss()
     rss_before = current_rss_bytes()
     timed_started = time.perf_counter()
@@ -126,13 +128,15 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, scale: Scale
     else:
         _churn_region(context)
     timed_s = time.perf_counter() - timed_started
-    peak = vm_hwm_bytes() if rss_reset else None
+    # Without the reset, VmHWM would hold the set-ups' peak: not measured.
+    peak = vm_hwm_bytes() if rss_reset else float("nan")
 
     # ----------------------------------------------------------------- checks
     quality = _quality(context)
     result = _metrics(context, setup_s, peak, quality)
     result["report"].update(
         timed_s=timed_s,
+        setup_s=setup_s,
         rss={"reset": rss_reset, "before_mb": rss_before / 1e6},
     )
     if trace:
@@ -158,12 +162,11 @@ def _rounds(context, n_rounds: int, rates, before_slice=None) -> None:
     In a traced run, odd rounds of the run are traced and even rounds are
     not, so the tracing overhead is measured on interleaved slices.
     """
-    scale = context["scale"]
     traffic = context["traffic"]
     tracing = context["tracing"]
     service = traffic.service
     service_tracer = service.tracer
-    for _ in range(max(1, n_rounds)):
+    for _ in range(n_rounds):
         traced = tracing.enabled and context["rounds"] % 2 == 1
         context["rounds"] += 1
         suffix = ".traced" if traced else ""
@@ -171,9 +174,9 @@ def _rounds(context, n_rounds: int, rates, before_slice=None) -> None:
         for phase, rate in (("low", rates[0]), ("high", rates[1]), ("sat", None)):
             if before_slice is not None:
                 before_slice(traced)
-            tracer = tracing.main if traced and traffic.batch > 1 else None
+            tracer = tracing.main if traced else None
             with start_span(tracing.main if traced else None, "bench.slice", phase=phase):
-                traffic.run_slice(phase + suffix, phase, rate, scale.slice_seconds, tracer=tracer)
+                traffic.run_slice(phase + suffix, phase, rate, SLICE_SECONDS, tracer=tracer)
     service.tracer = service_tracer
 
 
@@ -183,13 +186,12 @@ def _idle_swaps(context, model_key: str, model, train) -> None:
     The request is a known user, a cache miss after the swap, which must
     name the new version. Traced runs trace every other swap.
     """
-    scale = context["scale"]
     swapper = context["swapper"]
     tracing = context["tracing"]
     service = context["traffic"].service
     service_tracer = service.tracer
     user_ids = train.users.ids
-    for index in range(scale.idle_swaps):
+    for index in range(IDLE_SWAPS):
         traced = tracing.enabled and index % 2 == 1
         service.tracer = service_tracer if traced else None
         record = swapper.swap(model_key, model, train, traced=traced)
@@ -203,23 +205,24 @@ def _idle_swaps(context, model_key: str, model, train) -> None:
     service.tracer = service_tracer
 
 
-def _refresh_cycle(context) -> dict:
+def _refresh_cycle(context, traced: bool) -> dict:
     """One nightly rebuild, timed from merge to the first new-version response."""
     deployment = context["deployment"]
-    scale = context["scale"]
     tracing = context["tracing"]
-    tracer = tracing.main
-    metrics = tracing.metrics
+    tracer = tracing.main if traced else None
+    metrics = tracing.metrics if traced else None
     store = context["swapper"].store
     store.tracer = tracer
     service = deployment.service
+    service_tracer = service.tracer
+    service.tracer = tracer
     probe_user = str(deployment.split.train.users.ids[0])
     clock = time.perf_counter
     started = clock()
     with start_span(tracer, "bench.refresh"):
         with start_span(tracer, "bench.merge"):
             merged = merge_sharded_corpus(
-                deployment.corpus, merge_config(scale), tracer=tracer, metrics=metrics
+                deployment.corpus, merge_config(), tracer=tracer, metrics=metrics
             ).dataset
         with start_span(tracer, "bench.split"):
             split = split_readings(merged)
@@ -227,7 +230,7 @@ def _refresh_cycle(context) -> dict:
             previous, _ = store.load()
         with start_span(tracer, "bench.fit") as span:
             model = BPR(BPRConfig(), tracer=tracer, metrics=metrics)
-            if tracing.enabled:
+            if traced:
                 _, rss = measure_phase_rss(lambda: model.fit(split.train, warm_start=previous))
                 span.set_attrs(rss_delta_bytes=rss.delta_bytes)
             else:
@@ -247,11 +250,13 @@ def _refresh_cycle(context) -> dict:
         with start_span(tracer, "bench.request"):
             response = service.recommend_response(RecommendationRequest(user_id=probe_user, k=K))
     done = clock()
+    service.tracer = service_tracer
     return {
         "refresh_s": done - started,
         "swap_s": refreshed - publish_started,
         "publish_s": published - publish_started,
         "ok": bool(ok),
+        "traced": traced,
         "version": version.name,
         "response_version": response.model_version,
         "val_urr": val.report(K).urr,
@@ -264,25 +269,33 @@ def _refresh_cycle(context) -> dict:
 
 
 def _refresh_region(context) -> None:
-    """``refresh_cycles`` rebuilds, each followed by its share of traffic.
+    """Patron traffic on v1, then :data:`REFRESH_CYCLES` rebuilds, each
+    followed by idle hot swaps, a cache refill and more patron traffic.
 
-    After each rebuild: idle hot swaps of the refreshed model, a cache
-    refill, then ``patron_rounds / refresh_cycles`` rounds of patron
-    traffic. Interleaving spreads the rebuilds and the traffic over the
-    whole run, so a slow stretch of the host lands on both alike. Every
-    rebuild warm-starts from the same set-up model, republished (untimed)
-    before each rebuild after the first, so each does identical work.
+    The :data:`PATRON_ROUNDS` rounds are split evenly over the blocks
+    before, between and after the rebuilds. Interleaving spreads the rebuilds and the
+    traffic over the whole run, so a slow stretch of the host lands on
+    both alike. Every rebuild warm-starts from the same set-up model,
+    republished (untimed) before each rebuild after the first, so each
+    does identical work. A traced run traces only the last rebuild; the
+    others are its baseline.
     """
-    scale = context["scale"]
     deployment = context["deployment"]
     checker = context["checker"]
+    tracing = context["tracing"]
     store = context["swapper"].store
-    rounds = scale.patron_rounds // scale.refresh_cycles
-    for index in range(scale.refresh_cycles):
+    blocks = REFRESH_CYCLES + 1
+    rounds = [
+        PATRON_ROUNDS * (i + 1) // blocks - PATRON_ROUNDS * i // blocks
+        for i in range(blocks)
+    ]
+    _rounds(context, rounds[0], ZIPF_RATES)
+    for index in range(REFRESH_CYCLES):
         if index:
             version = store.publish(deployment.models[0], deployment.split.train)
             checker.version_model[version.name] = "A"
-        record = _refresh_cycle(context)
+        traced = tracing.enabled and index == REFRESH_CYCLES - 1
+        record = _refresh_cycle(context, traced)
         context["cycles"].append(record)
         checker.models["R"] = record["model"]
         checker.lists["R"] = expected_lists(record["model"], record["split"].train)
@@ -294,7 +307,7 @@ def _refresh_region(context) -> None:
         # The rebuild leaves garbage whose collection would land in
         # whichever patron slice crosses the collector's threshold.
         gc.collect()
-        _rounds(context, rounds, scale.zipf_rates)
+        _rounds(context, rounds[index + 1], ZIPF_RATES)
 
 
 def _warm_cache(context) -> None:
@@ -305,14 +318,13 @@ def _warm_cache(context) -> None:
     """
     traffic = context["traffic"]
     checker = context["checker"]
-    for _ in range(WARM_REQUESTS // traffic.batch):
+    for _ in range(WARM_REQUESTS // BATCH):
         requests = traffic.next_batch()
         for request, response in zip(requests, traffic.service.recommend_many_responses(requests)):
             checker.check(request, response)
 
 
 def _churn_region(context) -> None:
-    scale = context["scale"]
     swapper = context["swapper"]
     models = context["models"]
     state = {"next": "B"}
@@ -324,8 +336,9 @@ def _churn_region(context) -> None:
 
     swapper.start()
     try:
-        n_rounds = int(context["seconds"] / (3 * scale.slice_seconds))
-        _rounds(context, n_rounds, scale.churn_rates, before_slice)
+        # At least two rounds, so a traced run has a traced and an untraced one.
+        n_rounds = max(2, int(context["seconds"] / (3 * SLICE_SECONDS)))
+        _rounds(context, n_rounds, CHURN_RATES, before_slice)
     finally:
         swapper.stop()
 
@@ -336,11 +349,10 @@ def _churn_region(context) -> None:
 
 
 def _quality(context) -> dict:
-    """URR of the model the workload produced or served, plus baselines.
+    """URR of the model the workload produced or served, and MostRead's.
 
-    The refreshed (refresh) or served (serve-churn) BPR must beat the Random
-    Items baseline on the same split; ``MostReadItems``' val URR is
-    reported beside it.
+    The refreshed (refresh) or served (serve-churn) BPR's val URR must
+    beat ``MostReadItems``' on the same split.
     """
     tracing = context["tracing"]
     tracer = tracing.main
@@ -355,21 +367,15 @@ def _quality(context) -> dict:
             val_urr = evaluate_model(model, split, holdout="val", tracer=tracer, metrics=tracing.metrics).report(K).urr
         with start_span(tracer, "bench.evaluate", holdout="test"):
             test_urr = evaluate_model(model, split, holdout="test", tracer=tracer, metrics=tracing.metrics).report(K).urr
-    random_urr = evaluate_model(RandomItems(seed=context["seed"]).fit(split.train), split, holdout="val").report(K).urr
     mostread_urr = evaluate_model(MostReadItems().fit(split.train), split, holdout="val").report(K).urr
-    if not val_urr > random_urr:
+    if not val_urr > mostread_urr:
         context["hard_failures"].append(
-            f"val URR {val_urr:.4f} does not beat Random Items ({random_urr:.4f})"
+            f"val URR {val_urr:.4f} does not beat MostReadItems ({mostread_urr:.4f})"
         )
-    return {
-        "val_urr": val_urr,
-        "test_urr": test_urr,
-        "random_val_urr": random_urr,
-        "mostread_val_urr": mostread_urr,
-    }
+    return {"val_urr": val_urr, "test_urr": test_urr, "mostread_val_urr": mostread_urr}
 
 
-def _metrics(context, setup_s, peak, quality) -> dict:
+def _metrics(context, setup_s: list[float], peak: float, quality) -> dict:
     name = context["name"]
     traffic = context["traffic"]
     swapper = context["swapper"]
@@ -392,7 +398,9 @@ def _metrics(context, setup_s, peak, quality) -> dict:
                 )
     else:
         seen = traffic.first_seen
-        refresh_s = median(
+        # Swaps start with every slice, so their lags mix three loads; the
+        # interquartile mean does not jump between them as the median can.
+        refresh_s = interquartile_mean(
             [seen[r["version"]] - r["start"] for r in swaps if r["version"] in seen]
         )
         swap_samples = [r["swap_s"] for r in swaps]
@@ -422,9 +430,8 @@ def _metrics(context, setup_s, peak, quality) -> dict:
         "refresh_s": (refresh_s, "s"),
         "val_urr": (quality["val_urr"], "ratio"),
         "test_urr": (quality["test_urr"], "ratio"),
-        "peak_rss_mb": ((peak or 0) / 1e6, "MB"),
-        "p50_ms.low": (low.p50_ms(), "ms"),
-        "p50_ms.high": (high.p50_ms(), "ms"),
+        "peak_rss_mb": (peak / 1e6, "MB"),
+        "latency_iqm_ms.low": (low.latency_iqm_ms(), "ms"),
         "version_match_share": (
             1.0 - checker.mismatches / checker.primary if checker.primary else float("nan"),
             "ratio",
@@ -434,7 +441,6 @@ def _metrics(context, setup_s, peak, quality) -> dict:
         "workload": name,
         "correct": correct,
         "hard_failures": hard[:20],
-        "setup_s": setup_s,
         "phases": {key: samples.summary() for key, samples in phases.items()},
         "requests": {
             "attempted": traffic.requests,
