@@ -1,16 +1,16 @@
 """``dtype-tier`` — no silent float64 promotion on float32 hot paths.
 
-The fast BPR kernel tier (``docs/determinism.md``) is float32 end to
+The BPR training kernel (``docs/determinism.md``) is float32 end to
 end: one silently-promoted operand turns every downstream product into
 float64, doubling memory traffic and quietly changing the tier's
 numerics. Hot-path functions declare their tier with an annotation
 pragma on the ``def`` line::
 
-    def train_batch_fast(...):  # repro: tier[float32]
+    def train_batch(...):  # repro: tier[float32]
 
 Inside an annotated function the rule flags:
 
-- ``np.add.at`` — the buffered ufunc scatter the fast tier exists to
+- ``np.add.at`` — the buffered ufunc scatter the kernel exists to
   avoid (use the ``np.bincount`` segment-sum, ``scatter_add``);
 - explicit float64 requests — ``dtype=np.float64``, ``.astype(
   np.float64)``, ``np.float64(...)`` casts;

@@ -154,7 +154,11 @@ def load_bpr(
                     f"{path} has BPR format version {version}; this build "
                     f"reads version {BPR_FORMAT_VERSION}"
                 )
-            config = BPRConfig(**json.loads(str(archive["config"][0])))
+            fields = json.loads(str(archive["config"][0]))
+            # Models saved before the float64 training kernel was retired
+            # store the tier's name; the field no longer exists.
+            fields.pop("kernel", None)
+            config = BPRConfig(**fields)
             model = BPR(config)
             users = Indexer(str(u) for u in archive["user_ids"])
             items = Indexer(int(i) for i in archive["item_ids"])

@@ -30,8 +30,6 @@ Commands:
   clocks so the output is bit-reproducible (the golden-test setting).
 - ``bench-parallel`` — run the serial-vs-parallel bench (grid search,
   embedding, merge pipeline) and write ``BENCH_parallel.json``.
-- ``bench-train`` — benchmark the BPR training tiers (reference /
-  fast / hogwild) and write ``BENCH_train.json``.
 - ``corpus <dir>`` — generate a sharded, out-of-core synthetic corpus
   (columnar npz shards behind checksum manifests) for the paper-scale
   data path; ``--resume`` continues an interrupted write, reusing every
@@ -53,12 +51,12 @@ Commands:
 The global ``--jobs N`` flag parallelises the merge pipeline and the
 grid search across N worker processes; results are bit-identical to
 ``--jobs 1`` (see ``docs/determinism.md``). The global
-``--train-kernel``/``--train-workers`` flags select the BPR training
-tier (``reference`` is bit-stable; ``fast``, optionally with workers,
-trades bit-identity for throughput — see ``docs/determinism.md``). The
-global ``--retrieval``/``--probe-cells`` flags select the serving
-retrieval tier for ``serve-demo`` (``exact`` is bit-stable; ``ivf``
-probes ``--probe-cells`` k-means cells — see ``docs/serving.md``).
+``--train-workers`` flag trains BPR HogWild-style across N worker
+processes, trading bit-identity for throughput (see
+``docs/determinism.md``). The global ``--retrieval``/``--probe-cells``
+flags select the serving retrieval tier for ``serve-demo`` (``exact`` is
+bit-stable; ``ivf`` probes ``--probe-cells`` k-means cells — see
+``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -84,7 +82,6 @@ commands:
   serve-demo          fit BPR and answer sample requests
   bench               fast-path perf bench -> BENCH_fastpath.json
   bench-parallel      serial-vs-parallel bench -> BENCH_parallel.json
-  bench-train         BPR training-tier bench -> BENCH_train.json
   bench-scale         out-of-core corpus + streaming-merge bench -> BENCH_scale.json
   bench-serve         serving retrieval bench (recall@k vs latency) -> BENCH_serve.json
   corpus <dir>        generate a sharded synthetic corpus (npz shards + manifests)
@@ -122,16 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         "for every value)",
     )
     parser.add_argument(
-        "--train-kernel", choices=("reference", "fast"), default=None,
-        help="BPR training tier: 'reference' (float64, bit-stable default) "
-        "or 'fast' (float32 pre-drawn kernel; converges to the same KPIs "
-        "but is not bit-identical)",
-    )
-    parser.add_argument(
         "--train-workers", type=int, default=None, metavar="N",
-        help="HogWild worker processes for BPR training (requires "
-        "--train-kernel fast; -1 = all CPUs; see docs/determinism.md for "
-        "the relaxed convergence contract)",
+        help="HogWild worker processes for BPR training (-1 = all CPUs; "
+        "see docs/determinism.md for the relaxed convergence contract)",
     )
     parser.add_argument(
         "--retrieval", choices=("exact", "ivf"), default=None,
@@ -191,23 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="best-of repeats per measurement (default: 5)",
     )
     bench_parallel.add_argument(
-        "--quick", action="store_true",
-        help="small dataset for smoke runs (not representative)",
-    )
-
-    bench_train = sub.add_parser(
-        "bench-train",
-        help="benchmark the BPR training tiers and write JSON",
-    )
-    bench_train.add_argument(
-        "--bench-output", default=None, metavar="PATH",
-        help="where to write the bench JSON (default: BENCH_train.json)",
-    )
-    bench_train.add_argument(
-        "--repeats", type=int, default=None,
-        help="fit repeats per tier (default: 3)",
-    )
-    bench_train.add_argument(
         "--quick", action="store_true",
         help="small dataset for smoke runs (not representative)",
     )
@@ -373,8 +346,6 @@ def main(argv: list[str] | None = None) -> int:
         return _metrics(args)
     if args.command == "bench-parallel":
         return _bench_parallel(args)
-    if args.command == "bench-train":
-        return _bench_train(args)
     if args.command == "bench-scale":
         return _bench_scale(args)
     if args.command == "bench-serve":
@@ -385,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         return _check(args)
     config = config_for_scale(
         args.scale, seed=args.seed, n_jobs=args.jobs,
-        train_kernel=args.train_kernel, train_workers=args.train_workers,
+        train_workers=args.train_workers,
     )
     context = ExperimentContext(config)
     if args.command == "experiment":
@@ -593,7 +564,7 @@ def _lifecycle_publish(args: argparse.Namespace, store) -> int:
 
     config = config_for_scale(
         args.scale, seed=args.seed, n_jobs=args.jobs,
-        train_kernel=args.train_kernel, train_workers=args.train_workers,
+        train_workers=args.train_workers,
     )
     context = ExperimentContext(config)
     warm = None
@@ -757,33 +728,6 @@ def _bench_parallel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_train(args: argparse.Namespace) -> int:
-    from dataclasses import replace as dc_replace
-
-    from repro.perf.trainbench import (
-        DEFAULT_OUTPUT,
-        TrainBenchConfig,
-        run_train_bench,
-    )
-
-    config = TrainBenchConfig()
-    if args.quick:
-        config = dc_replace(
-            config,
-            n_books=600, n_authors=200, n_bct_users=120, n_anobii_users=500,
-            epochs=4, repeats=1,
-        )
-    if args.repeats is not None:
-        config = dc_replace(config, repeats=args.repeats)
-    if args.train_workers is not None:
-        config = dc_replace(config, workers=args.train_workers)
-    report = run_train_bench(
-        config, output_path=args.bench_output or DEFAULT_OUTPUT
-    )
-    print(render_train_bench_report(report))
-    return 0
-
-
 def _bench_scale(args: argparse.Namespace) -> int:
     from repro.perf.scalebench import (
         DEFAULT_OUTPUT,
@@ -845,30 +789,6 @@ def _corpus(args: argparse.Namespace) -> int:
     )
     print(f"verify with: python -m repro health {args.directory}")
     return 0
-
-
-def render_train_bench_report(report: dict) -> str:
-    """A human-readable summary of a training-tier bench report."""
-    dataset = report["dataset"]
-    lines = [
-        "train bench "
-        f"({dataset['books']} books x {dataset['readings']} readings, "
-        f"{dataset['train_pairs']} train pairs, "
-        f"{report['config']['epochs']} epochs)"
-    ]
-    for name, tier in report["tiers"].items():
-        if "skipped" in tier:
-            lines.append(f"  {name:<10} skipped: {tier['skipped']}")
-            continue
-        lines.append(
-            f"  {name:<10} {tier['best_samples_per_second']:10.0f} pairs/s "
-            f"({tier['speedup_vs_reference']:.2f}x vs reference, "
-            f"val URR {tier['val_urr']:.3f}, "
-            f"delta {tier['val_urr_delta_vs_reference']:+.3f})"
-        )
-    if "output_path" in report:
-        lines.append(f"  written to {report['output_path']}")
-    return "\n".join(lines)
 
 
 def render_parallel_bench_report(report: dict) -> str:

@@ -32,13 +32,11 @@ Online-learning extensions (the model as a living artefact):
   users into an expanded model + interaction matrix so they get
   personalised, seen-item-masked lists without any retraining.
 
-Training runs on one of the tiered kernels in
-:mod:`repro.core.bpr_kernel` (``config.kernel``): the bit-exact float64
-``"reference"`` loop, or the ``"fast"`` float32 kernel with pre-drawn
-negative sampling and segment-sum updates; ``config.workers > 1``
-additionally shards each epoch HogWild-style across worker processes
-over shared-memory factors. The contract each tier honours is tabulated
-in ``docs/determinism.md``.
+Training runs on the float32 kernel in :mod:`repro.core.bpr_kernel`
+(pre-drawn negative sampling against a seen-interaction bitset,
+segment-sum updates); ``config.workers > 1`` additionally shards each
+epoch HogWild-style across worker processes over shared-memory factors.
+The contract of each mode is tabulated in ``docs/determinism.md``.
 """
 
 from __future__ import annotations
@@ -51,12 +49,12 @@ import numpy as np
 
 from repro.core.base import Recommender
 from repro.core.bpr_kernel import (
-    BATCH_KERNELS,
-    KERNELS,
     fork_sharing_available,
     hogwild_epoch,
     hogwild_pool,
+    seen_bitset,
     shared_empty,
+    train_batch,
 )
 from repro.core.interactions import Indexer, InteractionMatrix
 from repro.datasets.merged import MergedDataset
@@ -98,16 +96,11 @@ class BPRConfig:
     margin: float = 1.0
     """WARP hinge margin: a negative within this of the positive violates."""
     seed: int | None = None
-    kernel: str = "reference"
-    """Training kernel tier: ``"reference"`` (float64, bit-exact with the
-    historical trainer) or ``"fast"`` (float32, pre-drawn sampling,
-    segment-sum updates; deterministic per seed but not bit-comparable —
-    see ``docs/determinism.md``)."""
     workers: int = 1
     """Worker processes for HogWild training (``-1`` = all CPUs). Values
-    above 1 require ``kernel="fast"`` and relax the determinism contract
-    to converges-to-the-same-KPIs; on platforms without the ``fork``
-    start method training transparently stays in-process."""
+    above 1 relax the determinism contract to converges-to-the-same-KPIs
+    (``docs/determinism.md``); on platforms without the ``fork`` start
+    method training transparently stays in-process."""
 
     def __post_init__(self) -> None:
         if self.n_factors < 1:
@@ -128,19 +121,9 @@ class BPRConfig:
             )
         if self.max_trials < 1:
             raise ConfigurationError(f"max_trials must be >= 1, got {self.max_trials}")
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
         if self.workers != -1 and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1 or -1 (all CPUs), got {self.workers}"
-            )
-        if self.workers != 1 and self.kernel != "fast":
-            raise ConfigurationError(
-                "multi-worker (HogWild) training requires kernel='fast'; "
-                "the reference kernel is single-worker by its bit-exactness "
-                "contract"
             )
 
 
@@ -154,8 +137,8 @@ class EpochStats:
     seconds: float
     samples_per_second: float = 0.0
     """Positive pairs processed divided by the epoch's wall-clock seconds
-    — the one shared definition of training throughput used by the
-    ``bpr.samples_per_second`` gauge and ``python -m repro bench-train``."""
+    — the definition of training throughput behind the
+    ``bpr.samples_per_second`` gauge and span attribute."""
 
 
 class BPR(Recommender):
@@ -255,27 +238,20 @@ class BPR(Recommender):
         if n_items < 2:
             raise ConfigurationError("BPR needs at least two items")
         scale = 1.0 / np.sqrt(cfg.n_factors)
-        # Both tiers burn the identical normal draws, so switching kernels
-        # never perturbs the downstream RNG stream; the fast tier merely
-        # rounds the same initialisation to float32.
+        # Float64 normal draws rounded to float32, so the initialisation
+        # consumes the same RNG stream as the float64 trainer did.
         V = rng.normal(0.0, scale, size=(n_users, cfg.n_factors))
         P = rng.normal(0.0, scale, size=(n_items, cfg.n_factors))
-        if cfg.kernel == "fast":
-            V = V.astype(np.float32)
-            P = P.astype(np.float32)
+        V, P = V.astype(np.float32), P.astype(np.float32)
         if self._warm_start is not None:
             _seed_from_model(self._warm_start, train, V, P)
 
         pos_users, pos_items = train.positive_pairs()
-        seen_keys = train.interaction_keys()
+        seen = seen_bitset(train.interaction_keys(), n_users * n_items)
         self.history = []
 
         n_workers = resolve_n_jobs(cfg.workers)
-        hogwild = (
-            cfg.kernel == "fast"
-            and n_workers > 1
-            and fork_sharing_available()
-        )
+        hogwild = n_workers > 1 and fork_sharing_available()
         pool = None
         if hogwild:
             shared_V = shared_empty(V.shape, np.float32)
@@ -284,11 +260,11 @@ class BPR(Recommender):
             shared_P[:] = P
             V, P = shared_V, shared_P
             pool = hogwild_pool(
-                V, P, pos_users, pos_items, seen_keys, n_items, cfg, n_workers
+                V, P, pos_users, pos_items, seen, n_items, cfg, n_workers
             )
         try:
             self._run_epochs(
-                V, P, pos_users, pos_items, seen_keys, n_items, rng, pool,
+                V, P, pos_users, pos_items, seen, n_items, rng, pool,
                 n_workers,
             )
         finally:
@@ -305,19 +281,18 @@ class BPR(Recommender):
         P: np.ndarray,
         pos_users: np.ndarray,
         pos_items: np.ndarray,
-        seen_keys: np.ndarray,
+        seen: np.ndarray,
         n_items: int,
         rng: np.random.Generator,
         pool,
         n_workers: int,
     ) -> None:
-        """The epoch loop, common to every kernel tier.
+        """The epoch loop, in-process or HogWild.
 
         ``pool`` is the HogWild worker pool, or ``None`` for in-process
-        training with the configured batch kernel.
+        training with :func:`~repro.core.bpr_kernel.train_batch`.
         """
         cfg = self.config
-        batch_kernel = BATCH_KERNELS[cfg.kernel]
         metrics = self.metrics
         batch_histogram = (
             metrics.histogram("bpr.batch_seconds", buckets=_TRAIN_TIME_BUCKETS)
@@ -327,7 +302,7 @@ class BPR(Recommender):
         with start_span(
             self.tracer, "bpr.fit",
             n_users=V.shape[0], n_items=n_items, n_pairs=len(pos_users),
-            epochs=cfg.epochs, sampler=cfg.sampler, kernel=cfg.kernel,
+            epochs=cfg.epochs, sampler=cfg.sampler,
             workers=(n_workers if pool is not None else 1),
         ):
             for epoch in range(cfg.epochs):
@@ -347,9 +322,9 @@ class BPR(Recommender):
                                 if batch_histogram is not None
                                 else 0.0
                             )
-                            stats = batch_kernel(
+                            stats = train_batch(
                                 V, P, pos_users[batch], pos_items[batch],
-                                seen_keys, n_items, rng, cfg,
+                                seen, n_items, rng, cfg,
                             )
                             if batch_histogram is not None:
                                 batch_histogram.observe(

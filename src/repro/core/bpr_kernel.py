@@ -1,26 +1,21 @@
-"""Tiered training kernels for the BPR/WARP trainer (see ``repro.core.bpr``).
+"""The BPR/WARP training kernel (see ``repro.core.bpr``).
 
-Three tiers trade strictness of the determinism contract for speed (the
-full table lives in ``docs/determinism.md``):
+Factors are float32. WARP negatives are *pre-drawn*: multi-trial
+candidate blocks are drawn up front and scored with one einsum each, and
+each row's first margin violator is found with a vectorised ``argmax``
+instead of a per-trial Python loop. Updates are ``np.bincount``
+segment sums rather than the slow ``np.add.at``. A sampled negative the
+user has already read is rejected by one lookup in a packed bitset of
+every ``(user, item)`` interaction, built once per fit
+(:func:`seen_bitset`). Training is deterministic given the seed; the
+contract is tabulated in ``docs/determinism.md``.
 
-- **reference** — the float64 per-trial rejection loop with ``np.add.at``
-  scatter updates. This is the pre-existing trainer moved here verbatim;
-  it remains bit-identical to the historical implementation and is the
-  anchor every faster tier is equivalence-tested against.
-- **fast** — float32 factors, *pre-drawn* negative sampling (multi-trial
-  candidate blocks are drawn up front and scored with one einsum each;
-  each row's first margin violator is found with a vectorised
-  ``argmax`` instead of a per-trial Python loop), and
-  ``np.bincount``-based segment-sum updates replacing the notoriously
-  slow ``np.add.at``. Deterministic given the seed, but *not*
-  bit-comparable to the reference — equivalence is asserted at the
-  converged-KPI level.
-- **hogwild** — the fast kernel sharded across worker processes that
-  update *shared-memory* factor matrices lock-free (Hogwild!-style SGD).
-  Sampling stays deterministic (per-shard seeds derive in the parent via
-  :func:`repro.parallel.task_seeds`) but concurrent unsynchronised
-  updates race benignly, so the contract relaxes to
-  *converges-to-the-same-KPIs* rather than bit-identical.
+With ``BPRConfig.workers > 1`` the same kernel runs HogWild-style:
+epoch shards train in worker processes that update *shared-memory*
+factor matrices lock-free. Sampling stays deterministic (per-shard seeds
+derive in the parent via :func:`repro.parallel.task_seeds`), but
+concurrent unsynchronised updates race benignly, so the contract relaxes
+to *converges-to-the-same-KPIs* rather than bit-identical.
 
 The shared matrices are anonymous ``mmap`` buffers: under the ``fork``
 start method (the :class:`~repro.parallel.WorkerPool` process backend's
@@ -44,14 +39,13 @@ from repro.rng import derive_rng
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.core.bpr import BPRConfig
 
-#: Recognised training kernels (``BPRConfig.kernel``). The hogwild tier
-#: is the fast kernel with ``BPRConfig.workers > 1``, not a third name.
-KERNELS = ("reference", "fast")
-
 #: Rejection-redraw rounds for negative sampling. Each user has read a
 #: small fraction of the catalogue, so a handful of rounds resolve all
 #: but a vanishing fraction of collisions.
 RESAMPLE_ROUNDS = 4
+
+#: ``_BIT[k]`` is the mask of bit ``k`` within a byte of a seen bitset.
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
 # ----------------------------------------------------------------------
@@ -59,44 +53,63 @@ RESAMPLE_ROUNDS = 4
 # ----------------------------------------------------------------------
 
 
+def seen_bitset(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Pack sorted ``user * n_items + item`` keys into a membership bitset.
+
+    Bit ``key % 8`` of byte ``key // 8`` is set for every key, so the
+    bitset takes ``n_keys / 8`` bytes (``n_users * n_items / 8``: ~0.6 MB
+    for 2k users × 2.2k books, ~12.5 MB at the paper preset) and answers
+    a membership query with one byte lookup and a bit mask
+    (:func:`is_seen`) instead of a binary search over the keys. ``keys``
+    must be sorted, as
+    :meth:`~repro.core.interactions.InteractionMatrix.interaction_keys`
+    returns them, and lie in ``[0, n_keys)``.
+    """
+    bits = np.zeros((n_keys + 7) // 8, dtype=np.uint8)
+    if len(keys):
+        byte = keys >> 3
+        starts = np.flatnonzero(np.r_[True, byte[1:] != byte[:-1]])
+        bits[byte[starts]] = np.bitwise_or.reduceat(_BIT[keys & 7], starts)
+    return bits
+
+
+def is_seen(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each ``user * n_items + item`` key is set in ``seen``.
+
+    ``seen`` is a :func:`seen_bitset`; every key of a valid
+    ``(user, item)`` pair lies inside it, the last item of the last user
+    included, so no position needs clamping.
+    """
+    return (seen[keys >> 3] & _BIT[keys & 7]) != 0
+
+
 def sample_unseen(
     users: np.ndarray,
-    seen_keys: np.ndarray,
+    seen: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw one candidate negative per user, rejecting read books.
 
-    Membership tests run against the sorted ``user * n_items + item``
-    key array via ``np.searchsorted``. Two pinned edge behaviours
-    (``tests/core/test_bpr_kernel.py``):
+    ``seen`` is the fit's :func:`seen_bitset`. A user who has read all
+    but one item may exhaust the :data:`RESAMPLE_ROUNDS` redraw rounds
+    without hitting the single unseen item. Survivor collisions keep
+    their last draw: the pair trains "positive vs itself", whose
+    gradient contribution on the shared item factor cancels to the
+    regularisation pull alone — a rare, unbiased, near-no-op update
+    rather than a bias towards any particular negative (pinned in
+    ``tests/core/test_bpr_kernel.py``).
 
-    - a key larger than every entry makes ``searchsorted`` land at
-      ``len(seen_keys)``; the position is clamped to the last entry,
-      whose key cannot match, so the candidate is correctly kept;
-    - a user who has read all but one item may exhaust the
-      :data:`RESAMPLE_ROUNDS` redraw rounds without hitting the single
-      unseen item. Survivor collisions keep their last draw: the pair
-      trains "positive vs itself", whose gradient contribution on the
-      shared item factor cancels to the regularisation pull alone — a
-      rare, unbiased, near-no-op update rather than a bias towards any
-      particular negative.
-
-    The RNG call sequence is exactly the historical trainer's (one
-    full-width draw plus one redraw per round over the colliding
-    subset), which keeps the reference kernel bit-identical to the
-    pre-refactor implementation.
+    The RNG call sequence is one full-width draw plus one redraw per
+    round over the colliding subset.
     """
     candidates = rng.integers(0, n_items, size=len(users), dtype=np.int64)
     for _ in range(RESAMPLE_ROUNDS):
-        keys = users * np.int64(n_items) + candidates
-        positions = np.searchsorted(seen_keys, keys)
-        positions = np.minimum(positions, len(seen_keys) - 1)
-        seen = seen_keys[positions] == keys
-        if not seen.any():
+        collides = is_seen(seen, users * np.int64(n_items) + candidates)
+        if not collides.any():
             break
-        candidates[seen] = rng.integers(
-            0, n_items, size=int(seen.sum()), dtype=np.int64
+        candidates[collides] = rng.integers(
+            0, n_items, size=int(collides.sum()), dtype=np.int64
         )
     return candidates
 
@@ -104,18 +117,18 @@ def sample_unseen(
 # repro: tier[float32]
 def predraw_candidates(
     users: np.ndarray,
-    seen_keys: np.ndarray,
+    seen: np.ndarray,
     n_items: int,
     max_trials: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the full ``(batch, max_trials)`` WARP candidate matrix up front.
 
-    Rejection-of-seen runs on the whole matrix: colliding entries are
-    redrawn for :data:`RESAMPLE_ROUNDS` rounds, and any survivor is
-    *masked invalid* instead of looping further (the fast kernel skips
-    invalid slots when searching for the first violator, mirroring the
-    reference sampler's keep-the-last-draw no-op semantics).
+    Rejection-of-seen runs on the whole matrix against the fit's
+    :func:`seen_bitset`: colliding entries are redrawn for
+    :data:`RESAMPLE_ROUNDS` rounds, and any survivor is *masked invalid*
+    instead of looping further (the kernel skips invalid slots when
+    searching for the first violator).
 
     Returns:
         ``(candidates, valid)`` — an int64 candidate matrix and a
@@ -125,14 +138,9 @@ def predraw_candidates(
     total = shape[0] * max_trials
     candidates = rng.integers(0, n_items, size=total, dtype=np.int64)
     base = np.repeat(users * np.int64(n_items), max_trials)
-    clamp = max(len(seen_keys) - 1, 0)
     # One full-matrix membership test, then redraw rounds that touch
-    # only the (vanishing) colliding subset — the full searchsorted is
-    # the expensive step, and repeating it per round would cost more
-    # than the whole scoring einsum.
-    keys = base + candidates
-    positions = np.minimum(np.searchsorted(seen_keys, keys), clamp)
-    colliding = np.flatnonzero(seen_keys[positions] == keys)
+    # only the (vanishing) colliding subset.
+    colliding = np.flatnonzero(is_seen(seen, base + candidates))
     for _ in range(RESAMPLE_ROUNDS):
         if colliding.size == 0:
             break
@@ -140,8 +148,7 @@ def predraw_candidates(
             0, n_items, size=colliding.size, dtype=np.int64
         )
         keys = base[colliding] + candidates[colliding]
-        positions = np.minimum(np.searchsorted(seen_keys, keys), clamp)
-        colliding = colliding[seen_keys[positions] == keys]
+        colliding = colliding[is_seen(seen, keys)]
     valid = np.ones(total, dtype=bool)
     valid[colliding] = False
     return candidates.reshape(shape), valid.reshape(shape)
@@ -193,28 +200,8 @@ def scatter_add(
         ).astype(target.dtype, copy=False)
 
 
-def _apply_updates_reference(
-    V: np.ndarray,
-    P: np.ndarray,
-    users: np.ndarray,
-    items: np.ndarray,
-    negatives: np.ndarray,
-    weight: np.ndarray,
-    config: "BPRConfig",
-) -> None:
-    """The historical ``np.add.at`` update step (bit-exact reference)."""
-    lr = config.learning_rate
-    reg = config.regularization
-    Vu = V[users]
-    diff = P[items] - P[negatives]
-    w = weight[:, None]
-    np.add.at(V, users, lr * (w * diff - reg * Vu))
-    np.add.at(P, items, lr * (w * Vu - reg * P[items]))
-    np.add.at(P, negatives, lr * (-w * Vu - reg * P[negatives]))
-
-
 # repro: tier[float32]
-def _apply_updates_fast(
+def _apply_updates(
     V: np.ndarray,
     P: np.ndarray,
     users: np.ndarray,
@@ -223,11 +210,11 @@ def _apply_updates_fast(
     weight: np.ndarray,
     config: "BPRConfig",
 ) -> None:
-    """The float32 segment-sum update step of the fast kernel.
+    """The float32 segment-sum update step.
 
     Positive and negative item updates concatenate into a single
     :func:`scatter_add` over ``P`` so each batch pays two segment-sum
-    passes (one per factor matrix) instead of three ``np.add.at`` calls.
+    passes (one per factor matrix).
     """
     lr = V.dtype.type(config.learning_rate)
     reg = V.dtype.type(config.regularization)
@@ -248,76 +235,13 @@ def _apply_updates_fast(
 # ----------------------------------------------------------------------
 
 
-def train_batch_reference(
-    V: np.ndarray,
-    P: np.ndarray,
-    users: np.ndarray,
-    items: np.ndarray,
-    seen_keys: np.ndarray,
-    n_items: int,
-    rng: np.random.Generator,
-    config: "BPRConfig",
-) -> tuple[float, int]:
-    """One float64 SGD step; returns (sum of trials, updated pairs).
-
-    This is the pre-refactor ``BPR._train_batch`` moved verbatim (same
-    RNG call sequence, same float64 arithmetic, same ``np.add.at``
-    updates), so seeded reference training stays bit-identical to the
-    historical trainer — ``tests/core/test_bpr_kernel.py`` pins the
-    equality against a frozen copy of the original implementation. The
-    only intentional change is the numerically stable sigmoid of the
-    uniform sampler, which is bit-identical wherever the naive form did
-    not overflow for non-positive margins (see :func:`stable_neg_sigmoid`).
-    """
-    batch = len(users)
-    Vu = V[users]
-    pos_scores = np.einsum("ij,ij->i", Vu, P[items])
-
-    if config.sampler == "uniform":
-        negatives = sample_unseen(users, seen_keys, n_items, rng)
-        neg_scores = np.einsum("ij,ij->i", Vu, P[negatives])
-        # sigma(-x), the Eq. 3 gradient, via the overflow-safe split.
-        weight = stable_neg_sigmoid(pos_scores - neg_scores)
-        _apply_updates_reference(V, P, users, items, negatives, weight, config)
-        return float(batch), batch
-
-    # WARP: keep drawing negatives until one violates the margin.
-    negatives = np.zeros(batch, dtype=np.int64)
-    trials = np.zeros(batch, dtype=np.int64)
-    unresolved = np.ones(batch, dtype=bool)
-    for trial in range(1, config.max_trials + 1):
-        active = np.flatnonzero(unresolved)
-        if active.size == 0:
-            break
-        candidates = sample_unseen(users[active], seen_keys, n_items, rng)
-        cand_scores = np.einsum("ij,ij->i", Vu[active], P[candidates])
-        violating = cand_scores > pos_scores[active] - config.margin
-        hit = active[violating]
-        negatives[hit] = candidates[violating]
-        trials[hit] = trial
-        unresolved[hit] = False
-    resolved = trials > 0
-    if not resolved.any():
-        return 0.0, 0
-    # Float division: floor division quantises the estimate for small
-    # catalogues and collapses to 0 (rescued only by the maximum) as
-    # soon as trials exceeds n_items - 1.
-    rank_estimate = np.maximum((n_items - 1) / trials[resolved], 1.0)
-    weight = np.log1p(rank_estimate) / np.log1p(n_items - 1)
-    _apply_updates_reference(
-        V, P, users[resolved], items[resolved], negatives[resolved], weight,
-        config,
-    )
-    return float(trials[resolved].sum()), int(resolved.sum())
-
-
 # repro: tier[float32]
-def train_batch_fast(
+def train_batch(
     V: np.ndarray,
     P: np.ndarray,
     users: np.ndarray,
     items: np.ndarray,
-    seen_keys: np.ndarray,
+    seen: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
     config: "BPRConfig",
@@ -328,20 +252,19 @@ def train_batch_fast(
     (:func:`predraw_candidates`), scores each block with a single
     batched einsum, and locates each row's first margin violator with a
     vectorised ``argmax`` — no per-trial Python loop. A row's trial
-    count is the violator's overall column index + 1, matching the
-    reference's "draws needed" semantics; rows none of whose
-    ``max_trials`` pre-drawn candidates violate are skipped exactly like
-    reference rows that exhaust ``max_trials``.
+    count is the violator's overall column index + 1 (the WARP "draws
+    needed"); rows none of whose ``max_trials`` pre-drawn candidates
+    violate are skipped. ``seen`` is the fit's :func:`seen_bitset`.
     """
     batch = len(users)
     Vu = V[users]
     pos_scores = np.einsum("ij,ij->i", Vu, P[items])
 
     if config.sampler == "uniform":
-        negatives = sample_unseen(users, seen_keys, n_items, rng)
+        negatives = sample_unseen(users, seen, n_items, rng)
         neg_scores = np.einsum("ij,ij->i", Vu, P[negatives])
         weight = stable_neg_sigmoid(pos_scores - neg_scores)
-        _apply_updates_fast(V, P, users, items, negatives, weight, config)
+        _apply_updates(V, P, users, items, negatives, weight, config)
         return float(batch), batch
 
     margin = V.dtype.type(config.margin)
@@ -361,7 +284,7 @@ def train_batch_fast(
     while drawn < config.max_trials and unresolved.size:
         width = min(width, config.max_trials - drawn)
         block, valid = predraw_candidates(
-            users[unresolved], seen_keys, n_items, width, rng
+            users[unresolved], seen, n_items, width, rng
         )
         block_scores = np.einsum("bf,btf->bt", Vu[unresolved], P[block])
         violating = valid & (block_scores > thresholds[unresolved, None])
@@ -377,17 +300,10 @@ def train_batch_fast(
         return 0.0, 0
     rank_estimate = np.maximum((n_items - 1) / trials[rows], 1.0)
     weight = (np.log1p(rank_estimate) / np.log1p(n_items - 1)).astype(V.dtype)
-    _apply_updates_fast(
+    _apply_updates(
         V, P, users[rows], items[rows], negatives[rows], weight, config
     )
     return float(trials[rows].sum()), int(rows.size)
-
-
-#: Batch kernel per tier name (the hogwild tier reuses ``fast``).
-BATCH_KERNELS = {
-    "reference": train_batch_reference,
-    "fast": train_batch_fast,
-}
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +317,7 @@ def fork_sharing_available() -> bool:
     HogWild training requires the ``fork`` start method: the anonymous
     ``mmap`` buffers backing the factor matrices are shared with workers
     by inheritance, not pickling. Without ``fork`` (e.g. Windows), the
-    trainer transparently falls back to in-process fast-kernel training.
+    trainer transparently falls back to in-process training.
     """
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -426,7 +342,7 @@ def hogwild_pool(
     P: np.ndarray,
     pos_users: np.ndarray,
     pos_items: np.ndarray,
-    seen_keys: np.ndarray,
+    seen: np.ndarray,
     n_items: int,
     config: "BPRConfig",
     n_workers: int,
@@ -434,32 +350,32 @@ def hogwild_pool(
     """A process pool whose workers share the factor matrices.
 
     Everything epoch-invariant — the shared (mmap-backed) factors, the
-    positive pairs, the seen-key index — travels once through the pool's
+    positive pairs, the seen bitset — travels once through the pool's
     ``shared`` channel; per-epoch tasks then carry only their shard's
     pair indices and seed.
     """
     return WorkerPool(
         n_jobs=n_workers,
         backend="process",
-        shared=(V, P, pos_users, pos_items, seen_keys, n_items, config),
+        shared=(V, P, pos_users, pos_items, seen, n_items, config),
     )
 
 
 def _hogwild_shard(indices: np.ndarray, seed: int) -> tuple[float, int]:
     """Train one shard of an epoch against the shared factors (worker side).
 
-    Runs the fast batch kernel over the shard's positive pairs, writing
+    Runs :func:`train_batch` over the shard's positive pairs, writing
     straight into the inherited shared matrices without locks. Returns
     ``(sum of trials, updated pairs)`` for the parent's epoch stats.
     """
-    V, P, pos_users, pos_items, seen_keys, n_items, config = shared_payload()
+    V, P, pos_users, pos_items, seen, n_items, config = shared_payload()
     rng = derive_rng(seed, "bpr", "hogwild.shard")
     trial_total, updated_total = 0.0, 0
     for start in range(0, len(indices), config.batch_size):
         batch = indices[start:start + config.batch_size]
-        trials, updated = train_batch_fast(
+        trials, updated = train_batch(
             V, P, pos_users[batch], pos_items[batch],
-            seen_keys, n_items, rng, config,
+            seen, n_items, rng, config,
         )
         trial_total += trials
         updated_total += updated

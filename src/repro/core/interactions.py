@@ -243,10 +243,11 @@ class InteractionMatrix:
         return coo.row.astype(np.int64), coo.col.astype(np.int64)
 
     def interaction_keys(self) -> np.ndarray:
-        """Sorted ``user * n_items + item`` keys for O(log n) membership tests.
+        """Sorted ``user * n_items + item`` keys, one per distinct pair.
 
-        Used by the BPR negative sampler to reject sampled "negatives" the
-        user has actually read.
+        BPR packs them into a bitset once per fit
+        (:func:`~repro.core.bpr_kernel.seen_bitset`) so its negative
+        sampler can reject sampled "negatives" the user has actually read.
         """
         rows, cols = self.positive_pairs()
         return np.sort(rows * np.int64(self.n_items) + cols)

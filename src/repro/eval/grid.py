@@ -115,20 +115,20 @@ def grid_search_bpr(
     metrics: MetricsRegistry | None = None,
     n_jobs: int = 1,
     backend: str = "auto",
-    kernel: str | None = None,
     workers: int | None = None,
 ) -> GridSearchResult:
     """Sweep (n_factors, learning_rate), scoring URR@k on BCT validation.
 
     ``base_config`` supplies everything the grid does not vary (epochs,
-    sampler, seed, ...). ``kernel``/``workers``, when given, override the
-    training tier on every cell's config (see
+    sampler, seed, ...). ``workers``, when given, overrides the HogWild
+    worker count on every cell's config (see
     :class:`~repro.core.bpr.BPRConfig`); the default leaves the
-    ``base_config`` tier untouched. ``tracer``/``metrics`` thread into every cell's
-    :class:`BPR` and evaluation: the sweep is one ``grid.search`` span
-    with a ``grid.cell`` child per configuration, and each cell's
-    validation URR/NRR land in ``grid.val_urr``/``grid.val_nrr`` gauges
-    labelled by the cell coordinates.
+    ``base_config`` value untouched. ``tracer``/``metrics`` thread into
+    every cell's :class:`BPR` and evaluation: the sweep is one
+    ``grid.search`` span with a ``grid.cell`` child per configuration,
+    and each cell's validation URR/NRR land in
+    ``grid.val_urr``/``grid.val_nrr`` gauges labelled by the cell
+    coordinates.
 
     ``n_jobs``/``backend`` select the execution backend (see
     :class:`~repro.parallel.WorkerPool`): with ``n_jobs > 1`` the
@@ -143,8 +143,6 @@ def grid_search_bpr(
     if not factor_grid or not learning_rate_grid:
         raise EvaluationError("both grid axes need at least one value")
     base_config = base_config or BPRConfig()
-    if kernel is not None:
-        base_config = replace(base_config, kernel=kernel)
     if workers is not None:
         base_config = replace(base_config, workers=workers)
     cells = [

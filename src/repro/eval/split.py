@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.interactions import Indexer, InteractionMatrix
 from repro.datasets.merged import MergedDataset
@@ -85,89 +86,123 @@ class DatasetSplit:
 def split_readings(
     merged: MergedDataset, config: SplitConfig | None = None
 ) -> DatasetSplit:
-    """Split a merged dataset per the paper's protocol (module docstring)."""
+    """Split a merged dataset per the paper's protocol (module docstring).
+
+    Runs over index arrays: readings collapse to distinct (user, book)
+    pairs with their first-read date and event multiplicity (re-borrows),
+    each user's pairs are ordered by (date, book index) — or shuffled
+    with one ``rng.permutation`` per user for ``order="random"`` — and
+    :func:`_cut_sizes` assigns each user's tail to the holdouts. The
+    split is decided on distinct books; multiplicity flows into the
+    training matrix so popularity reflects loan events, as in the raw
+    Loans table. The holdout dicts list users in order of their first
+    reading.
+    """
     config = config or SplitConfig()
     users = Indexer(merged.user_ids)
     items = Indexer(int(b) for b in merged.books["book_id"])
-    bct_users = set(merged.bct_user_ids)
+    readings = merged.readings
+    user_of = users.indices_of(readings["user_id"].tolist())
+    item_of = items.indices_of(readings["book_id"].tolist())
+    dates = np.asarray(readings["read_date"], dtype="datetime64[D]").view(np.int64)
 
-    # Distinct books per user with first-read date and event multiplicity
-    # (re-borrows), in reading order. The split is decided on distinct
-    # books; multiplicity flows into the training matrix so popularity
-    # reflects loan events, as in the raw Loans table.
-    first_date: dict[tuple[int, int], np.datetime64] = {}
-    event_count: dict[tuple[int, int], int] = {}
-    for user_id, book_id, read_date in zip(
-        merged.readings["user_id"],
-        merged.readings["book_id"],
-        merged.readings["read_date"],
-    ):
-        key = (users.index_of(str(user_id)), items.index_of(int(book_id)))
-        event_count[key] = event_count.get(key, 0) + 1
-        if key not in first_date or read_date < first_date[key]:
-            first_date[key] = read_date
+    # Distinct pairs, each with its earliest date and its reading count.
+    pair_keys = user_of * np.int64(len(items)) + item_of
+    by_pair = np.lexsort((dates, pair_keys))
+    _, starts, multiplicity = np.unique(
+        pair_keys[by_pair], return_index=True, return_counts=True
+    )
+    first = by_pair[starts]
+    pair_user, pair_item, pair_date = user_of[first], item_of[first], dates[first]
 
-    per_user: dict[int, list[tuple[np.datetime64, int]]] = {}
-    for (user_index, item_index), date in first_date.items():
-        per_user.setdefault(user_index, []).append((date, item_index))
+    # Users in order of their first reading; each one's pairs form a
+    # contiguous segment ordered by (date, book index).
+    present, first_read = np.unique(user_of, return_index=True)
+    appearance = present[np.argsort(first_read)]
+    rank = np.empty(len(users), dtype=np.int64)
+    rank[appearance] = np.arange(len(appearance))
+    order = np.lexsort((pair_item, pair_date, rank[pair_user]))
+    sizes = np.bincount(rank[pair_user], minlength=len(appearance))
+    segment_start = np.cumsum(sizes) - sizes
+    if config.order == "random" and len(order):
+        rng = derive_rng(config.seed, "split")
+        order = order[np.concatenate([
+            start + rng.permutation(int(size))
+            for start, size in zip(segment_start, sizes)
+        ])]
+    segment = np.repeat(np.arange(len(appearance)), sizes)
+    position = np.arange(len(order)) - segment_start[segment]
 
-    rng = derive_rng(config.seed, "split") if config.order == "random" else None
-    train_pairs: list[tuple[str, int]] = []
-    val_items: dict[int, np.ndarray] = {}
-    test_items: dict[int, np.ndarray] = {}
-    for user_index, dated in per_user.items():
-        ordered = [item for _, item in sorted(dated, key=lambda p: (p[0], p[1]))]
-        if rng is not None:
-            ordered = [ordered[i] for i in rng.permutation(len(ordered))]
-        is_bct = users.id_of(user_index) in bct_users
-        train_part, val_part, test_part = _cut(
-            ordered, config.test_fraction if is_bct else 0.0, config.val_fraction
-        )
-        user_id = str(users.id_of(user_index))
-        for item_index in train_part:
-            multiplicity = event_count[(user_index, item_index)]
-            train_pairs.extend(
-                [(user_id, items.id_of(item_index))] * multiplicity
-            )
-        if val_part:
-            val_items[user_index] = np.asarray(sorted(val_part), dtype=np.int64)
-        if test_part:
-            test_items[user_index] = np.asarray(sorted(test_part), dtype=np.int64)
+    is_bct = np.zeros(len(users), dtype=bool)
+    is_bct[users.indices_of(list(merged.bct_user_ids))] = True
+    test_fraction = np.where(is_bct[appearance], config.test_fraction, 0.0)
+    n_train, n_val = _cut_sizes(sizes, test_fraction, config.val_fraction)
+    in_train = position < n_train[segment]
+    in_val = ~in_train & (position < (n_train + n_val)[segment])
 
-    train = InteractionMatrix.from_pairs(train_pairs, users=users, items=items)
-    bct_indices = np.asarray(
-        sorted(users.index_of(u) for u in bct_users), dtype=np.int64
+    ordered_item = pair_item[order]
+    train_pairs = order[in_train]
+    counts = sparse.coo_matrix(
+        (
+            multiplicity[train_pairs].astype(np.float64),
+            (pair_user[train_pairs], pair_item[train_pairs]),
+        ),
+        shape=(len(users), len(items)),
     )
     return DatasetSplit(
-        train=train,
-        val_items=val_items,
-        test_items=test_items,
-        bct_user_indices=bct_indices,
+        train=InteractionMatrix(users, items, counts.tocsr()),
+        val_items=_holdout(appearance, segment, ordered_item, in_val),
+        test_items=_holdout(
+            appearance, segment, ordered_item, ~in_train & ~in_val
+        ),
+        bct_user_indices=np.flatnonzero(is_bct).astype(np.int64),
     )
 
 
-def _cut(
-    ordered: list[int], test_fraction: float, val_fraction: float
-) -> tuple[list[int], list[int], list[int]]:
-    """Split an ordered reading list into train / val / test tails.
+def _holdout(
+    appearance: np.ndarray,
+    segment: np.ndarray,
+    item: np.ndarray,
+    mask: np.ndarray,
+) -> dict[int, np.ndarray]:
+    """user index -> sorted held-out item indices, for the masked pairs.
+
+    Users come in ``appearance`` order and only those with at least one
+    held-out pair get an entry.
+    """
+    segment, item = segment[mask], item[mask]
+    by_user = np.lexsort((item, segment))
+    segment, item = segment[by_user], item[by_user]
+    owners, starts = np.unique(segment, return_index=True)
+    return {
+        int(appearance[owner]): part
+        for owner, part in zip(owners, np.split(item, starts[1:]))
+    }
+
+
+def _cut_sizes(
+    n: np.ndarray, test_fraction: np.ndarray, val_fraction: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train and validation sizes of ordered lists of ``n`` readings.
 
     The most recent ``test_fraction`` goes to test, then the most recent
-    ``val_fraction`` of the remainder to validation. Every split keeps at
-    least one training item; holdouts get at least one item only when the
-    list is long enough to afford it.
+    ``val_fraction`` of the remainder to validation; the train part is
+    the ``n_train`` oldest readings, validation the next ``n_val`` and
+    test the rest. Every split keeps at least one training item;
+    holdouts get at least one item only when the list is long enough to
+    afford it. Element-wise over arrays (or scalars) of list lengths and
+    test fractions.
     """
-    n = len(ordered)
-    n_test = int(n * test_fraction)
-    if test_fraction > 0 and n_test == 0 and n >= 3:
-        n_test = 1
+    n = np.asarray(n, dtype=np.int64)
+    test_fraction = np.asarray(test_fraction, dtype=np.float64)
+    n_test = (n * test_fraction).astype(np.int64)
+    n_test = np.where((test_fraction > 0) & (n_test == 0) & (n >= 3), 1, n_test)
     remaining = n - n_test
-    n_val = int(remaining * val_fraction)
-    if val_fraction > 0 and n_val == 0 and remaining >= 3:
-        n_val = 1
-    n_train = n - n_test - n_val
-    if n_train < 1:
-        n_train, n_val = 1, max(0, remaining - 1)
-    train = ordered[:n_train]
-    val = ordered[n_train:n_train + n_val]
-    test = ordered[n_train + n_val:]
-    return train, val, test
+    n_val = (remaining * val_fraction).astype(np.int64)
+    if val_fraction > 0:
+        n_val = np.where((n_val == 0) & (remaining >= 3), 1, n_val)
+    short = n - n_test - n_val < 1
+    n_train = np.where(short, 1, n - n_test - n_val)
+    n_val = np.where(short, np.maximum(0, remaining - 1), n_val)
+    return n_train, n_val
+

@@ -86,16 +86,14 @@ def config_for_scale(
     scale: str,
     seed: int | None = None,
     n_jobs: int | None = None,
-    train_kernel: str | None = None,
     train_workers: int | None = None,
 ) -> ExperimentConfig:
     """Build the preset for ``scale``, optionally reseeded/parallelised.
 
-    ``train_kernel``/``train_workers`` override the BPR training tier
-    (see :class:`~repro.core.bpr.BPRConfig`): the float64 ``reference``
-    kernel is the default everywhere so recorded EXPERIMENTS.md numbers
-    stay bit-stable; pass ``train_kernel="fast"`` (optionally with
-    ``train_workers > 1`` for HogWild) to trade bit-identity for speed.
+    ``train_workers > 1`` trains BPR HogWild-style across that many
+    worker processes (see :class:`~repro.core.bpr.BPRConfig`), trading
+    bit-identity for speed; the default single worker is deterministic
+    given the seed.
     """
     if scale not in SCALES:
         raise ConfigurationError(
@@ -106,11 +104,6 @@ def config_for_scale(
         config = config.with_seed(seed)
     if n_jobs is not None:
         config = replace(config, n_jobs=n_jobs)
-    bpr_overrides = {}
-    if train_kernel is not None:
-        bpr_overrides["kernel"] = train_kernel
     if train_workers is not None:
-        bpr_overrides["workers"] = train_workers
-    if bpr_overrides:
-        config = replace(config, bpr=replace(config.bpr, **bpr_overrides))
+        config = replace(config, bpr=replace(config.bpr, workers=train_workers))
     return config

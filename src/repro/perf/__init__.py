@@ -6,9 +6,6 @@ context manager and throughput helpers used by the benches;
 vectorised-scoring work (masking, rank-only evaluation, blockwise /
 truncated similarity, cached serving) against its reference
 implementation and writes the ``BENCH_fastpath.json`` trajectory file;
-:mod:`repro.perf.trainbench` measures the BPR training tiers
-(reference / fast / hogwild) against each other and writes the
-``BENCH_train.json`` trajectory file;
 :mod:`repro.perf.rss` attributes peak resident-set-size to individual
 phases; :mod:`repro.perf.scalebench` measures the out-of-core data path
 (sharded generation + streaming merge) and writes ``BENCH_scale.json``;
@@ -19,7 +16,6 @@ writes ``BENCH_serve.json``.
 
 from repro.perf.timer import Timer, TimingResult, best_of, throughput
 from repro.perf.fastpath import FastpathBenchConfig, run_fastpath_bench
-from repro.perf.trainbench import TrainBenchConfig, run_train_bench
 from repro.perf.rss import PhaseRss, measure_phase_rss, reset_peak_rss
 from repro.perf.scalebench import ScaleBenchConfig, run_scale_bench
 from repro.perf.servebench import (
@@ -35,8 +31,6 @@ __all__ = [
     "throughput",
     "FastpathBenchConfig",
     "run_fastpath_bench",
-    "TrainBenchConfig",
-    "run_train_bench",
     "PhaseRss",
     "measure_phase_rss",
     "reset_peak_rss",

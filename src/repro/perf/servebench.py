@@ -1,9 +1,9 @@
 """Measure the serving retrieval tiers: recall@k versus latency.
 
-The serving analogue of ``BENCH_train.json``: one synthetic catalogue,
-one fitted BPR model, and the :class:`~repro.app.service.RecommendationService`
-driven through each retrieval configuration (see ``docs/serving.md`` for
-the operator's view of the knobs):
+One synthetic catalogue, one fitted BPR model, and the
+:class:`~repro.app.service.RecommendationService` driven through each
+retrieval configuration (see ``docs/serving.md`` for the operator's
+view of the knobs):
 
 - **equivalence** — the bit-compatibility contract of
   ``docs/determinism.md``: IVF with ``probe_cells >= n_cells`` and the

@@ -193,7 +193,6 @@ class TestSrcRegressions:
             "src/repro/perf/fastpath.py",
             "src/repro/perf/scalebench.py",
             "src/repro/perf/servebench.py",
-            "src/repro/perf/trainbench.py",
         ):
             source = (repo / relpath).read_text(encoding="utf-8")
             assert "atomic_write" in source, relpath

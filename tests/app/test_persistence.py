@@ -1,10 +1,27 @@
 """Tests for dataset/model persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.app.persistence import load_bpr, load_dataset, save_bpr, save_dataset
+from repro.app.lifecycle import ModelStore
+from repro.app.persistence import (
+    BPR_FORMAT_VERSION,
+    BPR_KIND,
+    load_bpr,
+    load_dataset,
+    save_bpr,
+    save_dataset,
+)
+from repro.app.service import (
+    SERVED_BY_PRIMARY,
+    RecommendationRequest,
+    RecommendationService,
+)
+from repro.core.bpr import BPR, BPRConfig
 from repro.errors import PersistenceError
+from repro.resilience.artefacts import atomic_write, write_manifest
 
 
 class TestDatasetRoundtrip:
@@ -73,3 +90,62 @@ class TestBPRRoundtrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistenceError, match="no saved model"):
             load_bpr(tmp_path / "ghost.npz")
+
+
+def _as_float64_era_artefact(path) -> None:
+    """Rewrite a saved model as builds that trained on the float64 kernel
+    stored it: float64 factors and a config naming the training tier
+    (``"kernel": "reference"``), with a fresh manifest over the bytes."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    config = json.loads(str(arrays["config"][0]))
+    config["kernel"] = "reference"
+    arrays["config"] = np.asarray([json.dumps(config)], dtype=np.str_)
+    for name in ("user_factors", "item_factors"):
+        arrays[name] = arrays[name].astype(np.float64)
+    with atomic_write(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    write_manifest(
+        path, [path], kind=BPR_KIND, extra={"format_version": BPR_FORMAT_VERSION}
+    )
+
+
+class TestRetiredKernelKey:
+    """Models published before the float32 kernel became the only one
+    store ``"kernel"`` in their config; they must keep loading."""
+
+    @pytest.fixture()
+    def old_store(self, tmp_path, tiny_bpr, tiny_split):
+        store = ModelStore(tmp_path / "store")
+        version = store.publish(tiny_bpr, tiny_split.train)
+        _as_float64_era_artefact(version.model_path)
+        return store, version
+
+    def test_loads_and_verifies(self, old_store, tiny_bpr):
+        store, version = old_store
+        store.verify(version)
+        model, _ = store.load()
+        assert not hasattr(model.config, "kernel")
+        assert model.config == tiny_bpr.config
+        assert model.user_factors.dtype == np.float64
+
+    def test_hot_swap_serves_it(self, old_store, tiny_bpr, tiny_split, tiny_merged):
+        store, version = old_store
+        service = RecommendationService(tiny_bpr, tiny_split.train, tiny_merged)
+        assert service.refresh_from_store(store)
+        user = str(tiny_split.train.users.ids[0])
+        response = service.recommend_response(
+            RecommendationRequest(user_id=user, k=5)
+        )
+        assert response.model_version == version.name
+        assert response.served_by == SERVED_BY_PRIMARY
+        assert len(response.books) == 5
+
+    def test_warm_starts_a_fit(self, old_store, tiny_split):
+        store, _ = old_store
+        previous, _ = store.load()
+        model = BPR(BPRConfig(epochs=2, seed=4))
+        model.fit(tiny_split.train, warm_start=previous)
+        assert model.user_factors.dtype == np.float32
+        assert store.publish(model, tiny_split.train).name == "v000002"
+        assert store.load()[0].user_factors.dtype == np.float32

@@ -62,8 +62,8 @@ class TestTraining:
         assert all(0 <= s.updated_fraction <= 1 for s in model.history)
 
     def test_samples_per_second_is_pairs_over_epoch_seconds(self):
-        """The one shared throughput definition (EpochStats, the
-        ``bpr.samples_per_second`` gauge, and bench-train all use it)."""
+        """The one shared throughput definition (EpochStats and the
+        ``bpr.samples_per_second`` gauge both use it)."""
         train = block_world()
         model = BPR(BPRConfig(epochs=2, seed=0)).fit(train)
         for stats in model.history:

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from repro.errors import EvaluationError
-from repro.eval.split import SplitConfig, _cut, split_readings
+from repro.eval.split import SplitConfig, _cut_sizes, split_readings
+
+
+def _cut(ordered, test_fraction, val_fraction):
+    """One ordered list cut into train / val / test by ``_cut_sizes``."""
+    n_train, n_val = (
+        int(size) for size in _cut_sizes(len(ordered), test_fraction, val_fraction)
+    )
+    return (
+        ordered[:n_train],
+        ordered[n_train:n_train + n_val],
+        ordered[n_train + n_val:],
+    )
 
 
 class TestSplitConfigValidation:
