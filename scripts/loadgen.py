@@ -17,12 +17,11 @@ exits non-zero if any request errored.
 Usage::
 
     python scripts/loadgen.py [--threads 8] [--requests 2000] [--seed 0]
-    python scripts/loadgen.py --retrieval ivf --probe-cells 6 --zipf 1.1
+    python scripts/loadgen.py --zipf 1.1
 
-``--retrieval ivf`` serves through the approximate IVF tier (see
-``docs/serving.md``); ``--zipf S`` draws users from a seeded Zipf
-popularity distribution (p ∝ 1/rank^S) instead of uniformly, so the
-cache and shard residency see realistic head/tail skew.
+``--zipf S`` draws users from a seeded Zipf popularity distribution
+(p ∝ 1/rank^S) instead of uniformly, so the cache sees realistic
+head/tail skew.
 """
 
 from __future__ import annotations
@@ -55,12 +54,7 @@ from repro.pipeline.merge import build_merged_dataset  # noqa: E402
 COLD_START_EVERY = 10
 
 
-def build_service(
-    seed: int,
-    cache_size: int,
-    retrieval: str = "exact",
-    probe_cells: int | None = None,
-) -> RecommendationService:
+def build_service(seed: int, cache_size: int) -> RecommendationService:
     """Stand up a demo-world service (mirrors ``repro.obs.demo``)."""
     world = WorldConfig(
         n_books=DEMO_WORLD.n_books,
@@ -81,8 +75,6 @@ def build_service(
         cold_start_fallback=most_read,
         cache_size=cache_size,
         degrade_unknown_users=True,
-        retrieval=retrieval,
-        probe_cells=probe_cells,
     )
 
 
@@ -201,11 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache-size", type=int, default=256)
-    parser.add_argument("--retrieval", choices=("exact", "ivf"),
-                        default="exact",
-                        help="serving retrieval tier (see docs/serving.md)")
-    parser.add_argument("--probe-cells", type=int, default=None,
-                        help="IVF probe width (default: half the cells)")
     parser.add_argument("--zipf", type=float, default=None, metavar="S",
                         help="draw users Zipf-distributed with exponent S "
                         "instead of uniformly")
@@ -216,10 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--zipf must be > 0")
 
     print(f"building demo-world service (seed={args.seed}) ...", flush=True)
-    service = build_service(
-        args.seed, args.cache_size,
-        retrieval=args.retrieval, probe_cells=args.probe_cells,
-    )
+    service = build_service(args.seed, args.cache_size)
     print(
         f"firing {args.requests} requests from {args.threads} threads ...",
         flush=True,

@@ -1,11 +1,7 @@
 """Docs-integrity rules: docstring coverage and intra-repo link checks.
 
-These used to be the standalone gates ``scripts/check_docstrings.py``
-and ``scripts/check_links.py``; the logic now lives here so every
-repository invariant shares one runner, one suppression syntax, and one
-output format. The scripts remain as thin shims re-exporting this
-module's functions with their original CLIs and exit codes, so CI and
-``tests/test_doc_checks.py`` are untouched.
+Both run under ``python -m repro check`` with every other repository
+invariant: one runner, one suppression syntax, and one output format.
 
 Two rules:
 
@@ -36,7 +32,6 @@ CHECKED_PACKAGES = (
     "repro/obs",
     "repro/resilience",
     "repro/analysis",
-    "repro/retrieval",
 )
 
 #: ``[text](target)`` — target captured lazily so nested parens in text
@@ -51,7 +46,7 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
 
 # ----------------------------------------------------------------------
-# docstring coverage (the former scripts/check_docstrings.py core)
+# docstring coverage
 # ----------------------------------------------------------------------
 
 
@@ -95,31 +90,8 @@ def missing_docstrings_in_tree(tree: ast.Module) -> list[tuple[int, str]]:
     return missing
 
 
-def missing_docstrings(path: Path) -> list[tuple[int, str]]:
-    """All undocumented public definitions in one source file."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return missing_docstrings_in_tree(tree)
-
-
-def check_packages(src_root: Path) -> list[str]:
-    """Failure lines for every undocumented definition under the gate."""
-    failures = []
-    for package in CHECKED_PACKAGES:
-        package_root = src_root / package
-        if not package_root.is_dir():
-            failures.append(f"{package}: package directory missing")
-            continue
-        for path in sorted(package_root.rglob("*.py")):
-            for line, what in missing_docstrings(path):
-                failures.append(
-                    f"{path.relative_to(src_root)}:{line}: "
-                    f"missing docstring on {what}"
-                )
-    return failures
-
-
 # ----------------------------------------------------------------------
-# markdown link integrity (the former scripts/check_links.py core)
+# markdown link integrity
 # ----------------------------------------------------------------------
 
 
@@ -151,18 +123,6 @@ def broken_links(path: Path, root: Path) -> list[tuple[int, str]]:
                 resolved = path.parent / relative
             if not resolved.exists():
                 failures.append((line_number, target))
-    return failures
-
-
-def check_tree(root: Path) -> list[str]:
-    """Human-readable failure lines for every broken link under ``root``."""
-    failures = []
-    for path in markdown_files(root):
-        for line_number, target in broken_links(path, root):
-            failures.append(
-                f"{path.relative_to(root)}:{line_number}: broken link -> "
-                f"{target}"
-            )
     return failures
 
 

@@ -6,7 +6,7 @@ The repo's architecture is a strict layering (low to high)::
     util         obs, resilience, parallel
     tables       tables
     data         datasets, text, pipeline
-    core         core, retrieval
+    core         core
     eval         eval
     experiments  experiments
     app          app
@@ -16,11 +16,11 @@ A module may import its own layer and anything *below* it, never above.
 ``foundation`` and ``util`` are the leaf utilities every layer may use;
 ``drivers`` sit on top and may orchestrate the whole stack. A handful of
 modules are explicitly re-homed by :data:`DEFAULT_SPEC.overrides` — the
-end-to-end demo/bench drivers that live inside utility packages for
-packaging convenience but are architecturally top-of-stack, and the
+end-to-end demo driver that lives inside a utility package for
+packaging convenience but is architecturally top-of-stack, and the
 fault-injection wrappers that subclass core models:
 
-- ``repro.obs.demo`` and ``repro.parallel.bench`` → ``drivers``;
+- ``repro.obs.demo`` → ``drivers``;
 - ``repro.resilience.faults`` → ``core``.
 
 Besides direction, the rule also rejects *cycles*: strongly connected
@@ -94,7 +94,7 @@ DEFAULT_SPEC = LayerSpec(
         ("util", ("obs", "resilience", "parallel")),
         ("tables", ("tables",)),
         ("data", ("datasets", "text", "pipeline")),
-        ("core", ("core", "retrieval")),
+        ("core", ("core",)),
         ("eval", ("eval",)),
         ("experiments", ("experiments",)),
         ("app", ("app",)),
@@ -103,9 +103,8 @@ DEFAULT_SPEC = LayerSpec(
     overrides={
         # The package facade re-exports and may name anything.
         "repro": "drivers",
-        # End-to-end demo/bench drivers shipped inside utility packages.
+        # The end-to-end demo driver shipped inside a utility package.
         "repro.obs.demo": "drivers",
-        "repro.parallel.bench": "drivers",
         # Fault-injection wrappers subclass core recommenders.
         "repro.resilience.faults": "core",
     },

@@ -1,7 +1,7 @@
 """``resource-lifetime`` — handles must be scoped, writes must be atomic.
 
-Serving keeps ``np.load(..., mmap_mode="r")`` memmaps and open file
-handles alive across requests; persistence writes artefacts that crash
+Readers may keep ``np.load(..., mmap_mode="r")`` memmaps and open file
+handles alive across calls; persistence writes artefacts that crash
 tests expect to be all-or-nothing. Two lifetime contracts follow:
 
 - **acquisition**: every ``np.load``/``open``/``mmap.mmap`` result must
@@ -10,7 +10,7 @@ tests expect to be all-or-nothing. Two lifetime contracts follow:
   (ownership unknowable — degrades silently), or registered on ``self``
   of a class that exposes ``close()``/``__exit__`` so *some* owner can
   release it. Anonymous ``mmap.mmap(-1, ...)`` buffers are exempt —
-  they are reclaimed with the array by the GC (see ``shared_empty``);
+  they are reclaimed with the array by the GC;
 - **writes**: artefacts reach disk only through
   :func:`repro.resilience.artefacts.atomic_write` (or wrappers like
   ``write_npz_columns`` that use it). Direct ``Path.write_text`` /

@@ -155,9 +155,11 @@ def load_bpr(
                     f"reads version {BPR_FORMAT_VERSION}"
                 )
             fields = json.loads(str(archive["config"][0]))
-            # Models saved before the float64 training kernel was retired
-            # store the tier's name; the field no longer exists.
+            # Models saved before the float64 training kernel and HogWild
+            # training were retired store the kernel tier's name and the
+            # worker count; neither field exists any more.
             fields.pop("kernel", None)
+            fields.pop("workers", None)
             config = BPRConfig(**fields)
             model = BPR(config)
             users = Indexer(str(u) for u in archive["user_ids"])

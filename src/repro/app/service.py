@@ -14,18 +14,9 @@ batch endpoint that funnels cache misses through the vectorised
 :meth:`~repro.core.base.Recommender.recommend_batch` scoring path, and a
 bounded latency window so long-lived services don't grow without limit.
 
-Retrieval: the primary scoring path is tiered (``retrieval="exact"`` or
-``"ivf"``). The exact tier scores the whole catalogue; the IVF tier
-(:class:`~repro.retrieval.ivf.IVFIndex`) probes ``probe_cells`` k-means
-cells and exactly re-ranks the pooled candidates — recall@k traded for
-latency, with ``probe_cells >= n_cells`` falling back to the exact
-paths bit for bit. An optional
-:class:`~repro.retrieval.shards.UserShardStore` replaces the in-memory
-user-factor matrix with mmap-backed shards (resident memory stays
-O(active shards)); batch requests are coalesced per ``(k, shard)``
-group so each shard is touched once and scored in one gathered matmul.
-Models without factor matrices (or the ``most-read``/``static`` chain
-links) are untouched: they always serve through the exact tier.
+Scoring is exact: a request scores the whole catalogue through
+``model.recommend``, and a batch's cache misses are grouped by k and
+scored through one ``model.recommend_batch`` call per group.
 ``docs/serving.md`` is the operator's guide to all of this.
 
 Lifecycle: :meth:`RecommendationService.refresh_from_store` hot-swaps
@@ -69,22 +60,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.base import (
-    EXCLUDED_SCORE,
-    Recommender,
-    _top_k,
-    mask_seen_rows,
-    top_k_rows,
-)
+from repro.core.base import Recommender
 from repro.core.interactions import InteractionMatrix
 from repro.core.most_read import MostReadItems
 from repro.datasets.merged import MergedDataset
 from repro.errors import ConfigurationError, UnknownUserError
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, start_span
-from repro.retrieval.ivf import IVFIndex, default_probe_cells, recall_at_k
-from repro.retrieval.shards import UserShardStore
-from repro.rng import derive_rng
 from repro.resilience.breaker import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
@@ -107,14 +89,6 @@ SERVED_BY_PRIMARY = "primary"
 SERVED_BY_MOST_READ = "most-read"
 SERVED_BY_STATIC = "static"
 SERVED_BY_NONE = "none"
-
-#: Retrieval tiers for primary scoring.
-RETRIEVAL_EXACT = "exact"
-RETRIEVAL_IVF = "ivf"
-RETRIEVAL_TIERS = (RETRIEVAL_EXACT, RETRIEVAL_IVF)
-
-#: Users sampled by :meth:`RecommendationService.measure_retrieval_recall`.
-DEFAULT_RECALL_SAMPLE = 64
 
 #: Breaker states encoded for the ``service.breaker_state`` gauge.
 _BREAKER_STATE_VALUE = {
@@ -343,26 +317,6 @@ class RecommendationService:
             :class:`~repro.app.lifecycle.ModelStore` version name); set
             automatically by :meth:`refresh_from_store` and stamped onto
             every :class:`ServedResponse`.
-        retrieval: primary-scoring tier — :data:`RETRIEVAL_EXACT` (full
-            catalogue, the default) or :data:`RETRIEVAL_IVF` (probe an
-            :class:`~repro.retrieval.ivf.IVFIndex` built over the
-            model's item factors, exactly re-rank the candidates).
-            ``"ivf"`` with a factor-less model serves exactly — the tier
-            is a request, not a promise; :meth:`health` reports which is
-            active.
-        probe_cells: IVF probe width (default:
-            :func:`~repro.retrieval.ivf.default_probe_cells` of the
-            built index). ``probe_cells >= n_cells`` serves through the
-            exact paths, bit for bit.
-        ivf_cells: IVF cell count (default:
-            :func:`~repro.retrieval.ivf.default_n_cells`).
-        user_shards: optional
-            :class:`~repro.retrieval.shards.UserShardStore` holding the
-            model's user-factor rows; when set, primary scoring reads
-            user vectors through the mmap-backed store instead of the
-            in-memory matrix, and batch requests coalesce per
-            ``(k, shard)`` group. The store's rows must match the
-            serving model (bit-for-bit, for exact-tier identity).
 
     Thread safety: one service instance may be shared by any number of
     request threads (``scripts/loadgen.py`` drives exactly that). The
@@ -392,10 +346,6 @@ class RecommendationService:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         model_version: str | None = None,
-        retrieval: str = RETRIEVAL_EXACT,
-        probe_cells: int | None = None,
-        ivf_cells: int | None = None,
-        user_shards: UserShardStore | None = None,
     ) -> None:
         if not model.is_fitted:
             raise ConfigurationError(
@@ -409,23 +359,6 @@ class RecommendationService:
             raise ConfigurationError(
                 f"cache_size must be >= 0, got {cache_size}"
             )
-        if retrieval not in RETRIEVAL_TIERS:
-            raise ConfigurationError(
-                f"retrieval must be one of {RETRIEVAL_TIERS}, got {retrieval!r}"
-            )
-        if probe_cells is not None and probe_cells < 1:
-            raise ConfigurationError(
-                f"probe_cells must be >= 1, got {probe_cells}"
-            )
-        if ivf_cells is not None and ivf_cells < 1:
-            raise ConfigurationError(
-                f"ivf_cells must be >= 1, got {ivf_cells}"
-            )
-        if user_shards is not None and user_shards.n_users != train.n_users:
-            raise ConfigurationError(
-                f"user_shards holds {user_shards.n_users} users but the "
-                f"training matrix has {train.n_users}"
-            )
         self.model = model
         self.train = train
         self.dataset = dataset
@@ -438,10 +371,6 @@ class RecommendationService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self.model_version = model_version
-        self.retrieval = retrieval
-        self.ivf_cells = ivf_cells
-        self.user_shards = user_shards
-        self._probe_cells_config = probe_cells
         self._m_requests = self.metrics.counter(
             "service.requests", help="requests answered (all paths)"
         )
@@ -470,22 +399,6 @@ class RecommendationService:
             "service.retrieval.requests",
             help="primary scorings by retrieval tier label",
         )
-        self._m_retrieval_groups = self.metrics.counter(
-            "service.retrieval.groups",
-            help="coalesced batch scoring groups by tier label",
-        )
-        self._m_retrieval_candidates = self.metrics.counter(
-            "service.retrieval.candidates",
-            help="candidate items scored by the ivf tier",
-        )
-        self._m_retrieval_cells = self.metrics.gauge(
-            "service.retrieval.cells",
-            help="cells in the active ivf index (0 = exact serving)",
-        )
-        self._m_retrieval_recall = self.metrics.gauge(
-            "service.retrieval.recall_at_k",
-            help="last measured ivf recall@k against the exact tier",
-        )
         latency_histogram = self.metrics.histogram(
             "service.latency_seconds", window=latency_window,
             help="per-request service latency",
@@ -503,10 +416,6 @@ class RecommendationService:
         # Model-swap generation: bumped by refresh_model so responses
         # resolved against a previous model are never cached afterwards.
         self._swap_token = 0
-        self._ivf = self._build_index(model, user_shards)
-        self._m_retrieval_cells.set(
-            float(self._ivf.n_cells) if self._ivf is not None else 0.0
-        )
         # The last chain link: a static popularity order over the training
         # counts, available even when every model object misbehaves.
         counts = train.item_counts().astype(np.float64)
@@ -542,7 +451,6 @@ class RecommendationService:
         train: InteractionMatrix | None = None,
         cold_start_fallback: "MostReadItems | None" = None,
         model_version: str | None = None,
-        user_shards: UserShardStore | None = None,
     ) -> None:
         """Swap in a newly fitted model and invalidate the served cache.
 
@@ -556,15 +464,6 @@ class RecommendationService:
         old or the new (model, cache) pair. ``model_version`` replaces
         the provenance tag stamped onto responses (``None`` when the new
         model has no store version).
-
-        When IVF retrieval is configured, the new model's index is built
-        *before* the lock is taken (in-flight requests keep serving the
-        old pair throughout) and swapped in together with the model.
-        ``user_shards`` replaces the shard store; when omitted, any
-        existing store is dropped — its rows belong to the previous
-        model's factors — and scoring falls back to the in-memory
-        matrix. Pass a store written from the new model's factors to
-        keep shard-backed serving across a refresh.
         """
         if not model.is_fitted:
             raise ConfigurationError(
@@ -574,16 +473,6 @@ class RecommendationService:
             raise ConfigurationError(
                 "the cold-start fallback must be fitted before serving"
             )
-        effective_train = train if train is not None else self.train
-        if (
-            user_shards is not None
-            and user_shards.n_users != effective_train.n_users
-        ):
-            raise ConfigurationError(
-                f"user_shards holds {user_shards.n_users} users but the "
-                f"training matrix has {effective_train.n_users}"
-            )
-        index = self._build_index(model, user_shards)
         with self._lock:
             self.model = model
             self.model_version = model_version
@@ -593,11 +482,6 @@ class RecommendationService:
                 self._static_order = np.argsort(-counts, kind="stable")
             if cold_start_fallback is not None:
                 self.cold_start_fallback = cold_start_fallback
-            self.user_shards = user_shards
-            self._ivf = index
-            self._m_retrieval_cells.set(
-                float(index.n_cells) if index is not None else 0.0
-            )
             self.breaker.reset()
             self._model_loaded_at = self._clock()
             self._swap_token += 1
@@ -804,93 +688,88 @@ class RecommendationService:
         """Batch variant of :meth:`recommend_response`; never raises.
 
         Cache hits are answered directly; the remaining known users are
-        coalesced into one vectorised scoring call per distinct
-        ``(k, shard)`` group (per distinct k when no shard store is
-        configured), each counted as one breaker outcome — so a batch
-        touches each user shard at most once per k and scores it in one
-        gathered matmul. A failed group call degrades its whole group
-        through the fallback chain; per-request failures are returned as
-        error-marked responses, so one bad request cannot poison the
-        rest of the batch.
+        coalesced into one vectorised scoring call per distinct k, each
+        counted as one breaker outcome. A failed group call degrades its
+        whole group through the fallback chain; per-request failures are
+        returned as error-marked responses, so one bad request cannot
+        poison the rest of the batch.
         """
         started = self._clock()
         self._m_requests.inc(len(requests))
-        batch_span = start_span(
-            self.tracer, "service.batch", requests=len(requests)
-        )
-        batch_span.__enter__()
-        results: list[ServedResponse | None] = [None] * len(requests)
-        pending: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        token = self._swap_token
-        shards = self.user_shards
-        for position, request in enumerate(requests):
-            key = (request.user_id, request.k)
-            cached = self._cache_get(key)
-            if cached is not None:
-                self.stats.note_cache(hit=True)
-                self._m_cache.labels(outcome="hit").inc()
-                self._m_served.labels(source=cached.served_by).inc()
-                results[position] = replace(cached, from_cache=True)
-                continue
-            self.stats.note_cache(hit=False)
-            self._m_cache.labels(outcome="miss").inc()
-            if self.known_user(request.user_id) and self.breaker.allow():
-                user_index = int(self.train.users.index_of(request.user_id))
-                shard = (
-                    shards.shard_of(user_index) if shards is not None else 0
-                )
-                pending.setdefault((request.k, shard), []).append(
-                    (position, user_index)
-                )
-                continue
-            # Unknown users, and known users behind an open breaker.
-            try:
-                response = self._stamped(self._resolve(request))
-            except UnknownUserError as exc:
-                self._note_error(exc)
-                response = self._stamped(ServedResponse(
-                    books=(),
-                    served_by=SERVED_BY_NONE,
-                    degraded=True,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-                self.stats.note_degraded(SERVED_BY_NONE)
-                self._m_degraded.labels(source=SERVED_BY_NONE).inc()
-                self._m_served.labels(source=SERVED_BY_NONE).inc()
+        with start_span(self.tracer, "service.batch", requests=len(requests)):
+            results: list[ServedResponse | None] = [None] * len(requests)
+            pending: dict[int, list[tuple[int, int]]] = {}
+            token = self._swap_token
+            for position, request in enumerate(requests):
+                key = (request.user_id, request.k)
+                cached = self._cache_get(key)
+                if cached is not None:
+                    self.stats.note_cache(hit=True)
+                    self._m_cache.labels(outcome="hit").inc()
+                    self._m_served.labels(source=cached.served_by).inc()
+                    results[position] = replace(cached, from_cache=True)
+                    continue
+                self.stats.note_cache(hit=False)
+                self._m_cache.labels(outcome="miss").inc()
+                if self.known_user(request.user_id) and self.breaker.allow():
+                    user_index = int(
+                        self.train.users.index_of(request.user_id)
+                    )
+                    pending.setdefault(request.k, []).append(
+                        (position, user_index)
+                    )
+                    continue
+                # Unknown users, and known users behind an open breaker.
+                try:
+                    response = self._stamped(self._resolve(request))
+                except UnknownUserError as exc:
+                    self._note_error(exc)
+                    response = self._stamped(ServedResponse(
+                        books=(),
+                        served_by=SERVED_BY_NONE,
+                        degraded=True,
+                        error=f"{type(exc).__name__}: {exc}",
+                    ))
+                    self.stats.note_degraded(SERVED_BY_NONE)
+                    self._m_degraded.labels(source=SERVED_BY_NONE).inc()
+                    self._m_served.labels(source=SERVED_BY_NONE).inc()
+                    results[position] = response
+                    continue
+                self._account(response)
+                self._cache_put(key, response, token)
                 results[position] = response
-                continue
-            self._account(response)
-            self._cache_put(key, response, token)
-            results[position] = response
-        for (k, _shard), entries in pending.items():
-            indices = np.asarray([index for _, index in entries], dtype=np.int64)
-            try:
-                batches = self._primary_batch(indices, k)
-            except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
-                self.breaker.record_failure()
-                self._note_error(exc)
-                error = f"{type(exc).__name__}: {exc}"
-                for position, user_index in entries:
-                    items, source = self._fallback_items(user_index, k)
+            for k, entries in pending.items():
+                indices = np.asarray(
+                    [index for _, index in entries], dtype=np.int64
+                )
+                try:
+                    batches = self._primary_batch(indices, k)
+                except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
+                    self.breaker.record_failure()
+                    self._note_error(exc)
+                    error = f"{type(exc).__name__}: {exc}"
+                    for position, user_index in entries:
+                        items, source = self._fallback_items(user_index, k)
+                        response = self._stamped(ServedResponse(
+                            books=tuple(self._serve_books(items, k)),
+                            served_by=source,
+                            degraded=True,
+                            error=error,
+                        ))
+                        self._account(response)
+                        results[position] = response
+                    continue
+                self.breaker.record_success()
+                for (position, _), items in zip(entries, batches):
                     response = self._stamped(ServedResponse(
                         books=tuple(self._serve_books(items, k)),
-                        served_by=source,
-                        degraded=True,
-                        error=error,
+                        served_by=SERVED_BY_PRIMARY,
                     ))
                     self._account(response)
+                    self._cache_put(
+                        (requests[position].user_id, k), response, token
+                    )
                     results[position] = response
-                continue
-            self.breaker.record_success()
-            for (position, _), items in zip(entries, batches):
-                response = self._stamped(ServedResponse(
-                    books=tuple(self._serve_books(items, k)),
-                    served_by=SERVED_BY_PRIMARY,
-                ))
-                self._account(response)
-                self._cache_put((requests[position].user_id, k), response, token)
-                results[position] = response
-        batch_span.__exit__(None, None, None)
         if requests:
             self.stats.record(self._clock() - started, len(requests))
         return [
@@ -957,19 +836,6 @@ class RecommendationService:
                 "version": self.model_version,
                 "staleness_seconds": round(
                     self._clock() - self._model_loaded_at, 3
-                ),
-            },
-            "retrieval": {
-                "requested": self.retrieval,
-                "active": (
-                    RETRIEVAL_IVF if self._ivf is not None else RETRIEVAL_EXACT
-                ),
-                "cells": self._ivf.n_cells if self._ivf is not None else None,
-                "probe_cells": self.probe_cells,
-                "shards": (
-                    self.user_shards.stats()
-                    if self.user_shards is not None
-                    else None
                 ),
             },
             "refreshes": {
@@ -1054,8 +920,16 @@ class RecommendationService:
     def _primary_one(
         self, user_index: int, k: int, deadline: Deadline | None
     ) -> np.ndarray:
+        """Score one user exactly with the serving model.
+
+        Primary scorings count on ``service.retrieval.requests`` under
+        ``tier="exact"``, the label dashboards and the benchmark read;
+        exact is the only tier.
+        """
         def call() -> np.ndarray:
-            return self._primary_one_items(user_index, k)
+            items = self.model.recommend(user_index, k)
+            self._m_retrieval.labels(tier="exact").inc()
+            return items
 
         if self.retry_policy is None:
             return call()
@@ -1069,8 +943,11 @@ class RecommendationService:
         )
 
     def _primary_batch(self, indices: np.ndarray, k: int) -> list[np.ndarray]:
+        """Score one k-group of cache-missed users in one scoring pass."""
         def call() -> list[np.ndarray]:
-            return self._primary_batch_items(indices, k)
+            items = self.model.recommend_batch(indices, k)
+            self._m_retrieval.labels(tier="exact").inc(len(indices))
+            return items
 
         if self.retry_policy is None:
             return call()
@@ -1081,261 +958,6 @@ class RecommendationService:
             scope="service.primary-batch",
             sleep=self._retry_sleep,
         )
-
-    # ------------------------------------------------------------------
-    # retrieval tiers: ivf probing, shard-backed exact scoring
-    # ------------------------------------------------------------------
-
-    @property
-    def probe_cells(self) -> int | None:
-        """The effective IVF probe width (``None`` when serving exactly).
-
-        A configured width is clamped to the cell count; unconfigured,
-        :func:`~repro.retrieval.ivf.default_probe_cells` decides.
-        """
-        index = self._ivf
-        if index is None:
-            return None
-        if self._probe_cells_config is not None:
-            return min(self._probe_cells_config, index.n_cells)
-        return default_probe_cells(index.n_cells)
-
-    def _build_index(
-        self, model: Recommender, user_shards: UserShardStore | None
-    ) -> IVFIndex | None:
-        """Build the IVF index for ``model``, or ``None`` if inapplicable.
-
-        The index needs the model's item factors to cluster and a source
-        of user query vectors (the shard store or the model's
-        user-factor matrix); a factor-less model serves exactly instead.
-        """
-        if self.retrieval != RETRIEVAL_IVF:
-            return None
-        item_factors = self._factors_of(model, "item_factors")
-        if item_factors is None:
-            return None
-        if user_shards is None and self._factors_of(model, "user_factors") is None:
-            return None
-        return IVFIndex.build(
-            item_factors, n_cells=self.ivf_cells, seed=self.seed
-        )
-
-    @staticmethod
-    def _factors_of(model: Recommender, attr: str) -> np.ndarray | None:
-        """A model's factor matrix, or ``None`` when it has no usable one."""
-        try:
-            factors = getattr(model, attr, None)
-        except Exception:  # repro: allow[exceptions] — factor-less models serve exactly
-            return None
-        if factors is None:
-            return None
-        factors = np.asarray(factors)
-        return factors if factors.ndim == 2 else None
-
-    def _serving_state(
-        self,
-    ) -> tuple[Recommender, "IVFIndex | None", "UserShardStore | None"]:
-        """A consistent (model, index, shard store) triple for one scoring.
-
-        Taken under the lock so a concurrent :meth:`refresh_model` can
-        never hand a scorer the old model with the new model's index.
-        """
-        with self._lock:
-            return self.model, self._ivf, self.user_shards
-
-    def _primary_one_items(self, user_index: int, k: int) -> np.ndarray:
-        """Score one user through the active retrieval tier."""
-        model, index, shards = self._serving_state()
-        probe = self.probe_cells
-        if index is not None and probe is not None and probe < index.n_cells:
-            items = self._ivf_one(model, index, shards, user_index, k, probe)
-            tier = RETRIEVAL_IVF
-        elif shards is not None and self._factors_of(model, "item_factors") is not None:
-            items = self._shard_exact_one(model, shards, user_index, k)
-            tier = RETRIEVAL_EXACT
-        else:
-            items = model.recommend(user_index, k)
-            tier = RETRIEVAL_EXACT
-        self._m_retrieval.labels(tier=tier).inc()
-        return items
-
-    def _primary_batch_items(
-        self, indices: np.ndarray, k: int
-    ) -> list[np.ndarray]:
-        """Score one coalesced ``(k, shard)`` group through the active tier."""
-        model, index, shards = self._serving_state()
-        probe = self.probe_cells
-        if index is not None and probe is not None and probe < index.n_cells:
-            items = self._ivf_batch(model, index, shards, indices, k, probe)
-            tier = RETRIEVAL_IVF
-        elif shards is not None and self._factors_of(model, "item_factors") is not None:
-            items = self._shard_exact_batch(model, shards, indices, k)
-            tier = RETRIEVAL_EXACT
-        else:
-            items = model.recommend_batch(indices, k)
-            tier = RETRIEVAL_EXACT
-        self._m_retrieval.labels(tier=tier).inc(len(indices))
-        self._m_retrieval_groups.labels(tier=tier).inc()
-        return items
-
-    def _user_query(
-        self,
-        model: Recommender,
-        shards: "UserShardStore | None",
-        user_index: int,
-    ) -> np.ndarray:
-        """One user's float64 query vector (shard store, else in-memory)."""
-        if shards is not None:
-            row = shards.user_vector(user_index)
-        else:
-            row = np.asarray(model.user_factors)[user_index]
-        return np.asarray(row, dtype=np.float64)
-
-    def _ivf_one(
-        self,
-        model: Recommender,
-        index: IVFIndex,
-        shards: "UserShardStore | None",
-        user_index: int,
-        k: int,
-        probe: int,
-    ) -> np.ndarray:
-        """IVF tier, one user: probe cells, exactly re-rank the pool."""
-        query = self._user_query(model, shards, user_index)
-        exclude = self._seen_items(user_index if model.exclude_seen else None)
-        pool = index.candidates(query, probe, min_candidates=k + len(exclude))
-        self._m_retrieval_candidates.inc(len(pool))
-        return index.rerank(pool, query, k, exclude)
-
-    def _ivf_batch(
-        self,
-        model: Recommender,
-        index: IVFIndex,
-        shards: "UserShardStore | None",
-        indices: np.ndarray,
-        k: int,
-        probe: int,
-    ) -> list[np.ndarray]:
-        """IVF tier, one group: per-user pools, one coalesced matmul.
-
-        All pools are scored together against their union in a single
-        ``(users, |union|)`` GEMM; each row then masks items outside its
-        own pool (and its seen items) before the shared batched top-k
-        cut. Rankings match :meth:`_ivf_one` — the scores are the same
-        exact dot products — though float summation order may differ
-        between the two GEMM shapes, so the IVF tier's batch/single
-        agreement is semantic, not bitwise (the exact tier's is bitwise).
-        """
-        if shards is not None:
-            queries = np.asarray(shards.gather(indices), dtype=np.float64)
-        else:
-            queries = np.asarray(
-                np.asarray(model.user_factors)[indices], dtype=np.float64
-            )
-        pools: list[np.ndarray] = []
-        excludes: list[np.ndarray] = []
-        for row in range(len(indices)):
-            user_index = int(indices[row])
-            exclude = self._seen_items(
-                user_index if model.exclude_seen else None
-            )
-            excludes.append(exclude)
-            pools.append(
-                index.candidates(
-                    queries[row], probe, min_candidates=k + len(exclude)
-                )
-            )
-        union = np.unique(np.concatenate(pools))
-        self._m_retrieval_candidates.inc(int(sum(len(p) for p in pools)))
-        scores = queries @ index.vectors[union].T
-        for row in range(len(indices)):
-            drop = ~np.isin(union, pools[row], assume_unique=True)
-            if len(excludes[row]):
-                drop |= np.isin(union, excludes[row])
-            scores[row, drop] = EXCLUDED_SCORE
-        return [union[top] for top in top_k_rows(scores, k)]
-
-    def _shard_exact_one(
-        self,
-        model: Recommender,
-        shards: UserShardStore,
-        user_index: int,
-        k: int,
-    ) -> np.ndarray:
-        """Exact tier through the shard store, one user.
-
-        Bit-identical to ``model.recommend``: the query row is
-        byte-equal to the in-memory factor row, the GEMM has the same
-        operands and shape, the mask hits the same positions, and the
-        cut is the same :func:`~repro.core.base._top_k`.
-        """
-        query = shards.user_vector(user_index)
-        scores = (query[np.newaxis, :] @ np.asarray(model.item_factors).T)[0]
-        if model.exclude_seen:
-            seen = self._seen_items(user_index)
-            if len(seen):
-                scores[seen] = EXCLUDED_SCORE
-        return _top_k(scores, k)
-
-    def _shard_exact_batch(
-        self,
-        model: Recommender,
-        shards: UserShardStore,
-        indices: np.ndarray,
-        k: int,
-    ) -> list[np.ndarray]:
-        """Exact tier through the shard store, one coalesced group.
-
-        One gathered matmul per group; shares
-        :func:`~repro.core.base.mask_seen_rows` and
-        :func:`~repro.core.base.top_k_rows` with
-        ``model.recommend_batch``, so the two are bit-identical.
-        """
-        scores = shards.gather(indices) @ np.asarray(model.item_factors).T
-        if model.exclude_seen:
-            mask_seen_rows(scores, self.train.csr, indices)
-        return top_k_rows(scores, k)
-
-    def measure_retrieval_recall(
-        self,
-        k: int = 10,
-        sample_users: int = DEFAULT_RECALL_SAMPLE,
-    ) -> float:
-        """Measure IVF recall@k against the exact tier on sampled users.
-
-        Samples up to ``sample_users`` known users deterministically
-        (``repro.rng`` on the service seed), compares the probed top-k
-        with the exact top-k under the same seen-item masks, records the
-        mean overlap on the ``service.retrieval.recall_at_k`` gauge, and
-        returns it. Exact serving (no active index, or probe-everything)
-        is its own reference: recall is 1.0 by construction.
-        """
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if sample_users < 1:
-            raise ConfigurationError(
-                f"sample_users must be >= 1, got {sample_users}"
-            )
-        model, index, shards = self._serving_state()
-        probe = self.probe_cells
-        if index is None or probe is None or probe >= index.n_cells:
-            self._m_retrieval_recall.set(1.0)
-            return 1.0
-        rng = derive_rng(self.seed, "service", "retrieval", "recall")
-        n_users = self.train.n_users
-        users = np.sort(
-            rng.choice(n_users, size=min(sample_users, n_users), replace=False)
-        )
-        queries = np.stack(
-            [self._user_query(model, shards, int(u)) for u in users]
-        )
-        exclude = [
-            self._seen_items(int(u) if model.exclude_seen else None)
-            for u in users
-        ]
-        recall = recall_at_k(index, queries, k, probe, exclude=exclude)
-        self._m_retrieval_recall.set(recall)
-        return recall
 
     def _fallback_items(
         self, user_index: int | None, k: int

@@ -10,9 +10,6 @@ Commands:
   pipeline, and save the merged dataset as CSV tables.
 - ``serve-demo`` — fit BPR and answer a few sample recommendation
   requests through the application service.
-- ``bench`` — run the fast-path perf bench (masking, rank-only
-  evaluation, similarity build, cached serving) and write
-  ``BENCH_fastpath.json``.
 - ``health <path>`` — verify the checksum manifests of saved artefacts
   (datasets, models, and versioned model stores) and print a health
   report; exits 1 on corruption. For a model store the report lists every
@@ -28,18 +25,10 @@ Commands:
   optionally export the span trace (``--trace out.jsonl``) plus a
   per-stage timing table. ``--deterministic`` pins the tracer/service
   clocks so the output is bit-reproducible (the golden-test setting).
-- ``bench-parallel`` — run the serial-vs-parallel bench (grid search,
-  embedding, merge pipeline) and write ``BENCH_parallel.json``.
 - ``corpus <dir>`` — generate a sharded, out-of-core synthetic corpus
   (columnar npz shards behind checksum manifests) for the paper-scale
   data path; ``--resume`` continues an interrupted write, reusing every
   shard that already verifies.
-- ``bench-scale`` — run the out-of-core scale bench (sharded corpus
-  generation + streaming merge, rows/sec and peak RSS per phase) and
-  write ``BENCH_scale.json``.
-- ``bench-serve`` — run the serving retrieval bench (exact-tier
-  equivalence, recall@k-vs-latency across IVF probe widths, Zipf
-  replay through the shard store) and write ``BENCH_serve.json``.
 - ``check [paths]`` — run the static analyzer (determinism, layering,
   lock discipline, seed lineage, dtype tiers, lock ordering, resource
   lifetimes, exception hygiene, docs integrity) over the given paths
@@ -50,13 +39,8 @@ Commands:
 
 The global ``--jobs N`` flag parallelises the merge pipeline and the
 grid search across N worker processes; results are bit-identical to
-``--jobs 1`` (see ``docs/determinism.md``). The global
-``--train-workers`` flag trains BPR HogWild-style across N worker
-processes, trading bit-identity for throughput (see
-``docs/determinism.md``). The global ``--retrieval``/``--probe-cells``
-flags select the serving retrieval tier for ``serve-demo`` (``exact`` is
-bit-stable; ``ivf`` probes ``--probe-cells`` k-means cells — see
-``docs/serving.md``).
+``--jobs 1`` (see ``docs/determinism.md``). Performance is measured by
+the end-to-end benchmark in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -80,10 +64,6 @@ commands:
   suite               run every experiment at one scale
   generate <dir>      build + merge the synthetic sources, save as CSV
   serve-demo          fit BPR and answer sample requests
-  bench               fast-path perf bench -> BENCH_fastpath.json
-  bench-parallel      serial-vs-parallel bench -> BENCH_parallel.json
-  bench-scale         out-of-core corpus + streaming-merge bench -> BENCH_scale.json
-  bench-serve         serving retrieval bench (recall@k vs latency) -> BENCH_serve.json
   corpus <dir>        generate a sharded synthetic corpus (npz shards + manifests)
   health <path>       verify artefact checksum manifests (exit 1 = corrupt)
   lifecycle <action> <store>
@@ -119,22 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for every value)",
     )
     parser.add_argument(
-        "--train-workers", type=int, default=None, metavar="N",
-        help="HogWild worker processes for BPR training (-1 = all CPUs; "
-        "see docs/determinism.md for the relaxed convergence contract)",
-    )
-    parser.add_argument(
-        "--retrieval", choices=("exact", "ivf"), default=None,
-        help="serving retrieval tier for serve-demo: 'exact' (full "
-        "catalogue, bit-stable default) or 'ivf' (probe k-means cells and "
-        "re-rank exactly; see docs/serving.md)",
-    )
-    parser.add_argument(
-        "--probe-cells", type=int, default=None, metavar="N",
-        help="IVF probe width for --retrieval ivf (default: half the "
-        "cells; >= the cell count serves exactly, bit for bit)",
-    )
-    parser.add_argument(
         "--output", default=None, metavar="DIR",
         help="also write each experiment's rendered output to DIR/<name>.txt",
     )
@@ -151,66 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("directory")
 
     sub.add_parser("serve-demo", help="fit BPR and serve sample requests")
-
-    bench = sub.add_parser(
-        "bench", help="run the fast-path perf bench and write JSON"
-    )
-    bench.add_argument(
-        "--bench-output", default=None, metavar="PATH",
-        help="where to write the bench JSON (default: BENCH_fastpath.json)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="best-of repeats per kernel (default: 5)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small dataset for smoke runs (not representative)",
-    )
-
-    bench_parallel = sub.add_parser(
-        "bench-parallel",
-        help="run the serial-vs-parallel bench and write JSON",
-    )
-    bench_parallel.add_argument(
-        "--bench-output", default=None, metavar="PATH",
-        help="where to write the bench JSON (default: BENCH_parallel.json)",
-    )
-    bench_parallel.add_argument(
-        "--repeats", type=int, default=None,
-        help="best-of repeats per measurement (default: 5)",
-    )
-    bench_parallel.add_argument(
-        "--quick", action="store_true",
-        help="small dataset for smoke runs (not representative)",
-    )
-
-    bench_scale = sub.add_parser(
-        "bench-scale",
-        help="run the out-of-core scale bench and write JSON",
-    )
-    bench_scale.add_argument(
-        "--bench-output", default=None, metavar="PATH",
-        help="where to write the bench JSON (default: BENCH_scale.json)",
-    )
-    bench_scale.add_argument(
-        "--quick", action="store_true",
-        help="small corpus for smoke runs; also measures the in-memory "
-        "reference merge for the RSS comparison",
-    )
-
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="run the serving retrieval bench and write JSON",
-    )
-    bench_serve.add_argument(
-        "--bench-output", default=None, metavar="PATH",
-        help="where to write the bench JSON (default: BENCH_serve.json)",
-    )
-    bench_serve.add_argument(
-        "--quick", action="store_true",
-        help="small catalogue for smoke runs (not representative)",
-    )
 
     corpus = sub.add_parser(
         "corpus",
@@ -344,20 +248,11 @@ def main(argv: list[str] | None = None) -> int:
         return _lifecycle(args)
     if args.command == "metrics":
         return _metrics(args)
-    if args.command == "bench-parallel":
-        return _bench_parallel(args)
-    if args.command == "bench-scale":
-        return _bench_scale(args)
-    if args.command == "bench-serve":
-        return _bench_serve(args)
     if args.command == "corpus":
         return _corpus(args)
     if args.command == "check":
         return _check(args)
-    config = config_for_scale(
-        args.scale, seed=args.seed, n_jobs=args.jobs,
-        train_workers=args.train_workers,
-    )
+    config = config_for_scale(args.scale, seed=args.seed, n_jobs=args.jobs)
     context = ExperimentContext(config)
     if args.command == "experiment":
         result = run_experiment(args.name, context)
@@ -377,9 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "generate":
         _generate(context, args.directory)
     elif args.command == "serve-demo":
-        _serve_demo(context, args)
-    elif args.command == "bench":
-        _bench(args)
+        _serve_demo(context)
     return 0
 
 
@@ -418,34 +311,19 @@ def _generate(context: ExperimentContext, directory: str) -> None:
     )
 
 
-def _serve_demo(
-    context: ExperimentContext, args: "argparse.Namespace | None" = None
-) -> None:
+def _serve_demo(context: ExperimentContext) -> None:
     from repro.app.service import RecommendationRequest, RecommendationService
 
-    service_kwargs = {}
-    if args is not None and args.retrieval is not None:
-        service_kwargs["retrieval"] = args.retrieval
-    if args is not None and args.probe_cells is not None:
-        service_kwargs["probe_cells"] = args.probe_cells
     model = context.model("bpr")
-    service = RecommendationService(
-        model, context.split.train, context.merged, **service_kwargs
-    )
+    service = RecommendationService(model, context.split.train, context.merged)
     users = context.merged.bct_user_ids[:3]
     for user_id in users:
         books = service.recommend(RecommendationRequest(user_id=user_id, k=5))
         print(f"user {user_id}:")
         for book in books:
             print(f"  {book.rank:2d}. {book.title} — {book.author}")
-    retrieval = service.health()["retrieval"]
-    tier = retrieval["active"]
-    if tier == "ivf":
-        tier += (
-            f" ({retrieval['probe_cells']}/{retrieval['cells']} cells probed)"
-        )
     print(
-        f"served {service.stats.requests} requests via {tier} retrieval, "
+        f"served {service.stats.requests} requests, "
         f"mean latency {service.stats.mean_seconds * 1000:.1f} ms"
     )
 
@@ -562,10 +440,7 @@ def _lifecycle_publish(args: argparse.Namespace, store) -> int:
     """Fit BPR at the configured scale and publish it as the next version."""
     from repro.errors import PersistenceError
 
-    config = config_for_scale(
-        args.scale, seed=args.seed, n_jobs=args.jobs,
-        train_workers=args.train_workers,
-    )
+    config = config_for_scale(args.scale, seed=args.seed, n_jobs=args.jobs)
     context = ExperimentContext(config)
     warm = None
     if not args.cold:
@@ -677,89 +552,6 @@ def _metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench(args: argparse.Namespace) -> None:
-    from dataclasses import replace as dc_replace
-
-    from repro.perf.fastpath import (
-        DEFAULT_OUTPUT,
-        FastpathBenchConfig,
-        run_fastpath_bench,
-    )
-
-    config = FastpathBenchConfig()
-    if args.quick:
-        config = dc_replace(
-            config,
-            n_books=600, n_authors=200, n_bct_users=120, n_anobii_users=500,
-            repeats=2, serve_requests=60,
-        )
-    if args.repeats is not None:
-        config = dc_replace(config, repeats=args.repeats)
-    report = run_fastpath_bench(
-        config, output_path=args.bench_output or DEFAULT_OUTPUT
-    )
-    print(render_bench_report(report))
-
-
-def _bench_parallel(args: argparse.Namespace) -> int:
-    from dataclasses import replace as dc_replace
-
-    from repro.parallel.bench import (
-        DEFAULT_OUTPUT,
-        ParallelBenchConfig,
-        run_parallel_bench,
-    )
-
-    config = ParallelBenchConfig()
-    if args.quick:
-        config = dc_replace(
-            config,
-            n_books=600, n_authors=200, n_bct_users=120, n_anobii_users=500,
-            epochs=5, repeats=2, embed_repeat=2,
-        )
-    if args.repeats is not None:
-        config = dc_replace(config, repeats=args.repeats)
-    if args.jobs is not None:
-        config = dc_replace(config, n_jobs=args.jobs)
-    report = run_parallel_bench(
-        config, output_path=args.bench_output or DEFAULT_OUTPUT
-    )
-    print(render_parallel_bench_report(report))
-    return 0
-
-
-def _bench_scale(args: argparse.Namespace) -> int:
-    from repro.perf.scalebench import (
-        DEFAULT_OUTPUT,
-        ScaleBenchConfig,
-        render_scale_report,
-        run_scale_bench,
-    )
-
-    config = ScaleBenchConfig.quick() if args.quick else ScaleBenchConfig()
-    report = run_scale_bench(
-        config, output_path=args.bench_output or DEFAULT_OUTPUT
-    )
-    print(render_scale_report(report))
-    return 0
-
-
-def _bench_serve(args: argparse.Namespace) -> int:
-    from repro.perf.servebench import (
-        DEFAULT_OUTPUT,
-        ServeBenchConfig,
-        render_serve_report,
-        run_serve_bench,
-    )
-
-    config = ServeBenchConfig.quick() if args.quick else ServeBenchConfig()
-    report = run_serve_bench(
-        config, output_path=args.bench_output or DEFAULT_OUTPUT
-    )
-    print(render_serve_report(report))
-    return 0
-
-
 def _corpus(args: argparse.Namespace) -> int:
     from dataclasses import replace as dc_replace
 
@@ -789,60 +581,6 @@ def _corpus(args: argparse.Namespace) -> int:
     )
     print(f"verify with: python -m repro health {args.directory}")
     return 0
-
-
-def render_parallel_bench_report(report: dict) -> str:
-    """A human-readable summary of a parallel bench report."""
-    lines = [
-        f"parallel bench (n_jobs={report['config']['n_jobs']}, "
-        f"backend={report['config']['backend']}, "
-        f"{report['dataset']['books']} books x "
-        f"{report['dataset']['readings']} readings)"
-    ]
-    for section in ("grid", "embedding", "merge"):
-        data = report[section]
-        identical = "identical" if data["identical"] else "MISMATCH"
-        lines.append(
-            f"  {section:<10} {data['serial_seconds']:7.2f} s -> "
-            f"{data['parallel_seconds']:7.2f} s "
-            f"({data['speedup']:.2f}x, {identical})"
-        )
-    if "output_path" in report:
-        lines.append(f"  written to {report['output_path']}")
-    return "\n".join(lines)
-
-
-def render_bench_report(report: dict) -> str:
-    """A human-readable summary of a fast-path bench report."""
-    dataset = report["dataset"]
-    masking = report["masking"]
-    evaluation = report["evaluation"]
-    similarity = report["similarity"]
-    serving = report["serving"]
-    lines = [
-        "fast-path bench "
-        f"({dataset['n_users']} users x {dataset['n_items']} items, "
-        f"{dataset['n_test_users']} eval users)",
-        f"  masking     {masking['reference_seconds'] * 1e3:8.2f} ms -> "
-        f"{masking['fast_seconds'] * 1e3:8.2f} ms "
-        f"({masking['speedup']:.1f}x)",
-        f"  evaluation  {evaluation['argsort_seconds'] * 1e3:8.2f} ms -> "
-        f"{evaluation['count_seconds'] * 1e3:8.2f} ms "
-        f"({evaluation['speedup']:.1f}x)",
-        f"  similarity  {similarity['dense_build_seconds'] * 1e3:8.2f} ms dense, "
-        f"{similarity['blockwise_float32_build_seconds'] * 1e3:.2f} ms "
-        f"blockwise f32; memory {similarity['dense_nbytes'] / 1e6:.1f} MB -> "
-        f"{similarity['truncated_sparse_nbytes'] / 1e6:.1f} MB "
-        f"({similarity['memory_ratio']:.1f}x smaller, "
-        f"top-{similarity['top_n_neighbors']})",
-        f"  serving     {serving['uncached_seconds_per_request'] * 1e3:8.3f} ms -> "
-        f"{serving['cached_seconds_per_request'] * 1e3:8.3f} ms/request cached "
-        f"({serving['cache_speedup']:.0f}x), batch "
-        f"{serving['batch_seconds_per_request'] * 1e3:.3f} ms/request",
-    ]
-    if "output_path" in report:
-        lines.append(f"  written to {report['output_path']}")
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":

@@ -102,20 +102,6 @@ class Recommender(abc.ABC):
             mask_seen_rows(scores, self.train.csr, user_indices)
         return scores
 
-    def masked_scores_reference(self, user_indices: np.ndarray) -> np.ndarray:
-        """The pre-vectorisation masking path (per-user loop).
-
-        Kept as the behavioural reference for the fast-path equivalence
-        tests; produces bit-identical output to :meth:`masked_scores`.
-        """
-        user_indices = np.asarray(user_indices, dtype=np.int64)
-        scores = self.score_users(user_indices)
-        if self.exclude_seen:
-            train = self.train
-            for row, user_index in enumerate(user_indices):
-                scores[row, train.user_items(int(user_index))] = EXCLUDED_SCORE
-        return scores
-
     def rank_items(self, user_index: int) -> np.ndarray:
         """The user's full ranking: item indices sorted by decreasing score.
 
@@ -155,15 +141,6 @@ class Recommender(abc.ABC):
         user_indices = np.asarray(user_indices, dtype=np.int64)
         return top_k_rows(self.masked_scores(user_indices), k)
 
-    def recommend_batch_reference(
-        self, user_indices: np.ndarray, k: int
-    ) -> list[np.ndarray]:
-        """Per-row top-k reference for the batch fast path (tests only)."""
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        scores = self.masked_scores(user_indices)
-        return [_top_k(row, k) for row in scores]
-
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     k = min(k, len(scores))
@@ -178,10 +155,9 @@ def mask_seen_rows(
     """Scatter :data:`EXCLUDED_SCORE` over each row's seen items, in place.
 
     ``csr`` is the training interaction matrix's CSR form; row ``r`` of
-    ``scores`` belongs to ``user_indices[r]``. This is the shared masking
-    kernel behind :meth:`Recommender.masked_scores` and the serving
-    layer's shard-coalesced scoring — one implementation, so the two
-    paths cannot drift apart. Returns ``scores`` for chaining.
+    ``scores`` belongs to ``user_indices[r]``. This is the masking
+    kernel behind :meth:`Recommender.masked_scores`. Returns ``scores``
+    for chaining.
     """
     starts = csr.indptr[user_indices]
     counts = csr.indptr[user_indices + 1] - starts
@@ -200,9 +176,7 @@ def top_k_rows(scores: np.ndarray, k: int) -> list[np.ndarray]:
 
     One ``argpartition`` over the chunk, one vectorised stable sort of
     the selected columns; rows with fewer than ``k`` unmasked items come
-    back short. The shared cut kernel behind
-    :meth:`Recommender.recommend_batch` and the serving layer's
-    coalesced batch scoring.
+    back short. The cut kernel behind :meth:`Recommender.recommend_batch`.
     """
     if scores.shape[0] == 0:
         return []

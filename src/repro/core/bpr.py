@@ -32,11 +32,10 @@ Online-learning extensions (the model as a living artefact):
   users into an expanded model + interaction matrix so they get
   personalised, seen-item-masked lists without any retraining.
 
-Training runs on the float32 kernel in :mod:`repro.core.bpr_kernel`
-(pre-drawn negative sampling against a seen-interaction bitset,
-segment-sum updates); ``config.workers > 1`` additionally shards each
-epoch HogWild-style across worker processes over shared-memory factors.
-The contract of each mode is tabulated in ``docs/determinism.md``.
+Training runs in-process on the float32 kernel in
+:mod:`repro.core.bpr_kernel` (pre-drawn negative sampling against a
+seen-interaction bitset, segment-sum updates). Its determinism contract
+is tabulated in ``docs/determinism.md``.
 """
 
 from __future__ import annotations
@@ -48,20 +47,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.base import Recommender
-from repro.core.bpr_kernel import (
-    fork_sharing_available,
-    hogwild_epoch,
-    hogwild_pool,
-    seen_bitset,
-    shared_empty,
-    train_batch,
-)
+from repro.core.bpr_kernel import seen_bitset, train_batch
 from repro.core.interactions import Indexer, InteractionMatrix
 from repro.datasets.merged import MergedDataset
 from repro.errors import ConfigurationError, NotFittedError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, start_span
-from repro.parallel.pool import resolve_n_jobs
 from repro.rng import derive_rng
 
 #: Fixed buckets for the per-epoch / per-batch training-time histograms.
@@ -96,11 +87,6 @@ class BPRConfig:
     margin: float = 1.0
     """WARP hinge margin: a negative within this of the positive violates."""
     seed: int | None = None
-    workers: int = 1
-    """Worker processes for HogWild training (``-1`` = all CPUs). Values
-    above 1 relax the determinism contract to converges-to-the-same-KPIs
-    (``docs/determinism.md``); on platforms without the ``fork`` start
-    method training transparently stays in-process."""
 
     def __post_init__(self) -> None:
         if self.n_factors < 1:
@@ -121,10 +107,6 @@ class BPRConfig:
             )
         if self.max_trials < 1:
             raise ConfigurationError(f"max_trials must be >= 1, got {self.max_trials}")
-        if self.workers != -1 and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1 or -1 (all CPUs), got {self.workers}"
-            )
 
 
 @dataclass
@@ -249,31 +231,9 @@ class BPR(Recommender):
         pos_users, pos_items = train.positive_pairs()
         seen = seen_bitset(train.interaction_keys(), n_users * n_items)
         self.history = []
-
-        n_workers = resolve_n_jobs(cfg.workers)
-        hogwild = n_workers > 1 and fork_sharing_available()
-        pool = None
-        if hogwild:
-            shared_V = shared_empty(V.shape, np.float32)
-            shared_V[:] = V
-            shared_P = shared_empty(P.shape, np.float32)
-            shared_P[:] = P
-            V, P = shared_V, shared_P
-            pool = hogwild_pool(
-                V, P, pos_users, pos_items, seen, n_items, cfg, n_workers
-            )
-        try:
-            self._run_epochs(
-                V, P, pos_users, pos_items, seen, n_items, rng, pool,
-                n_workers,
-            )
-        finally:
-            if pool is not None:
-                pool.close()
-        # Copy shared-buffer factors into plain arrays so the fitted model
-        # holds no reference to the (now worker-free) shared mappings.
-        self._user_factors = np.array(V) if hogwild else V
-        self._item_factors = np.array(P) if hogwild else P
+        self._run_epochs(V, P, pos_users, pos_items, seen, n_items, rng)
+        self._user_factors = V
+        self._item_factors = P
 
     def _run_epochs(
         self,
@@ -284,14 +244,9 @@ class BPR(Recommender):
         seen: np.ndarray,
         n_items: int,
         rng: np.random.Generator,
-        pool,
-        n_workers: int,
     ) -> None:
-        """The epoch loop, in-process or HogWild.
-
-        ``pool`` is the HogWild worker pool, or ``None`` for in-process
-        training with :func:`~repro.core.bpr_kernel.train_batch`.
-        """
+        """The epoch loop: :func:`~repro.core.bpr_kernel.train_batch` over
+        each epoch's permutation of the positive pairs, in batches."""
         cfg = self.config
         metrics = self.metrics
         batch_histogram = (
@@ -303,35 +258,29 @@ class BPR(Recommender):
             self.tracer, "bpr.fit",
             n_users=V.shape[0], n_items=n_items, n_pairs=len(pos_users),
             epochs=cfg.epochs, sampler=cfg.sampler,
-            workers=(n_workers if pool is not None else 1),
         ):
             for epoch in range(cfg.epochs):
                 started = time.perf_counter()
                 with start_span(self.tracer, "bpr.epoch", epoch=epoch) as span:
                     order = rng.permutation(len(pos_users))
-                    if pool is not None:
-                        trial_total, updated_total = hogwild_epoch(
-                            pool, order, epoch, cfg.seed, n_workers
+                    trial_total, updated_total = 0.0, 0
+                    for start in range(0, len(order), cfg.batch_size):
+                        batch = order[start:start + cfg.batch_size]
+                        batch_started = (
+                            time.perf_counter()
+                            if batch_histogram is not None
+                            else 0.0
                         )
-                    else:
-                        trial_total, updated_total = 0.0, 0
-                        for start in range(0, len(order), cfg.batch_size):
-                            batch = order[start:start + cfg.batch_size]
-                            batch_started = (
-                                time.perf_counter()
-                                if batch_histogram is not None
-                                else 0.0
+                        stats = train_batch(
+                            V, P, pos_users[batch], pos_items[batch],
+                            seen, n_items, rng, cfg,
+                        )
+                        if batch_histogram is not None:
+                            batch_histogram.observe(
+                                time.perf_counter() - batch_started
                             )
-                            stats = train_batch(
-                                V, P, pos_users[batch], pos_items[batch],
-                                seen, n_items, rng, cfg,
-                            )
-                            if batch_histogram is not None:
-                                batch_histogram.observe(
-                                    time.perf_counter() - batch_started
-                                )
-                            trial_total += stats[0]
-                            updated_total += stats[1]
+                        trial_total += stats[0]
+                        updated_total += stats[1]
                     n_pairs = len(order)
                     seconds = time.perf_counter() - started
                     epoch_stats = EpochStats(

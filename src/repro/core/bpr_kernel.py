@@ -9,32 +9,13 @@ user has already read is rejected by one lookup in a packed bitset of
 every ``(user, item)`` interaction, built once per fit
 (:func:`seen_bitset`). Training is deterministic given the seed; the
 contract is tabulated in ``docs/determinism.md``.
-
-With ``BPRConfig.workers > 1`` the same kernel runs HogWild-style:
-epoch shards train in worker processes that update *shared-memory*
-factor matrices lock-free. Sampling stays deterministic (per-shard seeds
-derive in the parent via :func:`repro.parallel.task_seeds`), but
-concurrent unsynchronised updates race benignly, so the contract relaxes
-to *converges-to-the-same-KPIs* rather than bit-identical.
-
-The shared matrices are anonymous ``mmap`` buffers: under the ``fork``
-start method (the :class:`~repro.parallel.WorkerPool` process backend's
-preference) children inherit the mapping itself, so every worker writes
-the same physical pages as the parent — no pickling, no copies, no
-cleanup handles. Platforms without ``fork`` fall back to in-process
-training (see :func:`fork_sharing_available`).
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.parallel.pool import WorkerPool, chunk_slices, shared_payload, task_seeds
-from repro.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.core.bpr import BPRConfig
@@ -305,105 +286,3 @@ def train_batch(
     )
     return float(trials[rows].sum()), int(rows.size)
 
-
-# ----------------------------------------------------------------------
-# HogWild multi-worker training
-# ----------------------------------------------------------------------
-
-
-def fork_sharing_available() -> bool:
-    """Whether forked children can inherit the shared factor mappings.
-
-    HogWild training requires the ``fork`` start method: the anonymous
-    ``mmap`` buffers backing the factor matrices are shared with workers
-    by inheritance, not pickling. Without ``fork`` (e.g. Windows), the
-    trainer transparently falls back to in-process training.
-    """
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def shared_empty(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """An array backed by an anonymous shared ``mmap`` buffer.
-
-    Forked child processes inherit the mapping itself (``MAP_SHARED``),
-    so parent and every worker read and write the same physical pages —
-    the substrate of lock-free HogWild updates. The buffer is released
-    with the array by the garbage collector; no explicit handle to
-    close.
-    """
-    count = int(np.prod(shape))
-    itemsize = np.dtype(dtype).itemsize
-    buffer = mmap.mmap(-1, max(count * itemsize, 1))
-    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
-
-
-def hogwild_pool(
-    V: np.ndarray,
-    P: np.ndarray,
-    pos_users: np.ndarray,
-    pos_items: np.ndarray,
-    seen: np.ndarray,
-    n_items: int,
-    config: "BPRConfig",
-    n_workers: int,
-) -> WorkerPool:
-    """A process pool whose workers share the factor matrices.
-
-    Everything epoch-invariant — the shared (mmap-backed) factors, the
-    positive pairs, the seen bitset — travels once through the pool's
-    ``shared`` channel; per-epoch tasks then carry only their shard's
-    pair indices and seed.
-    """
-    return WorkerPool(
-        n_jobs=n_workers,
-        backend="process",
-        shared=(V, P, pos_users, pos_items, seen, n_items, config),
-    )
-
-
-def _hogwild_shard(indices: np.ndarray, seed: int) -> tuple[float, int]:
-    """Train one shard of an epoch against the shared factors (worker side).
-
-    Runs :func:`train_batch` over the shard's positive pairs, writing
-    straight into the inherited shared matrices without locks. Returns
-    ``(sum of trials, updated pairs)`` for the parent's epoch stats.
-    """
-    V, P, pos_users, pos_items, seen, n_items, config = shared_payload()
-    rng = derive_rng(seed, "bpr", "hogwild.shard")
-    trial_total, updated_total = 0.0, 0
-    for start in range(0, len(indices), config.batch_size):
-        batch = indices[start:start + config.batch_size]
-        trials, updated = train_batch(
-            V, P, pos_users[batch], pos_items[batch],
-            seen, n_items, rng, config,
-        )
-        trial_total += trials
-        updated_total += updated
-    return trial_total, updated_total
-
-
-def hogwild_epoch(
-    pool: WorkerPool,
-    order: np.ndarray,
-    epoch: int,
-    seed: int | None,
-    n_workers: int,
-) -> tuple[float, int]:
-    """Run one epoch's positive pairs sharded across the pool's workers.
-
-    The epoch permutation splits into ``n_workers`` contiguous shards;
-    each shard's sampling seed derives in the parent
-    (:func:`~repro.parallel.task_seeds`), so which negatives a shard
-    draws never depends on scheduling. Only the *interleaving* of the
-    lock-free factor updates races — the documented relaxed contract.
-    """
-    shards = chunk_slices(len(order), n_workers)
-    seeds = task_seeds(seed, f"bpr.hogwild.epoch{epoch}", len(shards))
-    results = pool.starmap(
-        _hogwild_shard,
-        [(order[piece], shard_seed) for piece, shard_seed in zip(shards, seeds)],
-        chunk_size=1,
-    )
-    trial_total = float(sum(result[0] for result in results))
-    updated_total = int(sum(result[1] for result in results))
-    return trial_total, updated_total

@@ -29,13 +29,6 @@ from repro.obs.trace import Tracer, start_span
 DEFAULT_CHUNK_SIZE = 256
 LATENCY_SAMPLE_USERS = 50
 
-#: Held-out rank computation strategies: "count" derives each rank by
-#: counting the scores above it (one value sort + binary searches per row,
-#: the fast path); "argsort" ranks every item of every user via a full
-#: stable argsort (the original reference path). Both produce identical
-#: integer ranks.
-RANK_METHODS = ("count", "argsort")
-
 
 @dataclass(frozen=True)
 class PerUserOutcome:
@@ -111,7 +104,6 @@ def evaluate_model(
     holdout: str = "test",
     measure_latency: bool = False,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    rank_method: str = "count",
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> EvaluationResult:
@@ -119,9 +111,8 @@ def evaluate_model(
 
     ``holdout`` selects the ground truth: ``"test"`` (BCT users, the
     paper's Table 1 setting) or ``"val"`` restricted to BCT users (the grid
-    search setting). ``rank_method`` picks the held-out rank computation
-    (see :data:`RANK_METHODS`); the default counting path never sorts the
-    full catalogue and is the serving-scale fast path.
+    search setting). Held-out ranks are counted, never sorted out of
+    the full catalogue (:func:`_ranks_by_counting`).
 
     ``tracer`` wraps the scoring pass in an ``eval.evaluate`` span with
     one ``eval.chunk`` child per score chunk; ``metrics`` lands every KPI
@@ -132,10 +123,6 @@ def evaluate_model(
         raise EvaluationError("at least one k is required")
     if any(k < 1 for k in ks):
         raise EvaluationError(f"all k must be >= 1, got {ks}")
-    if rank_method not in RANK_METHODS:
-        raise EvaluationError(
-            f"rank_method must be one of {RANK_METHODS}, got {rank_method!r}"
-        )
     holdout_items = _select_holdout(split, holdout)
     user_indices = np.asarray(sorted(holdout_items), dtype=np.int64)
     if len(user_indices) == 0:
@@ -148,7 +135,6 @@ def evaluate_model(
     with start_span(
         tracer, "eval.evaluate",
         model=model.name, holdout=holdout, users=len(user_indices),
-        rank_method=rank_method,
     ):
         for start in range(0, len(user_indices), chunk_size):
             chunk = user_indices[start:start + chunk_size]
@@ -157,35 +143,20 @@ def evaluate_model(
             ):
                 scores = model.masked_scores(chunk)
                 held_lists = [holdout_items[int(user)] for user in chunk]
-                if rank_method == "count":
-                    counts = np.asarray(
-                        [len(held) for held in held_lists], dtype=np.int64
+                counts = np.asarray(
+                    [len(held) for held in held_lists], dtype=np.int64
+                )
+                item_ranks = _ranks_by_counting(scores, held_lists)
+                group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+                stop = start + len(chunk)
+                test_sizes[start:stop] = counts
+                first_ranks[start:stop] = np.minimum.reduceat(
+                    item_ranks, group_starts
+                )
+                for k in ks:
+                    hits[k][start:stop] = np.add.reduceat(
+                        (item_ranks <= k).astype(np.int64), group_starts
                     )
-                    item_ranks = _ranks_by_counting(scores, held_lists)
-                    group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                    stop = start + len(chunk)
-                    test_sizes[start:stop] = counts
-                    first_ranks[start:stop] = np.minimum.reduceat(
-                        item_ranks, group_starts
-                    )
-                    for k in ks:
-                        hits[k][start:stop] = np.add.reduceat(
-                            (item_ranks <= k).astype(np.int64), group_starts
-                        )
-                    continue
-                # Reference path: rank_of[j] = 1-based rank of item j in
-                # this user's full ranking.
-                order = np.argsort(-scores, axis=1, kind="stable")
-                ranks = np.empty_like(order)
-                row_index = np.arange(order.shape[0])[:, None]
-                ranks[row_index, order] = np.arange(1, order.shape[1] + 1)
-                for offset, held_out in enumerate(held_lists):
-                    item_ranks = ranks[offset, held_out]
-                    position = start + offset
-                    test_sizes[position] = len(held_out)
-                    first_ranks[position] = item_ranks.min()
-                    for k in ks:
-                        hits[k][position] = int((item_ranks <= k).sum())
 
     kpis = {
         k: compute_kpis(hits[k], test_sizes, first_ranks, k) for k in ks

@@ -115,15 +115,11 @@ def grid_search_bpr(
     metrics: MetricsRegistry | None = None,
     n_jobs: int = 1,
     backend: str = "auto",
-    workers: int | None = None,
 ) -> GridSearchResult:
     """Sweep (n_factors, learning_rate), scoring URR@k on BCT validation.
 
     ``base_config`` supplies everything the grid does not vary (epochs,
-    sampler, seed, ...). ``workers``, when given, overrides the HogWild
-    worker count on every cell's config (see
-    :class:`~repro.core.bpr.BPRConfig`); the default leaves the
-    ``base_config`` value untouched. ``tracer``/``metrics`` thread into
+    sampler, seed, ...). ``tracer``/``metrics`` thread into
     every cell's :class:`BPR` and evaluation: the sweep is one
     ``grid.search`` span with a ``grid.cell`` child per configuration,
     and each cell's validation URR/NRR land in
@@ -143,8 +139,6 @@ def grid_search_bpr(
     if not factor_grid or not learning_rate_grid:
         raise EvaluationError("both grid axes need at least one value")
     base_config = base_config or BPRConfig()
-    if workers is not None:
-        base_config = replace(base_config, workers=workers)
     cells = [
         (n_factors, learning_rate)
         for n_factors in factor_grid

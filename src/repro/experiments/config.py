@@ -86,15 +86,8 @@ def config_for_scale(
     scale: str,
     seed: int | None = None,
     n_jobs: int | None = None,
-    train_workers: int | None = None,
 ) -> ExperimentConfig:
-    """Build the preset for ``scale``, optionally reseeded/parallelised.
-
-    ``train_workers > 1`` trains BPR HogWild-style across that many
-    worker processes (see :class:`~repro.core.bpr.BPRConfig`), trading
-    bit-identity for speed; the default single worker is deterministic
-    given the seed.
-    """
+    """Build the preset for ``scale``, optionally reseeded/parallelised."""
     if scale not in SCALES:
         raise ConfigurationError(
             f"unknown scale {scale!r}; expected one of {sorted(SCALES)}"
@@ -104,6 +97,4 @@ def config_for_scale(
         config = config.with_seed(seed)
     if n_jobs is not None:
         config = replace(config, n_jobs=n_jobs)
-    if train_workers is not None:
-        config = replace(config, bpr=replace(config.bpr, workers=train_workers))
     return config

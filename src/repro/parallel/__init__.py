@@ -17,10 +17,8 @@ wired through it:
   thread-safe (locked cache, lock-guarded stats and metrics), exercised
   by the ``scripts/loadgen.py`` concurrent load generator.
 
-``python -m repro bench-parallel`` measures the speedups into
-``BENCH_parallel.json``; ``tests/parallel/`` holds the serial-vs-thread-
-vs-process equivalence suite. Determinism rules are documented in
-``docs/determinism.md``.
+``tests/parallel/`` holds the serial-vs-thread-vs-process equivalence
+suite. Determinism rules are documented in ``docs/determinism.md``.
 """
 
 from repro.parallel.pool import (

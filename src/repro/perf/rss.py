@@ -1,4 +1,4 @@
-"""Peak resident-set-size measurement for the scale benches.
+"""Peak resident-set-size measurement, per phase of work.
 
 Two complementary sources:
 
@@ -8,14 +8,14 @@ Two complementary sources:
 - ``/proc/self/status`` ``VmHWM`` — the same high-water mark, but on
   Linux it can be reset per phase by writing ``5`` to
   ``/proc/self/clear_refs`` (:func:`reset_peak_rss`), which is what lets
-  ``BENCH_scale.json`` attribute a peak to *one* pipeline phase instead
-  of whichever earlier phase was hungriest.
+  a measurement attribute a peak to *one* pipeline phase instead of
+  whichever earlier phase was hungriest.
 
 :func:`measure_phase_rss` wraps a callable with the reset-run-read cycle
 and records which source produced the number (``vmhwm`` when the reset
-works, ``getrusage`` otherwise), so consumers — the CI smoke assertion,
-the RSS regression test — can tell a real per-phase peak from the
-monotone fallback.
+works, ``getrusage`` otherwise), so consumers — the end-to-end
+benchmark, the RSS regression test — can tell a real per-phase peak
+from the monotone fallback.
 """
 
 from __future__ import annotations

@@ -64,6 +64,37 @@ class TestDocstringRule:
         )
         assert result.ok, result.render_text()
 
+    def test_undocumented_definitions_are_found(self, check_tree):
+        """Public methods of public classes count; private names, and
+        every method of a private class, are exempt."""
+        rule = DocstringRule(packages=("pkg",))
+        result = check_tree(
+            {
+                "pkg/__init__.py": '"""Pkg."""\n',
+                "pkg/mod.py": (
+                    '"""Module doc."""\n'
+                    "class Public:\n"
+                    '    """Doc."""\n'
+                    "    def documented(self):\n"
+                    '        """Doc."""\n'
+                    "    def naked(self):\n"
+                    "        pass\n"
+                    "    def _private(self):\n"
+                    "        pass\n"
+                    "class _Hidden:\n"
+                    "    def anything(self):\n"
+                    "        pass\n"
+                    "def bare():\n"
+                    "    pass\n"
+                ),
+            },
+            rules=[rule],
+        )
+        assert sorted(finding.message for finding in result.findings) == [
+            "missing docstring on function Public.naked",
+            "missing docstring on function bare",
+        ]
+
     def test_ungated_package_is_ignored(self, check_tree):
         rule = DocstringRule(packages=("pkg",))
         result = check_tree(
@@ -115,3 +146,47 @@ class TestLinkRule:
         )
         assert result.ok
         assert result.suppressed == 1
+
+    def test_broken_link_is_reported(self, check_tree):
+        """Only the dangling target is flagged: a link into an existing
+        file's section, a pure anchor and an external URL all pass."""
+        result = check_tree(
+            {
+                "mod.py": "VALUE = 1\n",
+                "good.md": "target\n",
+                "index.md": (
+                    "[ok](good.md)\n"
+                    "[anchor ok](good.md#section)\n"
+                    "[pure anchor](#here)\n"
+                    "[external](https://example.com/x)\n"
+                    "[broken](missing.md)\n"
+                ),
+            },
+            rules=[LinkRule()],
+        )
+        assert [(f.path, f.line, f.message) for f in result.findings] == [
+            ("index.md", 5, "broken link -> missing.md")
+        ]
+
+    def test_root_absolute_links_resolve_from_root(self, check_tree):
+        result = check_tree(
+            {
+                "mod.py": "VALUE = 1\n",
+                "README.md": "hi\n",
+                "docs/page.md": "[root](/README.md)\n[bad](/nope.md)\n",
+            },
+            rules=[LinkRule()],
+        )
+        assert [(f.path, f.line, f.message) for f in result.findings] == [
+            ("docs/page.md", 2, "broken link -> /nope.md")
+        ]
+
+    def test_skip_dirs_are_not_scanned(self, check_tree):
+        result = check_tree(
+            {
+                "mod.py": "VALUE = 1\n",
+                ".git/note.md": "[broken](missing.md)\n",
+            },
+            rules=[LinkRule()],
+        )
+        assert result.ok, result.render_text()

@@ -175,7 +175,6 @@ class TestDefaultSpec:
 
     def test_overrides_rehome_demo_and_faults(self):
         assert DEFAULT_SPEC.layer_of("repro.obs.demo")[0] == "drivers"
-        assert DEFAULT_SPEC.layer_of("repro.parallel.bench")[0] == "drivers"
         assert DEFAULT_SPEC.layer_of("repro.resilience.faults")[0] == "core"
 
     def test_foreign_modules_are_unmapped(self):

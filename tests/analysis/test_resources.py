@@ -186,21 +186,3 @@ class TestSrcRegressions:
             encoding="utf-8"
         )
         assert "with np.load(path, allow_pickle=False) as archive:" in source
-
-    def test_bench_reports_go_through_atomic_write(self, repo):
-        for relpath in (
-            "src/repro/parallel/bench.py",
-            "src/repro/perf/fastpath.py",
-            "src/repro/perf/scalebench.py",
-            "src/repro/perf/servebench.py",
-        ):
-            source = (repo / relpath).read_text(encoding="utf-8")
-            assert "atomic_write" in source, relpath
-            assert ".write_text(" not in source, relpath
-
-    def test_user_shard_store_exposes_a_lifecycle(self, repo):
-        from repro.retrieval.shards import UserShardStore
-
-        assert callable(UserShardStore.close)
-        assert hasattr(UserShardStore, "__enter__")
-        assert hasattr(UserShardStore, "__exit__")

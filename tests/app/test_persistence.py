@@ -92,17 +92,18 @@ class TestBPRRoundtrip:
             load_bpr(tmp_path / "ghost.npz")
 
 
-def _as_float64_era_artefact(path) -> None:
-    """Rewrite a saved model as builds that trained on the float64 kernel
-    stored it: float64 factors and a config naming the training tier
-    (``"kernel": "reference"``), with a fresh manifest over the bytes."""
+def _rewrite_config(path, float64: bool = False, **retired) -> None:
+    """Rewrite a saved model as an older build stored it: ``retired``
+    config fields merged into its config, float64 factors when
+    ``float64``, and a fresh manifest over the bytes."""
     with np.load(path, allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
     config = json.loads(str(arrays["config"][0]))
-    config["kernel"] = "reference"
+    config.update(retired)
     arrays["config"] = np.asarray([json.dumps(config)], dtype=np.str_)
-    for name in ("user_factors", "item_factors"):
-        arrays[name] = arrays[name].astype(np.float64)
+    if float64:
+        for name in ("user_factors", "item_factors"):
+            arrays[name] = arrays[name].astype(np.float64)
     with atomic_write(path, "wb") as handle:
         np.savez_compressed(handle, **arrays)
     write_manifest(
@@ -110,42 +111,90 @@ def _as_float64_era_artefact(path) -> None:
     )
 
 
+def _as_float64_era_artefact(path) -> None:
+    """Rewrite a saved model as builds that trained on the float64 kernel
+    stored it: float64 factors and a config naming the training tier
+    (``"kernel": "reference"``) and the worker count."""
+    _rewrite_config(path, float64=True, kernel="reference", workers=1)
+
+
+def _publish_old(store_root, model, train, rewrite):
+    store = ModelStore(store_root)
+    version = store.publish(model, train)
+    rewrite(version.model_path)
+    return store, version
+
+
+def _check_loads(store, version, fitted, dtype):
+    store.verify(version)
+    model, _ = store.load()
+    assert not hasattr(model.config, "kernel")
+    assert not hasattr(model.config, "workers")
+    assert model.config == fitted.config
+    assert model.user_factors.dtype == dtype
+
+
+def _check_hot_swap(store, version, fitted, train, merged):
+    service = RecommendationService(fitted, train, merged)
+    assert service.refresh_from_store(store)
+    user = str(train.users.ids[0])
+    response = service.recommend_response(
+        RecommendationRequest(user_id=user, k=5)
+    )
+    assert response.model_version == version.name
+    assert response.served_by == SERVED_BY_PRIMARY
+    assert len(response.books) == 5
+
+
+def _check_warm_start(store, train):
+    previous, _ = store.load()
+    model = BPR(BPRConfig(epochs=2, seed=4))
+    model.fit(train, warm_start=previous)
+    assert model.user_factors.dtype == np.float32
+    assert store.publish(model, train).name == "v000002"
+    assert store.load()[0].user_factors.dtype == np.float32
+
+
 class TestRetiredKernelKey:
     """Models published before the float32 kernel became the only one
-    store ``"kernel"`` in their config; they must keep loading."""
+    store ``"kernel"`` in their config, and every model published while
+    HogWild training existed stores ``"workers"``; they must keep
+    loading."""
 
     @pytest.fixture()
     def old_store(self, tmp_path, tiny_bpr, tiny_split):
-        store = ModelStore(tmp_path / "store")
-        version = store.publish(tiny_bpr, tiny_split.train)
-        _as_float64_era_artefact(version.model_path)
-        return store, version
+        return _publish_old(
+            tmp_path / "store", tiny_bpr, tiny_split.train,
+            _as_float64_era_artefact,
+        )
+
+    @pytest.fixture()
+    def hogwild_store(self, tmp_path, tiny_bpr, tiny_split):
+        return _publish_old(
+            tmp_path / "store", tiny_bpr, tiny_split.train,
+            lambda path: _rewrite_config(path, workers=2),
+        )
 
     def test_loads_and_verifies(self, old_store, tiny_bpr):
-        store, version = old_store
-        store.verify(version)
-        model, _ = store.load()
-        assert not hasattr(model.config, "kernel")
-        assert model.config == tiny_bpr.config
-        assert model.user_factors.dtype == np.float64
+        _check_loads(*old_store, tiny_bpr, np.float64)
 
     def test_hot_swap_serves_it(self, old_store, tiny_bpr, tiny_split, tiny_merged):
-        store, version = old_store
-        service = RecommendationService(tiny_bpr, tiny_split.train, tiny_merged)
-        assert service.refresh_from_store(store)
-        user = str(tiny_split.train.users.ids[0])
-        response = service.recommend_response(
-            RecommendationRequest(user_id=user, k=5)
-        )
-        assert response.model_version == version.name
-        assert response.served_by == SERVED_BY_PRIMARY
-        assert len(response.books) == 5
+        _check_hot_swap(*old_store, tiny_bpr, tiny_split.train, tiny_merged)
 
     def test_warm_starts_a_fit(self, old_store, tiny_split):
-        store, _ = old_store
-        previous, _ = store.load()
-        model = BPR(BPRConfig(epochs=2, seed=4))
-        model.fit(tiny_split.train, warm_start=previous)
-        assert model.user_factors.dtype == np.float32
-        assert store.publish(model, tiny_split.train).name == "v000002"
-        assert store.load()[0].user_factors.dtype == np.float32
+        _check_warm_start(old_store[0], tiny_split.train)
+
+    def test_workers_archive_loads_and_verifies(self, hogwild_store, tiny_bpr):
+        _check_loads(*hogwild_store, tiny_bpr, np.float32)
+
+    def test_workers_archive_hot_swap_serves_it(
+        self, hogwild_store, tiny_bpr, tiny_split, tiny_merged
+    ):
+        _check_hot_swap(*hogwild_store, tiny_bpr, tiny_split.train, tiny_merged)
+
+    def test_workers_archive_warm_starts_a_fit(self, hogwild_store, tiny_split):
+        _check_warm_start(hogwild_store[0], tiny_split.train)
+
+    def test_workers_is_no_longer_a_config_field(self):
+        with pytest.raises(TypeError):
+            BPRConfig(workers=2)

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.app.service import RecommendationRequest, RecommendationService
+from repro.core.bpr import BPR
 from repro.core.most_read import MostReadItems
 from repro.errors import ConfigurationError, UnknownUserError
+from repro.obs.trace import STATUS_ERROR, Tracer
+
+from tests.conftest import TINY_BPR
 
 
 @pytest.fixture(scope="module")
@@ -400,3 +404,85 @@ class TestResilience:
     def test_request_validates_timeout(self):
         with pytest.raises(ConfigurationError, match="timeout"):
             RecommendationRequest(user_id="u", timeout_seconds=0.0)
+
+
+class TestBatchSpan:
+    def test_batch_span_closes_when_assembly_raises(
+        self, tiny_bpr, tiny_split, tiny_merged, monkeypatch
+    ):
+        """A failure while building responses must not leave
+        ``service.batch`` open, or every later span nests under it."""
+        tracer = Tracer(seed=0)
+        service = RecommendationService(
+            tiny_bpr, tiny_split.train, tiny_merged, tracer=tracer
+        )
+
+        def broken(items, k):
+            raise IndexError("item index past the catalogue")
+
+        monkeypatch.setattr(service, "_serve_books", broken)
+        requests = [
+            RecommendationRequest(user_id=user, k=5)
+            for user in tiny_merged.bct_user_ids[:3]
+        ]
+        with pytest.raises(IndexError):
+            service.recommend_many_responses(requests)
+        assert tracer.active_span is None
+        [batch] = [span for span in tracer.spans if span.name == "service.batch"]
+        assert batch.end is not None
+        assert batch.status == STATUS_ERROR
+
+
+class SwapDuringScore(BPR):
+    """A model that hot-swaps the service mid-request (the race window)."""
+
+    service = None
+    replacement = None
+    fired = False
+
+    def recommend(self, user_index, k):
+        items = super().recommend(user_index, k)
+        if not SwapDuringScore.fired:
+            SwapDuringScore.fired = True
+            SwapDuringScore.service.refresh_model(
+                SwapDuringScore.replacement, model_version="v2"
+            )
+        return items
+
+
+class TestCacheSwapRace:
+    def test_in_flight_response_never_enters_the_fresh_cache(
+        self, tiny_split, tiny_merged
+    ):
+        """A response resolved against model v1 must not be cached after
+        refresh_model swapped in v2 — the v(N)/v(N+1) provenance race."""
+        racer = SwapDuringScore(TINY_BPR).fit(tiny_split.train, tiny_merged)
+        replacement = BPR(TINY_BPR).fit(tiny_split.train, tiny_merged)
+        service = RecommendationService(
+            racer, tiny_split.train, tiny_merged, cache_size=64,
+            model_version="v1",
+        )
+        SwapDuringScore.service = service
+        SwapDuringScore.replacement = replacement
+        SwapDuringScore.fired = False
+        user_id = str(tiny_split.train.users.ids[0])
+        request = RecommendationRequest(user_id=user_id, k=5)
+
+        first = service.recommend_response(request)
+        # The swap happened mid-request: the response is stamped with the
+        # *published* version, and the stale list was NOT cached.
+        assert first.model_version == "v2"
+        assert not first.from_cache
+        assert service.cached_entries == 0
+
+        second = service.recommend_response(request)
+        assert second.model_version == "v2"
+        assert not second.from_cache  # freshly scored by v2
+        assert service.cached_entries == 1
+
+        third = service.recommend_response(request)
+        assert third.from_cache
+        assert third.model_version == "v2"
+        assert [b.book_id for b in third.books] == [
+            b.book_id for b in second.books
+        ]

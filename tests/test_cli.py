@@ -49,8 +49,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
-        assert "bench-parallel" in out
+        assert "lifecycle" in out
         assert "metrics" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"],
+        ["bench-parallel"],
+        ["bench-scale"],
+        ["bench-serve"],
+        ["--train-workers", "2", "suite"],
+        ["--retrieval", "ivf", "serve-demo"],
+        ["--probe-cells", "4", "serve-demo"],
+    ])
+    def test_retired_commands_and_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -97,24 +110,6 @@ class TestCommands:
         serial = capsys.readouterr().out
         assert parallel == serial
         assert "best:" in serial
-
-
-class TestBenchParallelCommand:
-    def test_quick_bench_writes_json(self, tmp_path, capsys):
-        target = tmp_path / "bench.json"
-        assert main([
-            "bench-parallel", "--quick", "--repeats", "1",
-            "--bench-output", str(target),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "parallel bench" in out
-        assert "MISMATCH" not in out
-
-        import json
-
-        report = json.loads(target.read_text())
-        for section in ("grid", "embedding", "merge"):
-            assert report[section]["identical"] is True
 
 
 class TestHealth:

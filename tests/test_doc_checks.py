@@ -1,110 +1,68 @@
 """Documentation gates: docstring coverage and intra-repo link integrity.
 
-Runs the same standalone checkers CI invokes
-(``scripts/check_docstrings.py`` and ``scripts/check_links.py``) so the
-gates are part of tier-1 too, plus unit tests pinning each checker's
-own behaviour against synthetic trees.
+Runs the ``docstrings`` and ``links`` rules of ``python -m repro check``
+over the repository itself, both through the rule module's helpers and
+through the CLI with its exit code, so the gates are part of tier-1.
+The rules' behaviour on synthetic trees is pinned in
+``tests/analysis/test_docs_rules.py``.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
+import ast
 from pathlib import Path
+
+from repro.analysis.rules.docs import (
+    CHECKED_PACKAGES,
+    broken_links,
+    markdown_files,
+    missing_docstrings_in_tree,
+)
+from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 
 
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "scripts" / f"{name}.py"
+def _check(rule_id: str, root: Path, path: Path) -> int:
+    return main(
+        ["check", "--no-cache", "--rule", rule_id, "--root", str(root),
+         str(path)]
     )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check_docstrings = _load_script("check_docstrings")
-check_links = _load_script("check_links")
 
 
 class TestDocstringGate:
     def test_growth_packages_fully_documented(self):
-        assert check_docstrings.check_packages(SRC_ROOT) == []
+        failures = []
+        for package in CHECKED_PACKAGES:
+            package_root = SRC_ROOT / package
+            assert package_root.is_dir(), f"{package}: package missing"
+            for path in sorted(package_root.rglob("*.py")):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                failures.extend(
+                    f"{path.relative_to(SRC_ROOT)}:{line}: {what}"
+                    for line, what in missing_docstrings_in_tree(tree)
+                )
+        assert failures == []
 
     def test_main_exits_zero_on_repo(self, capsys):
-        assert check_docstrings.main([str(SRC_ROOT)]) == 0
-        assert "fully documented" in capsys.readouterr().out
+        assert _check("docstrings", REPO_ROOT, SRC_ROOT) == 0
+        assert "repro check: clean" in capsys.readouterr().out
 
-    def test_missing_package_is_reported(self, tmp_path):
-        failures = check_docstrings.check_packages(tmp_path)
-        assert len(failures) == len(check_docstrings.CHECKED_PACKAGES)
-        assert all("package directory missing" in f for f in failures)
-
-    def test_undocumented_definitions_are_found(self, tmp_path):
-        package = tmp_path / check_docstrings.CHECKED_PACKAGES[0]
-        package.mkdir(parents=True)
-        (package / "mod.py").write_text(
-            '"""Module doc."""\n'
-            "class Public:\n"
-            '    """Doc."""\n'
-            "    def documented(self):\n"
-            '        """Doc."""\n'
-            "    def naked(self):\n"
-            "        pass\n"
-            "    def _private(self):\n"
-            "        pass\n"
-            "class _Hidden:\n"
-            "    def anything(self):\n"
-            "        pass\n"
-            "def bare():\n"
-            "    pass\n"
-        )
-        failures = check_docstrings.check_packages(tmp_path)
-        reported = [f for f in failures if "missing docstring" in f]
-        assert len(reported) == 2
-        assert any("Public.naked" in f for f in reported)
-        assert any("function bare" in f for f in reported)
-
-    def test_missing_module_docstring_is_line_one(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("x = 1\n")
-        assert check_docstrings.missing_docstrings(path) == [(1, "module")]
+    def test_missing_module_docstring_is_line_one(self):
+        tree = ast.parse("x = 1\n")
+        assert missing_docstrings_in_tree(tree) == [(1, "module")]
 
 
 class TestLinkGate:
     def test_repo_links_all_resolve(self):
-        assert check_links.check_tree(REPO_ROOT) == []
+        failures = [
+            f"{path.relative_to(REPO_ROOT)}:{line}: broken link -> {target}"
+            for path in markdown_files(REPO_ROOT)
+            for line, target in broken_links(path, REPO_ROOT)
+        ]
+        assert failures == []
 
     def test_main_exits_zero_on_repo(self, capsys):
-        assert check_links.main([str(REPO_ROOT)]) == 0
-        assert "all intra-repo links resolve" in capsys.readouterr().out
-
-    def test_broken_link_is_reported(self, tmp_path):
-        (tmp_path / "good.md").write_text("target\n")
-        (tmp_path / "index.md").write_text(
-            "[ok](good.md)\n"
-            "[anchor ok](good.md#section)\n"
-            "[pure anchor](#here)\n"
-            "[external](https://example.com/x)\n"
-            "[broken](missing.md)\n"
-        )
-        failures = check_links.check_tree(tmp_path)
-        assert failures == ["index.md:5: broken link -> missing.md"]
-
-    def test_root_absolute_links_resolve_from_root(self, tmp_path):
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        (tmp_path / "README.md").write_text("hi\n")
-        (docs / "page.md").write_text("[root](/README.md)\n[bad](/nope.md)\n")
-        failures = check_links.check_tree(tmp_path)
-        assert failures == [
-            str(Path("docs") / "page.md") + ":2: broken link -> /nope.md"
-        ]
-
-    def test_skip_dirs_are_not_scanned(self, tmp_path):
-        hidden = tmp_path / ".git"
-        hidden.mkdir()
-        (hidden / "note.md").write_text("[broken](missing.md)\n")
-        assert check_links.check_tree(tmp_path) == []
+        assert _check("links", REPO_ROOT, SRC_ROOT) == 0
+        assert "repro check: clean" in capsys.readouterr().out

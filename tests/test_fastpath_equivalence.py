@@ -6,6 +6,8 @@ masking, batched top-k, rank-only (counting) evaluation, blockwise /
 truncated similarity, and batched serving are each pinned against the
 original per-user/argsort code paths — on fitted models over the tiny
 synthetic world and on adversarial random score matrices with heavy ties.
+Those original paths live here, as oracles: ``src/`` keeps one
+implementation of each job.
 """
 
 import numpy as np
@@ -13,13 +15,81 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.app.service import RecommendationRequest, RecommendationService
-from repro.core.base import Recommender
+from repro.core.base import EXCLUDED_SCORE, Recommender, _top_k
 from repro.core.closest_items import ClosestItems
 from repro.core.interactions import InteractionMatrix
 from repro.errors import EvaluationError
-from repro.eval.evaluator import _ranks_by_counting, evaluate_model
+from repro.eval.evaluator import (
+    EvaluationResult,
+    PerUserOutcome,
+    _ranks_by_counting,
+    evaluate_model,
+)
 from repro.eval.metrics import compute_kpis
 from repro.eval.split import DatasetSplit
+
+
+# ----------------------------------------------------------------------
+# oracles: the original per-user and argsort paths
+# ----------------------------------------------------------------------
+
+
+def masked_scores_reference(model, user_indices):
+    """The pre-vectorisation masking path (per-user loop); must be
+    bit-identical to :meth:`Recommender.masked_scores`."""
+    user_indices = np.asarray(user_indices, dtype=np.int64)
+    scores = model.score_users(user_indices)
+    if model.exclude_seen:
+        train = model.train
+        for row, user_index in enumerate(user_indices):
+            scores[row, train.user_items(int(user_index))] = EXCLUDED_SCORE
+    return scores
+
+
+def recommend_batch_reference(model, user_indices, k):
+    """Per-row top-k over the masked scores, the batch path's oracle."""
+    scores = model.masked_scores(user_indices)
+    return [_top_k(row, k) for row in scores]
+
+
+def evaluate_by_argsort(model, split, ks=(20,), chunk_size=256):
+    """The original evaluation path over the test holdout: rank every
+    item of every user with a full stable argsort, then read off the
+    held-out items' ranks. ``evaluate_model`` counts them instead."""
+    holdout_items = split.test_items
+    user_indices = np.asarray(sorted(holdout_items), dtype=np.int64)
+    hits = {k: np.zeros(len(user_indices), dtype=np.int64) for k in ks}
+    first_ranks = np.zeros(len(user_indices), dtype=np.int64)
+    test_sizes = np.zeros(len(user_indices), dtype=np.int64)
+    for start in range(0, len(user_indices), chunk_size):
+        chunk = user_indices[start:start + chunk_size]
+        scores = model.masked_scores(chunk)
+        # ranks[r, j] = 1-based rank of item j in row r's full ranking.
+        order = np.argsort(-scores, axis=1, kind="stable")
+        ranks = np.empty_like(order)
+        row_index = np.arange(order.shape[0])[:, None]
+        ranks[row_index, order] = np.arange(1, order.shape[1] + 1)
+        for offset, user in enumerate(chunk):
+            held_out = holdout_items[int(user)]
+            item_ranks = ranks[offset, held_out]
+            position = start + offset
+            test_sizes[position] = len(held_out)
+            first_ranks[position] = item_ranks.min()
+            for k in ks:
+                hits[k][position] = int((item_ranks <= k).sum())
+    return EvaluationResult(
+        model_name=model.name,
+        kpis={
+            k: compute_kpis(hits[k], test_sizes, first_ranks, k) for k in ks
+        },
+        per_user=PerUserOutcome(
+            user_indices=user_indices,
+            train_sizes=split.train_sizes(user_indices),
+            test_sizes=test_sizes,
+            hits=hits,
+            first_ranks=first_ranks,
+        ),
+    )
 
 
 class FixedScores(Recommender):
@@ -79,14 +149,14 @@ class TestMaskingEquivalence:
         model = FixedScores(_tied_matrix(seed)).fit(train)
         users = np.arange(train.n_users)
         assert np.array_equal(
-            model.masked_scores(users), model.masked_scores_reference(users)
+            model.masked_scores(users), masked_scores_reference(model, users)
         )
 
     def test_fitted_bpr(self, tiny_split, tiny_bpr):
         users = np.asarray(sorted(tiny_split.test_items), dtype=np.int64)
         assert np.array_equal(
             tiny_bpr.masked_scores(users),
-            tiny_bpr.masked_scores_reference(users),
+            masked_scores_reference(tiny_bpr, users),
         )
 
     def test_no_masking_when_model_includes_seen(self):
@@ -114,7 +184,7 @@ class TestBatchTopKEquivalence:
     def test_matches_reference_batch(self, tiny_split, tiny_bpr):
         users = np.asarray(sorted(tiny_split.test_items), dtype=np.int64)[:40]
         fast = tiny_bpr.recommend_batch(users, 20)
-        reference = tiny_bpr.recommend_batch_reference(users, 20)
+        reference = recommend_batch_reference(tiny_bpr, users, 20)
         assert all(np.array_equal(f, r) for f, r in zip(fast, reference))
 
     def test_catalogue_exhaustion(self):
@@ -146,27 +216,21 @@ class TestRankOnlyEvaluation:
     def test_identical_kpi_reports(self, tiny_context, model_name):
         model = tiny_context.model(model_name)
         split = tiny_context.split
-        fast = evaluate_model(model, split, ks=(1, 5, 20), rank_method="count")
-        reference = evaluate_model(
-            model, split, ks=(1, 5, 20), rank_method="argsort"
-        )
+        fast = evaluate_model(model, split, ks=(1, 5, 20))
+        reference = evaluate_by_argsort(model, split, ks=(1, 5, 20))
         self._assert_results_equal(fast, reference)
 
     def test_identical_across_chunk_sizes(self, tiny_split, tiny_bpr):
-        fast = evaluate_model(
-            tiny_bpr, tiny_split, ks=(20,), rank_method="count", chunk_size=7
-        )
-        reference = evaluate_model(
-            tiny_bpr, tiny_split, ks=(20,), rank_method="argsort",
-            chunk_size=1000,
+        fast = evaluate_model(tiny_bpr, tiny_split, ks=(20,), chunk_size=7)
+        reference = evaluate_by_argsort(
+            tiny_bpr, tiny_split, ks=(20,), chunk_size=1000
         )
         self._assert_results_equal(fast, reference)
 
     def test_rejects_unknown_method(self, tiny_split, tiny_bpr):
-        from repro.errors import EvaluationError
-
-        with pytest.raises(EvaluationError, match="rank_method"):
-            evaluate_model(tiny_bpr, tiny_split, rank_method="quantum")
+        # Counting is the only rank method; the selector is gone.
+        with pytest.raises(TypeError, match="rank_method"):
+            evaluate_model(tiny_bpr, tiny_split, rank_method="argsort")
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10_000))
@@ -223,9 +287,7 @@ class TestSimilarityEquivalence:
             sparse_model.score_users(np.arange(tiny_split.train.n_users))
         ).fit(tiny_split.train)
         fast = evaluate_model(sparse_model, tiny_split, ks=(20,))
-        reference = evaluate_model(
-            dense_model, tiny_split, ks=(20,), rank_method="argsort"
-        )
+        reference = evaluate_by_argsort(dense_model, tiny_split, ks=(20,))
         assert fast.kpis == reference.kpis
 
     def test_dense_mode_unchanged_by_block_size(self, tiny_split, tiny_merged):
@@ -361,12 +423,8 @@ class TestKpiProperties:
         train = _train_matrix(seed)
         model = FixedScores(_tied_matrix(seed)).fit(train)
         split = _fake_split(train, seed)
-        counted = evaluate_model(
-            model, split, ks=(5, 20), rank_method="count"
-        )
-        argsorted = evaluate_model(
-            model, split, ks=(5, 20), rank_method="argsort"
-        )
+        counted = evaluate_model(model, split, ks=(5, 20))
+        argsorted = evaluate_by_argsort(model, split, ks=(5, 20))
         assert counted.kpis == argsorted.kpis
         assert np.array_equal(
             counted.per_user.first_ranks, argsorted.per_user.first_ranks
