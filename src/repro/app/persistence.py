@@ -1,7 +1,10 @@
 """Saving and loading artefacts: merged datasets and fitted BPR models.
 
 Datasets persist as a directory of typed CSV tables; BPR models as an
-``.npz`` of factor matrices plus indexer ids. This lets the deployed
+uncompressed ``.npz`` of factor matrices plus indexer ids (deflating
+it cost every publish more time than the space was worth;
+:func:`numpy.load` also reads the compressed archives of older
+builds). This lets the deployed
 service (and the examples) start from disk instead of regenerating and
 refitting.
 
@@ -103,7 +106,7 @@ def save_bpr(model: BPR, train: InteractionMatrix, path: str | Path) -> None:
     path = _npz_path(path)
     config_json = json.dumps(asdict(model.config))
     with atomic_write(path, "wb") as handle:
-        np.savez_compressed(
+        np.savez(
             handle,
             format_version=np.asarray([BPR_FORMAT_VERSION], dtype=np.int64),
             user_factors=model.user_factors,

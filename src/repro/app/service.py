@@ -6,48 +6,17 @@ prevention of users' choice overload"). This module provides that request
 path over any fitted :class:`~repro.core.base.Recommender`: user id in,
 book cards out, with latency accounting matching Table 2's methodology.
 
-Serving-scale additions: a bounded LRU cache of served top-k lists keyed
-on ``(user_id, k)`` (models are read-only between refreshes, so a user's
-list only changes when the model does — :meth:`RecommendationService.refresh_model`
-invalidates the cache explicitly), a :meth:`~RecommendationService.recommend_many`
-batch endpoint that funnels cache misses through the vectorised
-:meth:`~repro.core.base.Recommender.recommend_batch` scoring path, and a
-bounded latency window so long-lived services don't grow without limit.
-
-Scoring is exact: a request scores the whole catalogue through
-``model.recommend``, and a batch's cache misses are grouped by k and
-scored through one ``model.recommend_batch`` call per group.
-``docs/serving.md`` is the operator's guide to all of this.
-
-Lifecycle: :meth:`RecommendationService.refresh_from_store` hot-swaps
-the serving model from a versioned
-:class:`~repro.app.lifecycle.ModelStore` with zero downtime — the
-candidate is loaded, checksum-verified, and validated entirely outside
-the service lock, swapped in only on success, and any failure keeps the
-current model serving with a counted ``refresh_failed`` stat instead of
-an exception. Every response carries the serving version's name as
-``model_version`` provenance.
-
-Resilience: the primary model is guarded by a
-:class:`~repro.resilience.breaker.CircuitBreaker` and backed by a
-degradation chain — primary model → fitted
-:class:`~repro.core.most_read.MostReadItems` → a static most-popular
-list derived from the training counts. A scoring failure (or an open
-breaker, or an expired per-request deadline) degrades the response
-instead of failing the request; every response carries a ``served_by``
-tag, degradations are counted per source in :class:`ServiceStats`, and
-:meth:`RecommendationService.health` reports the whole picture.
-
-Observability: the service owns (or is handed) a
-:class:`~repro.obs.metrics.MetricsRegistry` and mirrors every
-:class:`ServiceStats` movement into it — request/cache/degradation
-counters, breaker state transitions (via
-:attr:`~repro.resilience.breaker.CircuitBreaker.on_transition`), and a
-shared latency histogram that *is* the percentile source for both
-:meth:`ServiceStats.percentile` and :meth:`RecommendationService.health`,
-so the two views can never disagree. An optional
-:class:`~repro.obs.trace.Tracer` records one span per cache-missed
-request and per batch.
+Every request reads one immutable :class:`ServingState` (model, training
+matrix, version, cold-start fallback, card arrays, static popularity
+order), so its books and its ``model_version`` come from the same model.
+A single request is a batch of one: cache misses are grouped by k and
+scored exactly, one ``model.recommend_batch`` call per group, behind a
+circuit breaker, optional retries and per-request deadlines, above a
+degradation chain (primary → fitted most-read → static popularity). An
+LRU cache answers repeat requests, :meth:`RecommendationService.refresh_from_store`
+hot-swaps the state from a model store, and every stats movement is
+mirrored into a metrics registry (plus optional trace spans).
+``docs/serving.md`` is the operator's guide.
 """
 
 from __future__ import annotations
@@ -55,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,11 +60,10 @@ SERVED_BY_STATIC = "static"
 SERVED_BY_NONE = "none"
 
 #: Breaker states encoded for the ``service.breaker_state`` gauge.
-_BREAKER_STATE_VALUE = {
-    STATE_CLOSED: 0.0,
-    STATE_HALF_OPEN: 1.0,
-    STATE_OPEN: 2.0,
-}
+_BREAKER_STATE_VALUE = {STATE_CLOSED: 0.0, STATE_HALF_OPEN: 1.0, STATE_OPEN: 2.0}
+
+#: Title and author of a book the dataset has no card for.
+_UNKNOWN_CARD = ("(unknown)", "(unknown)")
 
 
 @dataclass(frozen=True)
@@ -120,7 +88,7 @@ class RecommendationRequest:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServedBook:
     """One recommended book, as shown on a GUI card."""
 
@@ -130,20 +98,17 @@ class ServedBook:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServedResponse:
     """One answered request, with provenance.
 
-    ``served_by`` names the chain link that produced the list
-    (:data:`SERVED_BY_PRIMARY`, :data:`SERVED_BY_MOST_READ`,
-    :data:`SERVED_BY_STATIC`, or :data:`SERVED_BY_NONE` when nothing
-    could serve it). ``degraded`` is True when a *failure* forced a
-    fallback — a cold-start user intentionally served by the popularity
-    list is not degraded. ``error`` carries the triggering failure, if
-    any, and ``from_cache`` marks LRU hits. ``model_version`` is the
-    model-store version name the serving model came from (``None`` when
-    the service was built from an in-memory model rather than a
-    :class:`~repro.app.lifecycle.ModelStore`).
+    ``served_by`` names the chain link that produced the list (one of the
+    ``SERVED_BY_*`` tags; ``none`` when nothing could serve it).
+    ``degraded`` is True when a *failure* forced a fallback — a cold-start
+    user served the popularity list is not degraded. ``error`` carries the
+    triggering failure, ``from_cache`` marks LRU hits, and
+    ``model_version`` names the store version that produced the list
+    (``None`` for a model that did not come from a store).
     """
 
     books: tuple[ServedBook, ...]
@@ -154,25 +119,54 @@ class ServedResponse:
     model_version: str | None = None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class ServingState:
+    """One immutable serving snapshot: everything a request reads.
+
+    ``book_ids``, ``titles`` and ``authors`` map this catalogue's item
+    indices to cards; ``static_order`` ranks its items by training count
+    (the chain's last link); ``loaded_at`` is the service clock at build.
+    """
+
+    model: Recommender
+    train: InteractionMatrix
+    version: str | None
+    cold_start_fallback: MostReadItems | None
+    book_ids: np.ndarray
+    titles: np.ndarray
+    authors: np.ndarray
+    static_order: np.ndarray
+    loaded_at: float
+
+    def books(self, items: np.ndarray) -> tuple[ServedBook, ...]:
+        """Ranked cards for item indices of this state's catalogue."""
+        return tuple(map(
+            ServedBook,
+            self.book_ids[items].tolist(),
+            self.titles[items].tolist(),
+            self.authors[items].tolist(),
+            range(1, len(items) + 1),
+        ))
+
+    def seen(self, user_index: int | None) -> np.ndarray:
+        """The user's training items (none for an unknown user)."""
+        if user_index is None:
+            return np.asarray([], dtype=np.int64)
+        return np.asarray(self.train.user_items(user_index), dtype=np.int64)
+
+
 @dataclass
 class ServiceStats:
     """Aggregate latency, cache, and degradation accounting.
 
-    Latency percentiles are driven by a single shared
-    :class:`~repro.obs.metrics.Histogram` (``latency_window`` bounds its
-    raw-observation window, so a long-lived service's memory stays
-    constant): :meth:`percentile`, :attr:`latencies`, and the metrics
-    registry's ``service.latency_seconds`` series all read the same
-    object and cannot disagree. ``degradations`` counts fallback-served
-    requests per ``served_by`` source; ``errors`` counts underlying
-    failures (which can exceed degradations when retries or multiple
-    chain links fail for one request).
-
-    Thread safety: every mutation (:meth:`record`, :meth:`note_cache`,
-    :meth:`note_error`, :meth:`note_degraded`) runs under one lock, and
-    the shared histogram carries its own, so concurrent serving threads
-    never lose an increment — the concurrency suite asserts exact
-    counts under contention.
+    One shared :class:`~repro.obs.metrics.Histogram` (``latency_window``
+    bounds its raw-observation window) drives :meth:`percentile`,
+    :attr:`latencies` and the registry's ``service.latency_seconds``
+    series, so they cannot disagree. ``degradations`` counts
+    fallback-served requests per ``served_by`` source; ``errors`` counts
+    underlying failures (more than degradations when retries or several
+    chain links fail for one request). Every mutation runs under one
+    lock, so concurrent serving threads never lose an increment.
     """
 
     requests: int = 0
@@ -185,12 +179,10 @@ class ServiceStats:
     refreshes: int = 0
     """Successful hot swaps (:meth:`RecommendationService.refresh_from_store`)."""
     refresh_failed: int = 0
-    """Rejected hot-swap candidates (corruption, validation, injected
-    faults); each one kept the previous model serving."""
+    """Rejected hot-swap candidates; each kept the previous model serving."""
     degradations: Counter = field(default_factory=Counter)
     histogram: "Histogram | None" = field(default=None, repr=False)
-    """The shared latency histogram; a standalone one is built when the
-    stats object is not wired into a registry."""
+    """The shared latency histogram (a standalone one when omitted)."""
 
     def __post_init__(self) -> None:
         if self.latency_window < 1:
@@ -238,11 +230,13 @@ class ServiceStats:
 
     def note_cache(self, hit: bool) -> None:
         """Account one cache lookup (``hit=True``) or miss."""
+        self.note_lookups(int(hit), int(not hit))
+
+    def note_lookups(self, hits: int, misses: int) -> None:
+        """Account a batch's cache lookups in one step."""
         with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
+            self.cache_hits += hits
+            self.cache_misses += misses
 
     def note_error(self, error: BaseException | str) -> None:
         """Account one underlying failure, remembering its description."""
@@ -276,57 +270,51 @@ class ServiceStats:
                 self.last_error = error
 
 
+def _require_fitted(
+    model: Recommender, cold_start_fallback: "MostReadItems | None"
+) -> None:
+    if not model.is_fitted:
+        raise ConfigurationError(f"{model.name} must be fitted before serving")
+    if cold_start_fallback is not None and not cold_start_fallback.is_fitted:
+        raise ConfigurationError(
+            "the cold-start fallback must be fitted before serving"
+        )
+
+
 class RecommendationService:
     """Serve top-k recommendations for library users.
 
     Args:
         model: a fitted recommender (the *primary* chain link).
-        train: the interaction matrix the model was fitted on (provides the
-            user indexing and the static most-popular fallback list).
-        dataset: the merged dataset (provides titles/authors for cards).
+        train: the interaction matrix the model was fitted on.
+        dataset: the merged dataset (titles and authors for the cards).
         cold_start_fallback: optional fitted
-            :class:`~repro.core.most_read.MostReadItems`; when given,
-            unknown users receive the global top-k instead of an error,
-            and it is the second link of the degradation chain for
-            primary-model failures.
-        cache_size: served lists kept in the LRU top-k cache; ``0``
-            disables caching. Only healthy (non-degraded) responses are
-            cached, so a recovered primary is not shadowed by cached
-            fallback lists.
-        latency_window: per-request latencies retained for percentile
-            reporting.
-        breaker: circuit breaker guarding primary scoring (a default
-            breaker is built when omitted).
-        retry_policy: optional :class:`~repro.resilience.retry.BackoffPolicy`;
-            when set, primary scoring failures are retried per the policy
-            before degrading.
-        degrade_unknown_users: when True, an unknown user without a
-            ``cold_start_fallback`` gets the static most-popular list (a
-            degraded response) instead of :class:`UnknownUserError`.
+            :class:`~repro.core.most_read.MostReadItems`: unknown users get
+            its top-k instead of an error, and it is the chain's second link.
+        cache_size: served lists kept in the LRU cache (``0`` disables
+            it); only healthy responses are cached.
+        latency_window: per-request latencies kept for percentiles.
+        breaker: the circuit breaker guarding primary scoring.
+        retry_policy: optional :class:`~repro.resilience.retry.BackoffPolicy`
+            for primary scoring failures, retried before degrading.
+        degrade_unknown_users: an unknown user without a cold-start
+            fallback gets the static list (degraded) instead of
+            :class:`UnknownUserError`.
         seed: seed for the retry jitter stream (``repro.rng`` semantics).
-        clock: injectable monotonic clock for deadlines, staleness, and
-            latency accounting.
-        retry_sleep: injectable sleep for retry backoff (tests pass a
-            no-op or recorder).
-        metrics: a :class:`~repro.obs.metrics.MetricsRegistry` to record
-            into; the service builds a private one when omitted, so the
-            ``service.*`` series always exist.
-        tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
-            cache-missed request and each batch gets a span.
-        model_version: provenance tag of the serving model (the
-            :class:`~repro.app.lifecycle.ModelStore` version name); set
-            automatically by :meth:`refresh_from_store` and stamped onto
-            every :class:`ServedResponse`.
+        clock: injectable monotonic clock (deadlines, staleness, latency).
+        retry_sleep: injectable sleep for retry backoff.
+        metrics: the :class:`~repro.obs.metrics.MetricsRegistry` to record
+            into (a private one when omitted).
+        tracer: optional :class:`~repro.obs.trace.Tracer`.
+        model_version: the model's store version name, named by every
+            response; :meth:`refresh_from_store` sets it.
 
-    Thread safety: one service instance may be shared by any number of
-    request threads (``scripts/loadgen.py`` drives exactly that). The
-    LRU cache and model swap are guarded by a service lock with short
-    critical sections — the lock is *never* held across model scoring,
-    so cache bookkeeping cannot serialise the actual recommendation
-    work. Stats, metrics instruments, and the circuit breaker each
-    carry their own locks. :meth:`refresh_model` is atomic with respect
-    to concurrent requests: a request observes either the old or the
-    new (model, cache) pair, never a mixture.
+    Thread safety: one instance may be shared by any number of request
+    threads. The current :class:`ServingState` and the LRU cache sit
+    behind one lock with short critical sections: a request takes the
+    state with its cache lookups, and no lock is held across scoring. A
+    swap replaces the state and clears the cache in one critical section.
+    Stats, metrics instruments and the breaker carry their own locks.
     """
 
     def __init__(
@@ -347,22 +335,10 @@ class RecommendationService:
         tracer: Tracer | None = None,
         model_version: str | None = None,
     ) -> None:
-        if not model.is_fitted:
-            raise ConfigurationError(
-                f"{model.name} must be fitted before serving"
-            )
-        if cold_start_fallback is not None and not cold_start_fallback.is_fitted:
-            raise ConfigurationError(
-                "the cold-start fallback must be fitted before serving"
-            )
+        _require_fitted(model, cold_start_fallback)
         if cache_size < 0:
-            raise ConfigurationError(
-                f"cache_size must be >= 0, got {cache_size}"
-            )
-        self.model = model
-        self.train = train
+            raise ConfigurationError(f"cache_size must be >= 0, got {cache_size}")
         self.dataset = dataset
-        self.cold_start_fallback = cold_start_fallback
         self.cache_size = cache_size
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.retry_policy = retry_policy
@@ -370,34 +346,37 @@ class RecommendationService:
         self.seed = seed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.model_version = model_version
-        self._m_requests = self.metrics.counter(
+        counter = self.metrics.counter
+        self._m_requests = counter(
             "service.requests", help="requests answered (all paths)"
         )
-        self._m_cache = self.metrics.counter(
-            "service.cache", help="cache lookups by outcome label"
-        )
-        self._m_served = self.metrics.counter(
+        cache = counter("service.cache", help="cache lookups by outcome label")
+        self._m_served = counter(
             "service.served", help="responses by served_by source label"
         )
-        self._m_degraded = self.metrics.counter(
+        self._m_degraded = counter(
             "service.degraded", help="degraded responses by source label"
         )
-        self._m_errors = self.metrics.counter(
+        self._m_errors = counter(
             "service.errors", help="underlying scoring/fallback failures"
         )
-        self._m_refreshes = self.metrics.counter(
+        self._m_refreshes = counter(
             "service.refreshes", help="hot-swap attempts by outcome label"
         )
-        self._m_breaker_state = self.metrics.gauge(
-            "service.breaker_state", help="0=closed, 1=half-open, 2=open"
-        )
-        self._m_breaker_transitions = self.metrics.counter(
+        self._m_breaker_transitions = counter(
             "service.breaker_transitions", help="state changes by target"
         )
-        self._m_retrieval = self.metrics.counter(
+        exact = counter(
             "service.retrieval.requests",
             help="primary scorings by retrieval tier label",
+        )
+        # The hot path's labelled children, bound once.
+        self._m_hit = cache.labels(outcome="hit")
+        self._m_miss = cache.labels(outcome="miss")
+        self._m_primary = self._m_served.labels(source=SERVED_BY_PRIMARY)
+        self._m_exact = exact.labels(tier="exact")
+        self._m_breaker_state = self.metrics.gauge(
+            "service.breaker_state", help="0=closed, 1=half-open, 2=open"
         )
         latency_histogram = self.metrics.histogram(
             "service.latency_seconds", window=latency_window,
@@ -410,28 +389,66 @@ class RecommendationService:
         self._m_breaker_state.set(_BREAKER_STATE_VALUE[self.breaker.state])
         self._clock = clock
         self._retry_sleep = retry_sleep
-        self._model_loaded_at = clock()
         self._lock = threading.RLock()
         self._cache: OrderedDict[tuple[str, int], ServedResponse] = OrderedDict()
-        # Model-swap generation: bumped by refresh_model so responses
-        # resolved against a previous model are never cached afterwards.
-        self._swap_token = 0
-        # The last chain link: a static popularity order over the training
-        # counts, available even when every model object misbehaves.
-        counts = train.item_counts().astype(np.float64)
-        self._static_order = np.argsort(-counts, kind="stable")
-        self._cards: dict[int, tuple[str, str]] = {}
         books = dataset.books
-        for book_id, title, author in zip(
-            books["book_id"], books["title"], books["author"]
-        ):
-            self._cards[int(book_id)] = (str(title), str(author))
+        self._cards: dict[int, tuple[str, str]] = {
+            int(book_id): (str(title), str(author))
+            for book_id, title, author in zip(
+                books["book_id"], books["title"], books["author"]
+            )
+        }
+        self._state = self._build_state(
+            model, train, cold_start_fallback, model_version
+        )
+
+    # Read-only views of the current state.
+
+    @property
+    def model(self) -> Recommender:
+        return self._state.model
+
+    @property
+    def train(self) -> InteractionMatrix:
+        return self._state.train
+
+    @property
+    def model_version(self) -> str | None:
+        return self._state.version
+
+    @property
+    def cold_start_fallback(self) -> "MostReadItems | None":
+        return self._state.cold_start_fallback
 
     def known_user(self, user_id: str) -> bool:
-        return user_id in self.train.users
+        return user_id in self._state.train.users
+
+    def _build_state(
+        self,
+        model: Recommender,
+        train: InteractionMatrix,
+        cold_start_fallback: "MostReadItems | None",
+        version: str | None,
+    ) -> ServingState:
+        """Freeze one serving snapshot, outside the service lock; served
+        cards share the card arrays' id, title and author objects."""
+        book_ids = [int(book_id) for book_id in train.items.ids]
+        cards = [self._cards.get(book_id, _UNKNOWN_CARD) for book_id in book_ids]
+        counts = train.item_counts().astype(np.float64)
+        return ServingState(
+            model=model,
+            train=train,
+            version=version,
+            cold_start_fallback=cold_start_fallback,
+            book_ids=np.asarray(book_ids, dtype=object),
+            titles=np.asarray([title for title, _ in cards], dtype=object),
+            authors=np.asarray([author for _, author in cards], dtype=object),
+            static_order=np.argsort(-counts, kind="stable"),
+            loaded_at=self._clock(),
+        )
 
     # ------------------------------------------------------------------
-    # cache management
+    # cache management and hot swap
     # ------------------------------------------------------------------
 
     @property
@@ -454,38 +471,25 @@ class RecommendationService:
     ) -> None:
         """Swap in a newly fitted model and invalidate the served cache.
 
-        Cached lists are only valid for the model that produced them, so
-        any refresh clears the cache explicitly *and* bumps the swap
-        token — a request that resolved against the previous model can
-        never sneak its stale response into the fresh cache afterwards
-        (:meth:`_cache_put` drops it). The breaker is reset because its
-        failure history belongs to the previous model. The swap happens
-        under the service lock, so a concurrent request sees either the
-        old or the new (model, cache) pair. ``model_version`` replaces
-        the provenance tag stamped onto responses (``None`` when the new
-        model has no store version).
+        The new :class:`ServingState` (keeping the current train and
+        cold-start fallback where none is given) is built outside the
+        lock and replaces the current one by a single reference
+        assignment, in the critical section that clears the cache and
+        resets the breaker. A request in flight finishes on the state it
+        took; its cache insert is dropped. One writer swaps at a time.
         """
-        if not model.is_fitted:
-            raise ConfigurationError(
-                f"{model.name} must be fitted before serving"
-            )
-        if cold_start_fallback is not None and not cold_start_fallback.is_fitted:
-            raise ConfigurationError(
-                "the cold-start fallback must be fitted before serving"
-            )
+        _require_fitted(model, cold_start_fallback)
+        current = self._state
+        state = self._build_state(
+            model,
+            train if train is not None else current.train,
+            cold_start_fallback or current.cold_start_fallback,
+            model_version,
+        )
         with self._lock:
-            self.model = model
-            self.model_version = model_version
-            if train is not None:
-                self.train = train
-                counts = train.item_counts().astype(np.float64)
-                self._static_order = np.argsort(-counts, kind="stable")
-            if cold_start_fallback is not None:
-                self.cold_start_fallback = cold_start_fallback
-            self.breaker.reset()
-            self._model_loaded_at = self._clock()
-            self._swap_token += 1
+            self._state = state
             self._cache.clear()
+            self.breaker.reset()
 
     def refresh_from_store(
         self,
@@ -493,31 +497,15 @@ class RecommendationService:
         version: "str | int | None" = None,
         probe_user: str | None = None,
     ) -> bool:
-        """Zero-downtime hot swap from a versioned model store.
+        """Zero-downtime hot swap from a :class:`~repro.app.lifecycle.ModelStore`.
 
-        The expensive work — resolving the version, checksum-verified
-        loading, and candidate validation (shape/finiteness checks plus a
-        smoke-scored probe user) — all happens *outside* the service
-        lock, so in-flight requests keep being answered by the current
-        model throughout. Only a fully validated candidate is swapped in
-        (via :meth:`refresh_model`, under the lock, with the version name
-        as the new provenance tag).
-
-        Never raises to callers: any failure — a dangling ``CURRENT``,
-        corruption detected by the manifest, an injected IO fault, a
-        candidate that fails validation — leaves the current model
-        serving, counts one :attr:`ServiceStats.refresh_failed`, and
-        returns ``False``.
-
-        Args:
-            store: a :class:`~repro.app.lifecycle.ModelStore`.
-            version: version name/number to load (default: ``CURRENT``).
-            probe_user: user id to smoke-score during validation; default
-                is the candidate's first known user.
-
-        Returns:
-            True when the candidate was swapped in, False when it was
-            rejected (the previous model keeps serving).
+        Resolving ``version`` (default ``CURRENT``), the checksum-verified
+        load, validation (:meth:`_validate_candidate`, smoke-scoring
+        ``probe_user`` or the first user) and building the new state all
+        run outside the service lock; only a validated candidate is
+        swapped in. Never raises: any failure keeps the current model
+        serving, counts one :attr:`ServiceStats.refresh_failed` and
+        returns False.
         """
         with start_span(
             self.tracer, "service.refresh", version=str(version)
@@ -544,36 +532,23 @@ class RecommendationService:
         train: InteractionMatrix,
         probe_user: str | None,
     ) -> None:
-        """Reject a hot-swap candidate before it can reach the lock.
-
-        Checks, in order: the model is fitted; its factor matrices (when
-        it has any) are finite; and a probe user's recommendation request
-        smoke-executes to a non-empty, in-catalogue list. Raises
-        :class:`~repro.errors.ConfigurationError` on any failure — the
-        caller converts that into a counted, non-raising rejection.
-        """
+        """Raise :class:`~repro.errors.ConfigurationError` unless the
+        candidate is fitted, its factors are finite and a probe user gets
+        a non-empty, in-catalogue list."""
         if not model.is_fitted:
             raise ConfigurationError("hot-swap candidate is not fitted")
         for attr in ("user_factors", "item_factors"):
             factors = getattr(model, attr, None)
             if factors is not None and not np.isfinite(factors).all():
-                raise ConfigurationError(
-                    f"hot-swap candidate has non-finite {attr}"
-                )
+                raise ConfigurationError(f"hot-swap candidate has non-finite {attr}")
         if train.n_users < 1 or train.n_items < 1:
+            raise ConfigurationError("hot-swap candidate has an empty catalogue")
+        if probe_user is not None and probe_user not in train.users:
             raise ConfigurationError(
-                "hot-swap candidate has an empty catalogue"
+                f"probe user {probe_user!r} is unknown to the candidate"
             )
-        if probe_user is not None:
-            if probe_user not in train.users:
-                raise ConfigurationError(
-                    f"probe user {probe_user!r} is unknown to the candidate"
-                )
-            probe_index = int(train.users.index_of(probe_user))
-        else:
-            probe_index = 0
-        k = min(DEFAULT_K, train.n_items)
-        items = np.asarray(model.recommend(probe_index, k))
+        probe = 0 if probe_user is None else train.users.index_of(probe_user)
+        items = np.asarray(model.recommend(probe, min(DEFAULT_K, train.n_items)))
         if len(items) == 0:
             raise ConfigurationError(
                 "hot-swap candidate served an empty list for the probe user"
@@ -583,37 +558,42 @@ class RecommendationService:
                 "hot-swap candidate recommended items outside its catalogue"
             )
 
-    def _cache_get(self, key: tuple[str, int]) -> ServedResponse | None:
-        if not self.cache_size:
-            return None
+    def _cache_lookup(
+        self, keys: list[tuple[str, int]]
+    ) -> tuple[ServingState, list[ServedResponse | None]]:
+        """Take the current state and look ``keys`` up in one critical
+        section, so every hit belongs to that state."""
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-            return cached
+            found = [self._cache.get(key) for key in keys]
+            for key, cached in zip(keys, found):
+                if cached is not None:
+                    self._cache.move_to_end(key)
+            return self._state, found
 
-    def _cache_put(
+    def _cache_insert(
         self,
-        key: tuple[str, int],
-        response: ServedResponse,
-        token: int | None = None,
+        state: ServingState,
+        entries: list[tuple[tuple[str, int], ServedResponse]],
     ) -> None:
-        """Insert a healthy response, unless the model moved on.
-
-        ``token`` is the :attr:`_swap_token` captured before the request
-        resolved; a mismatch means :meth:`refresh_model` ran in between,
-        so the response belongs to the previous model and caching it
-        would serve v(N) books under v(N+1) provenance. Such late
-        responses are still returned to their requester — they were
-        correct when resolved — they just never enter the cache.
-        """
-        if not self.cache_size or response.degraded or response.error:
+        """Cache healthy responses as their ``from_cache=True`` form (a hit
+        returns the entry as is), unless ``state`` was swapped out since:
+        such responses were right for their requesters, not for the cache."""
+        if not self.cache_size:
             return
+        fresh = [
+            (key, ServedResponse(
+                response.books, response.served_by, from_cache=True,
+                model_version=response.model_version,
+            ))
+            for key, response in entries
+            if not response.degraded and response.error is None
+        ]
         with self._lock:
-            if token is not None and token != self._swap_token:
+            if self._state is not state:
                 return
-            self._cache[key] = response
-            self._cache.move_to_end(key)
+            for key, response in fresh:
+                self._cache[key] = response
+                self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
 
@@ -622,186 +602,81 @@ class RecommendationService:
     # ------------------------------------------------------------------
 
     def recommend(self, request: RecommendationRequest) -> list[ServedBook]:
-        """Handle one request; the books of :meth:`recommend_response`.
-
-        Unknown users raise :class:`UnknownUserError` unless a cold-start
-        fallback was configured (or ``degrade_unknown_users`` is set), in
-        which case they get a popularity list.
-        """
+        """The books of :meth:`recommend_response`."""
         return list(self.recommend_response(request).books)
 
     def recommend_response(self, request: RecommendationRequest) -> ServedResponse:
-        """Handle one request, reporting provenance and degradation.
-
-        Served lists are answered from the LRU cache when possible; a
-        primary-model failure degrades through the fallback chain instead
-        of raising.
-        """
+        """Handle one request: a batch of one through :meth:`_resolve`,
+        except that an unknown user no chain link may serve raises
+        :class:`UnknownUserError` instead of coming back error-marked."""
         started = self._clock()
         self._m_requests.inc()
         key = (request.user_id, request.k)
-        cached = self._cache_get(key)
+        state, [cached] = self._cache_lookup([key])
+        self._note_lookups([cached])
         if cached is not None:
-            self.stats.note_cache(hit=True)
-            self._m_cache.labels(outcome="hit").inc()
-            self._m_served.labels(source=cached.served_by).inc()
             self.stats.record(self._clock() - started)
-            return replace(cached, from_cache=True)
-        self.stats.note_cache(hit=False)
-        self._m_cache.labels(outcome="miss").inc()
-        token = self._swap_token
+            return cached
         with start_span(
-            self.tracer, "service.request", user_id=request.user_id,
-            k=request.k,
+            self.tracer, "service.request", user_id=request.user_id, k=request.k
         ) as span:
-            try:
-                response = self._stamped(self._resolve(request))
-            except UnknownUserError:
+            [response] = self._resolve(state, [request])
+            if response is None:
                 self.stats.record(self._clock() - started)
-                raise
-            span.set_attrs(
-                served_by=response.served_by, degraded=response.degraded
-            )
+                raise UnknownUserError(request.user_id)
+            span.set_attrs(served_by=response.served_by, degraded=response.degraded)
         self._account(response)
-        self._cache_put(key, response, token)
+        self._cache_insert(state, [(key, response)])
         self.stats.record(self._clock() - started)
         return response
 
     def recommend_many(
         self, requests: Sequence[RecommendationRequest]
     ) -> list[list[ServedBook]]:
-        """Handle a batch of requests in one scoring pass per distinct k.
-
-        Every request resolves: a request that cannot be served (unknown
-        user, no fallback) comes back as an empty list with the error
-        recorded on its :class:`ServedResponse` (see
-        :meth:`recommend_many_responses`) — it never aborts the batch.
-        """
-        return [
-            list(response.books)
-            for response in self.recommend_many_responses(requests)
-        ]
+        """The books of :meth:`recommend_many_responses`; a request that
+        cannot be served comes back as an empty list."""
+        return [list(r.books) for r in self.recommend_many_responses(requests)]
 
     def recommend_many_responses(
         self, requests: Sequence[RecommendationRequest]
     ) -> list[ServedResponse]:
         """Batch variant of :meth:`recommend_response`; never raises.
 
-        Cache hits are answered directly; the remaining known users are
-        coalesced into one vectorised scoring call per distinct k, each
-        counted as one breaker outcome. A failed group call degrades its
-        whole group through the fallback chain; per-request failures are
-        returned as error-marked responses, so one bad request cannot
-        poison the rest of the batch.
+        The batch reads one state. Misses are scored in one exact call
+        per distinct k, each one breaker outcome; a failure in a group
+        degrades that group only, and an unserveable unknown user comes
+        back error-marked, so one bad request cannot poison the batch.
         """
         started = self._clock()
         self._m_requests.inc(len(requests))
         with start_span(self.tracer, "service.batch", requests=len(requests)):
-            results: list[ServedResponse | None] = [None] * len(requests)
-            pending: dict[int, list[tuple[int, int]]] = {}
-            token = self._swap_token
-            for position, request in enumerate(requests):
-                key = (request.user_id, request.k)
-                cached = self._cache_get(key)
-                if cached is not None:
-                    self.stats.note_cache(hit=True)
-                    self._m_cache.labels(outcome="hit").inc()
-                    self._m_served.labels(source=cached.served_by).inc()
-                    results[position] = replace(cached, from_cache=True)
-                    continue
-                self.stats.note_cache(hit=False)
-                self._m_cache.labels(outcome="miss").inc()
-                if self.known_user(request.user_id) and self.breaker.allow():
-                    user_index = int(
-                        self.train.users.index_of(request.user_id)
+            keys = [(request.user_id, request.k) for request in requests]
+            state, results = self._cache_lookup(keys)
+            self._note_lookups(results)
+            misses = [i for i, cached in enumerate(results) if cached is None]
+            resolved = self._resolve(state, [requests[i] for i in misses])
+            for position, response in zip(misses, resolved):
+                if response is None:
+                    error = UnknownUserError(requests[position].user_id)
+                    self._note_error(error)
+                    response = ServedResponse(
+                        (), SERVED_BY_NONE, degraded=True,
+                        error=f"{type(error).__name__}: {error}",
+                        model_version=state.version,
                     )
-                    pending.setdefault(request.k, []).append(
-                        (position, user_index)
-                    )
-                    continue
-                # Unknown users, and known users behind an open breaker.
-                try:
-                    response = self._stamped(self._resolve(request))
-                except UnknownUserError as exc:
-                    self._note_error(exc)
-                    response = self._stamped(ServedResponse(
-                        books=(),
-                        served_by=SERVED_BY_NONE,
-                        degraded=True,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
-                    self.stats.note_degraded(SERVED_BY_NONE)
-                    self._m_degraded.labels(source=SERVED_BY_NONE).inc()
-                    self._m_served.labels(source=SERVED_BY_NONE).inc()
-                    results[position] = response
-                    continue
                 self._account(response)
-                self._cache_put(key, response, token)
                 results[position] = response
-            for k, entries in pending.items():
-                indices = np.asarray(
-                    [index for _, index in entries], dtype=np.int64
-                )
-                try:
-                    batches = self._primary_batch(indices, k)
-                except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
-                    self.breaker.record_failure()
-                    self._note_error(exc)
-                    error = f"{type(exc).__name__}: {exc}"
-                    for position, user_index in entries:
-                        items, source = self._fallback_items(user_index, k)
-                        response = self._stamped(ServedResponse(
-                            books=tuple(self._serve_books(items, k)),
-                            served_by=source,
-                            degraded=True,
-                            error=error,
-                        ))
-                        self._account(response)
-                        results[position] = response
-                    continue
-                self.breaker.record_success()
-                for (position, _), items in zip(entries, batches):
-                    response = self._stamped(ServedResponse(
-                        books=tuple(self._serve_books(items, k)),
-                        served_by=SERVED_BY_PRIMARY,
-                    ))
-                    self._account(response)
-                    self._cache_put(
-                        (requests[position].user_id, k), response, token
-                    )
-                    results[position] = response
+            self._cache_insert(state, [(keys[i], results[i]) for i in misses])
         if requests:
             self.stats.record(self._clock() - started, len(requests))
-        return [
-            result
-            if result is not None
-            else ServedResponse(
-                books=(), served_by=SERVED_BY_NONE, degraded=True,
-                error="request was not resolved",
-            )
-            for result in results
-        ]
+        return results
 
     def history(self, user_id: str) -> list[ServedBook]:
         """The user's training history as cards (for the GUI's shelf view)."""
-        if not self.known_user(user_id):
+        state = self._state
+        if user_id not in state.train.users:
             raise UnknownUserError(user_id)
-        user_index = self.train.users.index_of(user_id)
-        cards = []
-        for position, item_index in enumerate(
-            self.train.user_items(int(user_index)), start=1
-        ):
-            book_id = int(self.train.items.id_of(int(item_index)))
-            title, author = self._cards.get(book_id, ("(unknown)", "(unknown)"))
-            cards.append(
-                ServedBook(book_id=book_id, title=title, author=author,
-                           rank=position)
-            )
-        return cards
-
-    # ------------------------------------------------------------------
-    # health
-    # ------------------------------------------------------------------
+        return list(state.books(state.seen(state.train.users.index_of(user_id))))
 
     def metrics_snapshot(self) -> dict:
         """The metrics registry's immutable snapshot (see
@@ -816,6 +691,7 @@ class RecommendationService:
         source of truth for all three views.
         """
         stats = self.stats
+        state = self._state
         breaker = self.breaker.snapshot()
         return {
             "status": "ok" if breaker["state"] == STATE_CLOSED else "degraded",
@@ -832,16 +708,11 @@ class RecommendationService:
                 "p99": stats.percentile(0.99),
             },
             "model": {
-                "name": self.model.name,
-                "version": self.model_version,
-                "staleness_seconds": round(
-                    self._clock() - self._model_loaded_at, 3
-                ),
+                "name": state.model.name,
+                "version": state.version,
+                "staleness_seconds": round(self._clock() - state.loaded_at, 3),
             },
-            "refreshes": {
-                "ok": stats.refreshes,
-                "failed": stats.refresh_failed,
-            },
+            "refreshes": {"ok": stats.refreshes, "failed": stats.refresh_failed},
             "requests": stats.requests,
             "degraded_requests": stats.degraded_requests,
             "degradations": dict(stats.degradations),
@@ -853,159 +724,143 @@ class RecommendationService:
     # resolution: primary -> most-read -> static
     # ------------------------------------------------------------------
 
-    def _resolve(self, request: RecommendationRequest) -> ServedResponse:
-        """Resolve one cache-missed request through the chain.
+    def _resolve(
+        self, state: ServingState, requests: Sequence[RecommendationRequest]
+    ) -> list[ServedResponse | None]:
+        """Resolve cache-missed requests against one state; never raises.
 
-        Raises :class:`UnknownUserError` only for an unknown user with no
-        fallback link available and ``degrade_unknown_users`` unset.
+        Known users with budget left, while the breaker allows, are
+        grouped by k for :meth:`_score_group`; the others take the
+        fallback chain. ``None`` marks an unserveable unknown user.
         """
-        k = request.k
-        deadline = (
-            Deadline.start(request.timeout_seconds, self._clock)
-            if request.timeout_seconds is not None
-            else None
-        )
-        if self.known_user(request.user_id):
-            user_index = int(self.train.users.index_of(request.user_id))
+        results: list[ServedResponse | None] = [None] * len(requests)
+        groups: dict[int, list[tuple[int, int, Deadline | None]]] = {}
+        users = state.train.users
+        for position, request in enumerate(requests):
+            if request.user_id not in users:
+                results[position] = self._cold_start(state, request)
+                continue
+            user_index = users.index_of(request.user_id)
+            deadline = None
+            if request.timeout_seconds is not None:
+                deadline = Deadline.start(request.timeout_seconds, self._clock)
             if deadline is not None and deadline.expired:
                 error = "deadline expired before primary scoring"
             elif self.breaker.allow():
-                try:
-                    items = self._primary_one(user_index, k, deadline)
-                    self.breaker.record_success()
-                    return ServedResponse(
-                        books=tuple(self._serve_books(items, k)),
-                        served_by=SERVED_BY_PRIMARY,
-                    )
-                except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
-                    self.breaker.record_failure()
-                    self._note_error(exc)
-                    error = f"{type(exc).__name__}: {exc}"
+                groups.setdefault(request.k, []).append(
+                    (position, user_index, deadline)
+                )
+                continue
             else:
                 error = "circuit breaker open"
-            items, source = self._fallback_items(user_index, k)
-            return ServedResponse(
-                books=tuple(self._serve_books(items, k)),
-                served_by=source,
-                degraded=True,
-                error=error,
+            results[position] = self._fallback(state, user_index, request.k, error)
+        for k, members in groups.items():
+            self._score_group(state, k, members, results)
+        return results
+
+    def _score_group(
+        self,
+        state: ServingState,
+        k: int,
+        members: list[tuple[int, int, Deadline | None]],
+        results: list[ServedResponse | None],
+    ) -> None:
+        """Score one k-group exactly and build its responses, as one
+        guarded call: a failure in either counts one breaker failure and
+        degrades this group only. Retries stop at the group's earliest
+        deadline. Scorings count on ``service.retrieval.requests``."""
+        indices = np.asarray([user for _, user, _ in members], dtype=np.int64)
+
+        def score() -> list[np.ndarray]:
+            lists = state.model.recommend_batch(indices, k)
+            self._m_exact.inc(len(indices))
+            return lists
+
+        deadlines = [deadline for _, _, deadline in members if deadline is not None]
+        try:
+            lists = score() if self.retry_policy is None else retry_call(
+                score,
+                policy=self.retry_policy,
+                seed=self.seed,
+                scope="service.primary",
+                sleep=self._retry_sleep,
+                deadline=min(deadlines, key=Deadline.remaining, default=None),
             )
-        # Unknown user: cold-start link, then (optionally) static.
-        if self.cold_start_fallback is not None:
+            served = [
+                (position, ServedResponse(
+                    state.books(items), SERVED_BY_PRIMARY,
+                    model_version=state.version,
+                ))
+                for (position, _, _), items in zip(members, lists, strict=True)
+            ]
+        except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
+            self.breaker.record_failure()
+            self._note_error(exc)
+            error = f"{type(exc).__name__}: {exc}"
+            for position, user_index, _ in members:
+                results[position] = self._fallback(state, user_index, k, error)
+            return
+        self.breaker.record_success()
+        for position, response in served:
+            results[position] = response
+
+    def _cold_start(
+        self, state: ServingState, request: RecommendationRequest
+    ) -> ServedResponse | None:
+        """An unknown user: the cold-start link, then (optionally) static."""
+        fallback = state.cold_start_fallback
+        if fallback is not None:
             try:
-                items = self.cold_start_fallback.top_items(k)
                 return ServedResponse(
-                    books=tuple(self._serve_books(items, k)),
-                    served_by=SERVED_BY_MOST_READ,
+                    state.books(fallback.top_items(request.k)),
+                    SERVED_BY_MOST_READ, model_version=state.version,
                 )
             except Exception as exc:  # repro: allow[exceptions] — cold-start chain degrades
                 self._note_error(exc)
-                items, source = self._static_items(None, k)
-                return ServedResponse(
-                    books=tuple(self._serve_books(items, k)),
-                    served_by=source,
-                    degraded=True,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-        if self.degrade_unknown_users:
-            items, source = self._static_items(None, k)
-            return ServedResponse(
-                books=tuple(self._serve_books(items, k)),
-                served_by=source,
-                degraded=True,
-                error=f"unknown user: {request.user_id!r}",
-            )
-        raise UnknownUserError(request.user_id)
+                error = f"{type(exc).__name__}: {exc}"
+        elif self.degrade_unknown_users:
+            error = f"unknown user: {request.user_id!r}"
+        else:
+            return None
+        return self._fallback(state, None, request.k, error, most_read=False)
 
-    def _primary_one(
-        self, user_index: int, k: int, deadline: Deadline | None
-    ) -> np.ndarray:
-        """Score one user exactly with the serving model.
+    def _fallback(
+        self,
+        state: ServingState,
+        user_index: int | None,
+        k: int,
+        error: str,
+        most_read: bool = True,
+    ) -> ServedResponse:
+        """A response from the chain below the primary model; never raises.
 
-        Primary scorings count on ``service.retrieval.requests`` under
-        ``tier="exact"``, the label dashboards and the benchmark read;
-        exact is the only tier.
+        The fitted most-read list, else the static order (pure numpy, it
+        cannot fail), without the user's already-read books; error-marked
+        should even the cards fail.
         """
-        def call() -> np.ndarray:
-            items = self.model.recommend(user_index, k)
-            self._m_retrieval.labels(tier="exact").inc()
-            return items
-
-        if self.retry_policy is None:
-            return call()
-        return retry_call(
-            call,
-            policy=self.retry_policy,
-            seed=self.seed,
-            scope="service.primary",
-            sleep=self._retry_sleep,
-            deadline=deadline,
-        )
-
-    def _primary_batch(self, indices: np.ndarray, k: int) -> list[np.ndarray]:
-        """Score one k-group of cache-missed users in one scoring pass."""
-        def call() -> list[np.ndarray]:
-            items = self.model.recommend_batch(indices, k)
-            self._m_retrieval.labels(tier="exact").inc(len(indices))
-            return items
-
-        if self.retry_policy is None:
-            return call()
-        return retry_call(
-            call,
-            policy=self.retry_policy,
-            seed=self.seed,
-            scope="service.primary-batch",
-            sleep=self._retry_sleep,
-        )
-
-    def _fallback_items(
-        self, user_index: int | None, k: int
-    ) -> tuple[np.ndarray, str]:
-        """The degradation chain below the primary model; never raises.
-
-        Known users get their already-read books filtered out of the
-        popularity list (the service's lists must stay unread even when
-        degraded); unknown users have no history to filter.
-        """
-        if self.cold_start_fallback is not None:
+        seen = state.seen(user_index)
+        items, source = state.static_order, SERVED_BY_STATIC
+        if most_read and state.cold_start_fallback is not None:
             try:
-                seen = self._seen_items(user_index)
-                items = self.cold_start_fallback.top_items(k + len(seen))
-                if len(seen):
-                    items = items[~np.isin(items, seen)]
-                return items[:k], SERVED_BY_MOST_READ
+                items = state.cold_start_fallback.top_items(k + len(seen))
+                source = SERVED_BY_MOST_READ
             except Exception as exc:  # repro: allow[exceptions] — fall further down the chain
                 self._note_error(exc)
-        return self._static_items(user_index, k)
-
-    def _static_items(
-        self, user_index: int | None, k: int
-    ) -> tuple[np.ndarray, str]:
-        """The chain's last link: a precomputed popularity order (pure
-        numpy over an array captured at construction, so it cannot fail)."""
-        seen = self._seen_items(user_index)
-        items = self._static_order
         if len(seen):
             items = items[~np.isin(items, seen)]
-        return items[:k], SERVED_BY_STATIC
+        try:
+            books = state.books(items[:k])
+        except Exception as exc:  # repro: allow[exceptions] — error-mark, never fail
+            self._note_error(exc)
+            books, source = (), SERVED_BY_NONE
+        return ServedResponse(
+            books, source, degraded=True, error=error,
+            model_version=state.version,
+        )
 
-    def _seen_items(self, user_index: int | None) -> np.ndarray:
-        if user_index is None:
-            return np.asarray([], dtype=np.int64)
-        return np.asarray(self.train.user_items(user_index), dtype=np.int64)
-
-    def _stamped(self, response: ServedResponse) -> ServedResponse:
-        """Attach the serving model's version provenance to a response.
-
-        Read without the lock: during a concurrent hot swap a response
-        may carry the adjacent version's name, but always the name of a
-        *published* version — never a torn or invalid tag.
-        """
-        version = self.model_version
-        if version is None or response.model_version == version:
-            return response
-        return replace(response, model_version=version)
+    # ------------------------------------------------------------------
+    # accounting
+    # ------------------------------------------------------------------
 
     def _note_error(self, error: BaseException | str) -> None:
         """Record a failure in both the stats and the metrics registry."""
@@ -1016,19 +871,27 @@ class RecommendationService:
         self._m_breaker_state.set(_BREAKER_STATE_VALUE.get(new, -1.0))
         self._m_breaker_transitions.labels(to=new).inc()
 
+    def _served(self, source: str):
+        """The ``service.served`` child of one source."""
+        if source == SERVED_BY_PRIMARY:
+            return self._m_primary
+        return self._m_served.labels(source=source)
+
+    def _note_lookups(self, found: Sequence[ServedResponse | None]) -> None:
+        """Account cache lookups: a hit is answered (and served) as is."""
+        hits = [response for response in found if response is not None]
+        misses = len(found) - len(hits)
+        self.stats.note_lookups(len(hits), misses)
+        if hits:
+            self._m_hit.inc(len(hits))
+            for response in hits:
+                self._served(response.served_by).inc()
+        if misses:
+            self._m_miss.inc(misses)
+
     def _account(self, response: ServedResponse) -> None:
         """Mirror one resolved response into stats and metrics."""
-        self._m_served.labels(source=response.served_by).inc()
+        self._served(response.served_by).inc()
         if response.degraded:
             self.stats.note_degraded(response.served_by, error=response.error)
             self._m_degraded.labels(source=response.served_by).inc()
-
-    def _serve_books(self, items: np.ndarray, k: int) -> list[ServedBook]:
-        served = []
-        for rank, item_index in enumerate(items, start=1):
-            book_id = int(self.train.items.id_of(int(item_index)))
-            title, author = self._cards.get(book_id, ("(unknown)", "(unknown)"))
-            served.append(
-                ServedBook(book_id=book_id, title=title, author=author, rank=rank)
-            )
-        return served

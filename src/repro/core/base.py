@@ -116,12 +116,10 @@ class Recommender(abc.ABC):
 
         Masked (already read) items are never recommended, so fewer than
         ``k`` items come back when the user has read nearly the whole
-        catalogue.
+        catalogue. A batch of one through :meth:`recommend_batch`, so the
+        single and batch paths share one top-k cut.
         """
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        scores = self.masked_scores(np.asarray([user_index]))[0]
-        return _top_k(scores, k)
+        return self.recommend_batch(np.asarray([user_index]), k)[0]
 
     def recommend_batch(
         self, user_indices: np.ndarray, k: int
@@ -133,20 +131,12 @@ class Recommender(abc.ABC):
         sort of the k selected columns, instead of per-row partition/sort
         calls. Returns one array per user (lengths may differ near
         catalogue exhaustion, so the result is a list rather than a
-        matrix); rankings are identical to calling :meth:`recommend` per
-        user.
+        matrix).
         """
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         user_indices = np.asarray(user_indices, dtype=np.int64)
         return top_k_rows(self.masked_scores(user_indices), k)
-
-
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    k = min(k, len(scores))
-    partition = np.argpartition(-scores, kth=k - 1)[:k]
-    ordered = partition[np.argsort(-scores[partition], kind="stable")]
-    return ordered[scores[ordered] > EXCLUDED_SCORE]
 
 
 def mask_seen_rows(
@@ -181,11 +171,12 @@ def top_k_rows(scores: np.ndarray, k: int) -> list[np.ndarray]:
     if scores.shape[0] == 0:
         return []
     kth = min(k, scores.shape[1])
+    rows = np.arange(scores.shape[0])[:, None]
     partition = np.argpartition(-scores, kth=kth - 1, axis=1)[:, :kth]
-    part_scores = np.take_along_axis(scores, partition, axis=1)
+    part_scores = scores[rows, partition]
     order = np.argsort(-part_scores, axis=1, kind="stable")
-    top = np.take_along_axis(partition, order, axis=1)
-    top_scores = np.take_along_axis(part_scores, order, axis=1)
+    top = partition[rows, order]
+    top_scores = part_scores[rows, order]
     return [
         items[row_scores > EXCLUDED_SCORE]
         for items, row_scores in zip(top, top_scores)

@@ -1,6 +1,7 @@
 """Tests for dataset/model persistence."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -92,10 +93,25 @@ class TestBPRRoundtrip:
             load_bpr(tmp_path / "ghost.npz")
 
 
+def _compress_types(path) -> set:
+    with zipfile.ZipFile(path) as archive:
+        return {member.compress_type for member in archive.infolist()}
+
+
+class TestArchiveLayout:
+    def test_publish_stores_every_member_uncompressed(
+        self, tmp_path, tiny_bpr, tiny_split
+    ):
+        version = ModelStore(tmp_path / "store").publish(
+            tiny_bpr, tiny_split.train
+        )
+        assert _compress_types(version.model_path) == {zipfile.ZIP_STORED}
+
+
 def _rewrite_config(path, float64: bool = False, **retired) -> None:
-    """Rewrite a saved model as an older build stored it: ``retired``
-    config fields merged into its config, float64 factors when
-    ``float64``, and a fresh manifest over the bytes."""
+    """Rewrite a saved model as an older build stored it: a compressed
+    archive, ``retired`` config fields merged into its config, float64
+    factors when ``float64``, and a fresh manifest over the bytes."""
     with np.load(path, allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
     config = json.loads(str(arrays["config"][0]))
@@ -122,6 +138,7 @@ def _publish_old(store_root, model, train, rewrite):
     store = ModelStore(store_root)
     version = store.publish(model, train)
     rewrite(version.model_path)
+    assert _compress_types(version.model_path) == {zipfile.ZIP_DEFLATED}
     return store, version
 
 
@@ -159,13 +176,20 @@ class TestRetiredKernelKey:
     """Models published before the float32 kernel became the only one
     store ``"kernel"`` in their config, and every model published while
     HogWild training existed stores ``"workers"``; they must keep
-    loading."""
+    loading. All of them, and every version published before archives
+    were stored uncompressed, are compressed archives."""
 
     @pytest.fixture()
     def old_store(self, tmp_path, tiny_bpr, tiny_split):
         return _publish_old(
             tmp_path / "store", tiny_bpr, tiny_split.train,
             _as_float64_era_artefact,
+        )
+
+    @pytest.fixture()
+    def compressed_store(self, tmp_path, tiny_bpr, tiny_split):
+        return _publish_old(
+            tmp_path / "store", tiny_bpr, tiny_split.train, _rewrite_config
         )
 
     @pytest.fixture()
@@ -194,6 +218,23 @@ class TestRetiredKernelKey:
 
     def test_workers_archive_warm_starts_a_fit(self, hogwild_store, tiny_split):
         _check_warm_start(hogwild_store[0], tiny_split.train)
+
+    def test_compressed_archive_loads_and_verifies(
+        self, compressed_store, tiny_bpr
+    ):
+        _check_loads(*compressed_store, tiny_bpr, np.float32)
+
+    def test_compressed_archive_hot_swap_serves_it(
+        self, compressed_store, tiny_bpr, tiny_split, tiny_merged
+    ):
+        _check_hot_swap(
+            *compressed_store, tiny_bpr, tiny_split.train, tiny_merged
+        )
+
+    def test_compressed_archive_warm_starts_a_fit(
+        self, compressed_store, tiny_split
+    ):
+        _check_warm_start(compressed_store[0], tiny_split.train)
 
     def test_workers_is_no_longer_a_config_field(self):
         with pytest.raises(TypeError):

@@ -1,12 +1,18 @@
 """Tests for the recommendation service (the GUI request path)."""
 
+import numpy as np
 import pytest
 
-from repro.app.service import RecommendationRequest, RecommendationService
+from repro.app.service import (
+    SERVED_BY_STATIC,
+    RecommendationRequest,
+    RecommendationService,
+)
 from repro.core.bpr import BPR
+from repro.core.interactions import InteractionMatrix
 from repro.core.most_read import MostReadItems
 from repro.errors import ConfigurationError, UnknownUserError
-from repro.obs.trace import STATUS_ERROR, Tracer
+from repro.obs.trace import Tracer
 
 from tests.conftest import TINY_BPR
 
@@ -401,53 +407,103 @@ class TestResilience:
         assert "deadline" in response.error
         assert injector.checked == {}  # the primary model was never invoked
 
+    def test_expired_deadline_degrades_before_scoring_in_a_batch(
+        self, tiny_bpr, tiny_split, tiny_merged, a_user
+    ):
+        from repro.app.service import SERVED_BY_MOST_READ, SERVED_BY_PRIMARY
+        from repro.resilience.faults import SITE_MODEL_SCORE, FaultInjector
+
+        # As above: every clock() call advances a full second.
+        ticks = iter(range(10_000))
+        injector = FaultInjector(seed=0)  # never fires
+        service, _ = self._failing_service(
+            tiny_bpr, tiny_split, tiny_merged,
+            injector=injector,
+            clock=lambda: float(next(ticks)),
+        )
+        other = tiny_merged.bct_user_ids[1]
+        expired, patient = service.recommend_many_responses([
+            RecommendationRequest(user_id=a_user, k=5, timeout_seconds=0.5),
+            RecommendationRequest(user_id=other, k=5),
+        ])
+        assert expired.degraded
+        assert expired.served_by == SERVED_BY_MOST_READ
+        assert "deadline" in expired.error
+        # Only the request without a deadline reached the primary model.
+        assert patient.served_by == SERVED_BY_PRIMARY
+        assert injector.checked == {SITE_MODEL_SCORE: 1}
+
     def test_request_validates_timeout(self):
         with pytest.raises(ConfigurationError, match="timeout"):
             RecommendationRequest(user_id="u", timeout_seconds=0.0)
 
 
+class PastCatalogue(BPR):
+    """A model whose best item is an index one past its catalogue."""
+
+    def score_users(self, user_indices):
+        scores = super().score_users(user_indices)
+        top = np.full((len(scores), 1), scores.max() + 1.0, dtype=scores.dtype)
+        return np.hstack([scores, top])
+
+
 class TestBatchSpan:
     def test_batch_span_closes_when_assembly_raises(
-        self, tiny_bpr, tiny_split, tiny_merged, monkeypatch
+        self, tiny_split, tiny_merged
     ):
-        """A failure while building responses must not leave
-        ``service.batch`` open, or every later span nests under it."""
+        """A failure while building a group's responses degrades that
+        group only: the batch call returns one response per request, and
+        ``service.batch`` is closed, or every later span nests under it."""
         tracer = Tracer(seed=0)
+        model = PastCatalogue(TINY_BPR).fit(tiny_split.train, tiny_merged)
         service = RecommendationService(
-            tiny_bpr, tiny_split.train, tiny_merged, tracer=tracer
+            model, tiny_split.train, tiny_merged, tracer=tracer
         )
-
-        def broken(items, k):
-            raise IndexError("item index past the catalogue")
-
-        monkeypatch.setattr(service, "_serve_books", broken)
         requests = [
             RecommendationRequest(user_id=user, k=5)
             for user in tiny_merged.bct_user_ids[:3]
         ]
-        with pytest.raises(IndexError):
-            service.recommend_many_responses(requests)
+        responses = service.recommend_many_responses(requests)
+        assert len(responses) == len(requests)
+        for response in responses:
+            assert response.degraded
+            assert response.served_by == SERVED_BY_STATIC
+            assert "IndexError" in response.error
+            assert len(response.books) == 5
         assert tracer.active_span is None
         [batch] = [span for span in tracer.spans if span.name == "service.batch"]
         assert batch.end is not None
-        assert batch.status == STATUS_ERROR
 
 
 class SwapDuringScore(BPR):
-    """A model that hot-swaps the service mid-request (the race window)."""
+    """A model that hot-swaps the service while it scores (the race
+    window between a request taking its state and using it)."""
 
     service = None
     replacement = None
+    replacement_train = None
     fired = False
 
-    def recommend(self, user_index, k):
-        items = super().recommend(user_index, k)
+    def score_users(self, user_indices):
         if not SwapDuringScore.fired:
             SwapDuringScore.fired = True
             SwapDuringScore.service.refresh_model(
-                SwapDuringScore.replacement, model_version="v2"
+                SwapDuringScore.replacement,
+                SwapDuringScore.replacement_train,
+                model_version="v2",
             )
-        return items
+        return super().score_users(user_indices)
+
+
+def _racing_service(racer, replacement, train, merged, replacement_train=None):
+    service = RecommendationService(
+        racer, train, merged, cache_size=64, model_version="v1"
+    )
+    SwapDuringScore.service = service
+    SwapDuringScore.replacement = replacement
+    SwapDuringScore.replacement_train = replacement_train
+    SwapDuringScore.fired = False
+    return service
 
 
 class TestCacheSwapRace:
@@ -458,20 +514,16 @@ class TestCacheSwapRace:
         refresh_model swapped in v2 — the v(N)/v(N+1) provenance race."""
         racer = SwapDuringScore(TINY_BPR).fit(tiny_split.train, tiny_merged)
         replacement = BPR(TINY_BPR).fit(tiny_split.train, tiny_merged)
-        service = RecommendationService(
-            racer, tiny_split.train, tiny_merged, cache_size=64,
-            model_version="v1",
+        service = _racing_service(
+            racer, replacement, tiny_split.train, tiny_merged
         )
-        SwapDuringScore.service = service
-        SwapDuringScore.replacement = replacement
-        SwapDuringScore.fired = False
         user_id = str(tiny_split.train.users.ids[0])
         request = RecommendationRequest(user_id=user_id, k=5)
 
         first = service.recommend_response(request)
-        # The swap happened mid-request: the response is stamped with the
-        # *published* version, and the stale list was NOT cached.
-        assert first.model_version == "v2"
+        # The swap happened mid-request: the response names v1, the
+        # version that produced it, and the stale list was NOT cached.
+        assert first.model_version == "v1"
         assert not first.from_cache
         assert service.cached_entries == 0
 
@@ -486,3 +538,83 @@ class TestCacheSwapRace:
         assert [b.book_id for b in third.books] == [
             b.book_id for b in second.books
         ]
+
+
+def _grown_train(train):
+    """``train`` plus one book whose id sorts before every other, so
+    every item index shifts by one."""
+    coo = train.csr.tocoo()
+    pairs = [
+        (train.users.id_of(int(user)), train.items.id_of(int(item)))
+        for user, item, count in zip(coo.row, coo.col, coo.data)
+        for _ in range(int(count))
+    ]
+    pairs.append((train.users.ids[0], min(train.items.ids) - 1))
+    return InteractionMatrix.from_pairs(pairs)
+
+
+def _book_lists(model, train, k):
+    """Every user's top-k as book ids, keyed by user id."""
+    users = np.arange(train.n_users)
+    return {
+        str(train.users.id_of(int(user))): [
+            int(train.items.id_of(int(item))) for item in items
+        ]
+        for user, items in zip(users, model.recommend_batch(users, k))
+    }
+
+
+class TestVersionConsistency:
+    """A swap to a grown catalogue lands between a request taking its
+    state and scoring: every response's books must be the list of the
+    model its ``model_version`` names, and nothing resolved against the
+    old state may be cached."""
+
+    @pytest.fixture()
+    def race(self, tiny_split, tiny_merged):
+        grown = _grown_train(tiny_split.train)
+        assert grown.n_items == tiny_split.train.n_items + 1
+        racer = SwapDuringScore(TINY_BPR).fit(tiny_split.train, tiny_merged)
+        replacement = BPR(TINY_BPR).fit(grown, tiny_merged)
+        SwapDuringScore.fired = True  # no swap while listing v1
+        lists = {
+            "v1": _book_lists(racer, tiny_split.train, 5),
+            "v2": _book_lists(replacement, grown, 5),
+        }
+        service = _racing_service(
+            racer, replacement, tiny_split.train, tiny_merged, grown
+        )
+        return service, lists
+
+    def _assert_consistent(self, responses, lists, users):
+        for user, response in zip(users, responses):
+            books = [book.book_id for book in response.books]
+            assert books == lists[response.model_version][user]
+
+    def test_single_request(self, race, tiny_split):
+        service, lists = race
+        user = str(tiny_split.train.users.ids[3])
+        response = service.recommend_response(
+            RecommendationRequest(user_id=user, k=5)
+        )
+        self._assert_consistent([response], lists, [user])
+        assert response.model_version == "v1"
+        assert service.cached_entries == 0
+        again = service.recommend_response(
+            RecommendationRequest(user_id=user, k=5)
+        )
+        assert again.model_version == "v2" and not again.from_cache
+        self._assert_consistent([again], lists, [user])
+
+    def test_batch(self, race, tiny_split):
+        service, lists = race
+        users = [str(user) for user in tiny_split.train.users.ids[:6]]
+        requests = [RecommendationRequest(user_id=u, k=5) for u in users]
+        responses = service.recommend_many_responses(requests)
+        self._assert_consistent(responses, lists, users)
+        assert {response.model_version for response in responses} == {"v1"}
+        assert service.cached_entries == 0
+        fresh = service.recommend_many_responses(requests)
+        self._assert_consistent(fresh, lists, users)
+        assert {response.model_version for response in fresh} == {"v2"}
+        assert service.cached_entries == len(users)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.app.service import RecommendationRequest, RecommendationService
-from repro.core.base import EXCLUDED_SCORE, Recommender, _top_k
+from repro.core.base import EXCLUDED_SCORE, Recommender
 from repro.core.closest_items import ClosestItems
 from repro.core.interactions import InteractionMatrix
 from repro.errors import EvaluationError
@@ -44,6 +44,15 @@ def masked_scores_reference(model, user_indices):
         for row, user_index in enumerate(user_indices):
             scores[row, train.user_items(int(user_index))] = EXCLUDED_SCORE
     return scores
+
+
+def _top_k(scores, k):
+    """The original one-row top-k cut: partition, then stable-sort the
+    k survivors; masked items never come back."""
+    k = min(k, len(scores))
+    partition = np.argpartition(-scores, kth=k - 1)[:k]
+    ordered = partition[np.argsort(-scores[partition], kind="stable")]
+    return ordered[scores[ordered] > EXCLUDED_SCORE]
 
 
 def recommend_batch_reference(model, user_indices, k):
@@ -178,8 +187,10 @@ class TestBatchTopKEquivalence:
         model = FixedScores(_tied_matrix(11)).fit(train)
         users = np.arange(train.n_users)
         batched = model.recommend_batch(users, k)
-        for user, items in zip(users, batched):
-            assert np.array_equal(items, model.recommend(int(user), k))
+        reference = recommend_batch_reference(model, users, k)
+        for user, items, expected in zip(users, batched, reference):
+            assert np.array_equal(items, expected)
+            assert np.array_equal(model.recommend(int(user), k), expected)
 
     def test_matches_reference_batch(self, tiny_split, tiny_bpr):
         users = np.asarray(sorted(tiny_split.test_items), dtype=np.int64)[:40]
