@@ -7,9 +7,9 @@ reason over:
 
 - **symbol tables** — per-module import alias maps (``np`` →
   ``numpy``) plus facade chasing, so a name used anywhere resolves to
-  one *canonical* dotted path (``from repro.parallel import WorkerPool``
-  re-exported through ``repro/parallel/__init__.py`` still canonicalises
-  to ``repro.parallel.pool.WorkerPool``);
+  one *canonical* dotted path (``from repro.obs import Tracer``
+  re-exported through ``repro/obs/__init__.py`` still canonicalises
+  to ``repro.obs.trace.Tracer``);
 - **a call graph** — every ``ast.Call`` resolved to the
   :class:`FunctionInfo` it targets where that is statically knowable:
   plain functions through the import tables, ``self.method()`` through

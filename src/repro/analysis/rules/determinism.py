@@ -1,10 +1,10 @@
 """Determinism rule: all randomness and wall-clock reads are seeded.
 
-The reproduction's headline guarantee — KPIs bit-identical across
-serial, thread, and process backends — requires every stochastic
-component to draw from the seeded streams in :mod:`repro.rng` and every
-behavioural code path to avoid ambient wall-clock time. This rule bans,
-statically:
+The reproduction's headline guarantee — KPIs bit-identical from run to
+run, and whether the grid search runs in-process or on worker processes
+— requires every stochastic component to draw from the seeded streams in
+:mod:`repro.rng` and every behavioural code path to avoid ambient
+wall-clock time. This rule bans, statically:
 
 - ``np.random.seed`` / ``np.random.RandomState`` — legacy global-state
   numpy randomness (a process-wide seed is exactly the hidden coupling

@@ -28,7 +28,6 @@ from repro.analysis.rules.base import Rule
 #: Packages (as ``src/``-relative path fragments) whose public API must
 #: be documented.
 CHECKED_PACKAGES = (
-    "repro/parallel",
     "repro/obs",
     "repro/resilience",
     "repro/analysis",

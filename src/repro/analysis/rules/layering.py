@@ -3,7 +3,7 @@
 The repo's architecture is a strict layering (low to high)::
 
     foundation   errors, rng
-    util         obs, resilience, parallel
+    util         obs, resilience
     tables       tables
     data         datasets, text, pipeline
     core         core
@@ -91,7 +91,7 @@ class LayerSpec:
 DEFAULT_SPEC = LayerSpec(
     layers=(
         ("foundation", ("errors", "rng")),
-        ("util", ("obs", "resilience", "parallel")),
+        ("util", ("obs", "resilience")),
         ("tables", ("tables",)),
         ("data", ("datasets", "text", "pipeline")),
         ("core", ("core",)),

@@ -2,8 +2,8 @@
 
 The determinism contract (``docs/determinism.md``) hangs every random
 draw off one root seed through :func:`repro.rng.derive_rng` (scoped
-streams) and :func:`repro.parallel.pool.task_seeds` (parent-side worker
-seeds). The PR-5 ``determinism`` rule catches the syntactic violations
+streams) and :func:`repro.rng.task_seeds` (per-task seeds drawn up
+front). The PR-5 ``determinism`` rule catches the syntactic violations
 (``np.random.seed``, unseeded ``default_rng``); this rule enforces the
 *flow* half of the contract over the dataflow layer:
 
@@ -13,9 +13,10 @@ seeds). The PR-5 ``determinism`` rule catches the syntactic violations
 - a generator reaching a stochastic call through parameters is traced
   interprocedurally to its creation; lineages that end at a raw
   constructor are flagged with the full call-chain witness;
-- generators must not cross a :class:`~repro.parallel.pool.WorkerPool`
-  task boundary (pass seeds, derive worker-side — generator state does
-  not fork deterministically across processes);
+- generators must not cross a worker-process task boundary — ``.map``
+  or ``.submit`` on a local bound from ``ProcessPoolExecutor(...)``
+  (pass seeds, derive worker-side — generator state does not fork
+  deterministically across processes);
 - two call sites must not derive from the same constant scope tuple
   (identical streams masquerading as independent ones);
 - seeds fed into ``derive_rng``/``make_rng``/``task_seeds`` must not
@@ -76,20 +77,21 @@ STOCHASTIC_METHODS = {
     "bytes",
 }
 
-#: Canonical call targets that hand tasks to worker processes.
-POOL_BOUNDARIES = {
-    "repro.parallel.pool.WorkerPool.map",
-    "repro.parallel.pool.WorkerPool.starmap",
-    "repro.parallel.pool.WorkerPool.map_seeded",
-    "repro.parallel.pool.parallel_map",
+#: Canonical executor classes whose tasks run in worker processes.
+POOL_EXECUTORS = {
+    "concurrent.futures.ProcessPoolExecutor",
+    "concurrent.futures.process.ProcessPoolExecutor",
 }
+
+#: Executor methods that ship their arguments to a worker.
+POOL_METHODS = {"map", "submit"}
 
 #: Canonical seed sinks whose first argument must be config-derived.
 SEED_SINKS = {
     "repro.rng.make_rng",
     "repro.rng.derive_rng",
     "repro.rng.spawn_seeds",
-    "repro.parallel.pool.task_seeds",
+    "repro.rng.task_seeds",
 }
 
 #: Canonical origins that make a seed process- or time-dependent.
@@ -113,7 +115,7 @@ class SeedLineageRule(Rule):
         "generators must descend from repro.rng and never cross worker "
         "boundaries; scope tuples must be unique"
     )
-    version = 1
+    version = 2
 
     def check_project(self, model: ProjectModel) -> Iterable[Finding]:
         """Seed-lineage findings over every function in the project."""
@@ -125,9 +127,7 @@ class SeedLineageRule(Rule):
                 targets = df.call_targets(fi, call, env)
                 yield from self._check_construction(fi, call, targets)
                 yield from self._check_stochastic_use(df, fi, call, env)
-                yield from self._check_pool_boundary(
-                    df, fi, call, targets, env
-                )
+                yield from self._check_pool_boundary(fi, call, env)
                 yield from self._check_seed_source(
                     df, fi, call, targets, env
                 )
@@ -215,16 +215,12 @@ class SeedLineageRule(Rule):
                     return
 
     def _check_pool_boundary(
-        self,
-        df,
-        fi: FunctionInfo,
-        call: ast.Call,
-        targets: tuple[str, ...],
-        env,
+        self, fi: FunctionInfo, call: ast.Call, env
     ) -> Iterable[Finding]:
-        if not any(target in POOL_BOUNDARIES for target in targets):
+        boundary = _pool_boundary(call, env)
+        if boundary is None:
             return
-        boundary = next(t for t in targets if t in POOL_BOUNDARIES)
+        method = ".".join(boundary.split(".")[-2:])
         for arg in (*call.args, *(kw.value for kw in call.keywords)):
             for name in ast.walk(arg):
                 if not isinstance(name, ast.Name):
@@ -241,7 +237,7 @@ class SeedLineageRule(Rule):
                         fi.source.relpath,
                         call.lineno,
                         f"generator `{name.id}` crosses the "
-                        f"{boundary.rsplit('.', 1)[-1]}() task boundary; "
+                        f"{method}() task boundary; "
                         "pass task_seeds(...) and derive_rng worker-side "
                         f"(in {fi.qualname})",
                         witness=(
@@ -351,6 +347,29 @@ class SeedLineageRule(Rule):
                         ),
                     ),
                 )
+
+
+def _pool_boundary(call: ast.Call, env) -> str | None:
+    """``<executor class>.<method>`` when ``call`` is ``.map``/``.submit``
+    on a local bound from a process-pool executor, else ``None``.
+
+    Resolved here rather than in the call graph: an executor is a
+    library object, so its methods never become call-graph targets.
+    """
+    func = call.func
+    if not (
+        isinstance(func, ast.Attribute)
+        and func.attr in POOL_METHODS
+        and isinstance(func.value, ast.Name)
+    ):
+        return None
+    prov = env.get(func.value.id)
+    if prov is None or not prov.origin.startswith("call:"):
+        return None
+    executor = prov.origin[5:]
+    if executor not in POOL_EXECUTORS:
+        return None
+    return f"{executor}.{func.attr}"
 
 
 def _calls_of(fi: FunctionInfo):

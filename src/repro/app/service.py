@@ -477,14 +477,23 @@ class RecommendationService:
         assignment, in the critical section that clears the cache and
         resets the breaker. A request in flight finishes on the state it
         took; its cache insert is dropped. One writer swaps at a time.
+        A kept fallback is refitted on ``train`` when the catalogue
+        changed, since its item indices belong to the old one.
         """
         _require_fitted(model, cold_start_fallback)
         current = self._state
+        train = train if train is not None else current.train
+        if cold_start_fallback is None:
+            cold_start_fallback = current.cold_start_fallback
+            if (
+                cold_start_fallback is not None
+                and train.items != current.train.items
+            ):
+                cold_start_fallback = MostReadItems(
+                    personalized=cold_start_fallback.exclude_seen
+                ).fit(train)
         state = self._build_state(
-            model,
-            train if train is not None else current.train,
-            cold_start_fallback or current.cold_start_fallback,
-            model_version,
+            model, train, cold_start_fallback, model_version
         )
         with self._lock:
             self._state = state

@@ -37,10 +37,10 @@ Commands:
   formats are text, JSON, and SARIF 2.1.0, and ``--explain
   <fingerprint>`` prints a finding's interprocedural witness path.
 
-The global ``--jobs N`` flag parallelises the merge pipeline and the
-grid search across N worker processes; results are bit-identical to
-``--jobs 1`` (see ``docs/determinism.md``). Performance is measured by
-the end-to-end benchmark in ``perfbench/``.
+The global ``--jobs N`` flag runs the grid search's cells on N worker
+processes; its output is bit-identical to ``--jobs 1`` (see
+``docs/determinism.md``). Performance is measured by the end-to-end
+benchmark in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the merge pipeline and grid search "
-        "(default: 1 = serial; -1 = all CPUs; results are bit-identical "
-        "for every value)",
+        help="worker processes for the grid search's cells (default: 1 = "
+        "in-process; -1 = all CPUs; output is bit-identical for every "
+        "value)",
     )
     parser.add_argument(
         "--output", default=None, metavar="DIR",

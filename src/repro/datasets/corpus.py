@@ -6,11 +6,10 @@ every row as Python objects) can emit. This module scales the synthetic
 world to millions of events without ever holding the corpus in memory:
 
 - **Chunked, seed-sharded generation.** Events are produced in fixed-size
-  chunks whose seeds derive in the parent via the parallel layer's
-  :func:`~repro.parallel.task_seeds` — one seed per chunk, a pure function
-  of the chunk *index*. Shards are contiguous chunk groups
-  (:func:`~repro.parallel.chunk_slices`), so the concatenation of all
-  shards is byte-identical for any shard count: the scale-invariance
+  chunks whose seeds derive up front via :func:`~repro.rng.task_seeds` —
+  one seed per chunk, a pure function of the chunk *index*. Shards are
+  contiguous chunk groups (:func:`chunk_slices`), so the concatenation of
+  all shards is byte-identical for any shard count: the scale-invariance
   contract (``docs/determinism.md``), pinned by
   ``tests/datasets/test_synthetic_properties.py``.
 - **Columnar npz shards behind the crash-safe machinery.** Every artefact
@@ -59,14 +58,18 @@ from repro.datasets.synthetic import (
     _generate_bct,
 )
 from repro.datasets.world import LatentWorld, WorldConfig
-from repro.errors import DatasetError, ManifestMissingError, PersistenceError
-from repro.parallel import chunk_slices, task_seeds
+from repro.errors import (
+    ConfigurationError,
+    DatasetError,
+    ManifestMissingError,
+    PersistenceError,
+)
 from repro.resilience.artefacts import (
     MANIFEST_NAME,
     verify_manifest,
     write_manifest,
 )
-from repro.rng import derive_rng, make_rng
+from repro.rng import derive_rng, make_rng, task_seeds
 from repro.tables import Table, concat_tables
 from repro.tables.io import read_npz_columns, write_npz_columns
 
@@ -140,6 +143,39 @@ def chunk_bounds(n_rows: int, rows_per_chunk: int) -> list[tuple[int, int]]:
         (i * rows_per_chunk, min((i + 1) * rows_per_chunk, n_rows))
         for i in range(n_chunks)
     ]
+
+
+def chunk_slices(n_items: int, n_chunks: int) -> list[slice]:
+    """Split ``range(n_items)`` into at most ``n_chunks`` contiguous slices.
+
+    Chunk sizes differ by at most one item and concatenating the slices
+    in order reproduces ``range(n_items)`` exactly.
+
+    Args:
+        n_items: number of items to cover (``>= 0``).
+        n_chunks: requested chunk count (``>= 1``); capped at ``n_items``.
+
+    Returns:
+        A list of ``slice`` objects covering ``range(n_items)`` in order.
+
+    Raises:
+        ConfigurationError: when ``n_items < 0`` or ``n_chunks < 1``.
+    """
+    if n_items < 0:
+        raise ConfigurationError(f"n_items must be >= 0, got {n_items}")
+    if n_chunks < 1:
+        raise ConfigurationError(f"n_chunks must be >= 1, got {n_chunks}")
+    n_chunks = min(n_chunks, n_items)
+    if n_chunks == 0:
+        return []
+    base, extra = divmod(n_items, n_chunks)
+    slices = []
+    start = 0
+    for index in range(n_chunks):
+        size = base + (1 if index < extra else 0)
+        slices.append(slice(start, start + size))
+        start += size
+    return slices
 
 
 def shard_plan(

@@ -34,9 +34,9 @@ class ExperimentConfig:
     bpr: BPRConfig = field(default_factory=BPRConfig)
     closest_fields: tuple[str, ...] = ("author", "genres")
     n_jobs: int = 1
-    """Worker count for the parallel-capable stages (merge pipeline,
-    hyper-parameter grid search); ``1`` = serial, ``-1`` = all CPUs.
-    Results are bit-identical for every value (see ``repro.parallel``)."""
+    """Worker processes for the hyper-parameter grid search's cells;
+    ``1`` = in-process, ``-1`` = all CPUs. The grid's output is
+    bit-identical for every value (see ``docs/determinism.md``)."""
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """The same configuration with a different world seed."""
@@ -87,7 +87,8 @@ def config_for_scale(
     seed: int | None = None,
     n_jobs: int | None = None,
 ) -> ExperimentConfig:
-    """Build the preset for ``scale``, optionally reseeded/parallelised."""
+    """Build the preset for ``scale``, optionally reseeded; ``n_jobs``
+    sets the grid search's worker processes."""
     if scale not in SCALES:
         raise ConfigurationError(
             f"unknown scale {scale!r}; expected one of {sorted(SCALES)}"

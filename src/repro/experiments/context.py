@@ -53,8 +53,7 @@ class ExperimentContext:
         if self._merged is None:
             sources = self.sources
             self._merged, self._merge_report = build_merged_dataset(
-                sources.bct, sources.anobii, self.config.merge,
-                n_jobs=self.config.n_jobs,
+                sources.bct, sources.anobii, self.config.merge
             )
 
     @property

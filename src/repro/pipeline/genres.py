@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.datasets.models import parse_genre_votes
 from repro.errors import PipelineError
-from repro.parallel.pool import WorkerPool
 from repro.tables import Table
 from repro.datasets.models import BOOK_GENRES_SCHEMA
 
@@ -105,21 +104,11 @@ def normalized_entropy(counts: Counter | dict[str, int]) -> float:
     return entropy(counts) / math.log(k)
 
 
-def extract_genre_votes(
-    items: Table, pool: WorkerPool | None = None
-) -> dict[int, dict[str, int]]:
-    """Parse the ``genre_votes`` column into ``{item_id: {genre: votes}}``.
-
-    Parsing is a pure per-row function, so with a ``pool`` the rows are
-    chunked across workers and reassembled in order — the result dict is
-    identical to the serial parse for any backend.
-    """
-    pool = pool or WorkerPool()
-    serialized = [str(value) for value in items["genre_votes"]]
-    parsed = pool.map(parse_genre_votes, serialized)
+def extract_genre_votes(items: Table) -> dict[int, dict[str, int]]:
+    """Parse the ``genre_votes`` column into ``{item_id: {genre: votes}}``."""
     return {
-        int(item_id): votes
-        for item_id, votes in zip(items["item_id"], parsed)
+        int(item_id): parse_genre_votes(str(votes))
+        for item_id, votes in zip(items["item_id"], items["genre_votes"])
     }
 
 
@@ -282,15 +271,9 @@ def build_genre_model(
     min_books: int = DEFAULT_MIN_BOOKS,
     min_affinity: float = DEFAULT_MIN_AFFINITY,
     top_k: int = TOP_GENRES_PER_BOOK,
-    pool: WorkerPool | None = None,
 ) -> GenreModel:
-    """Run the full genre pipeline on an Anobii items table.
-
-    ``pool`` parallelises the per-book vote parsing (the other stages
-    are global reductions and stay in-process); the resulting model is
-    identical for any pool configuration.
-    """
-    raw_votes = extract_genre_votes(items, pool=pool)
+    """Run the full genre pipeline on an Anobii items table."""
+    raw_votes = extract_genre_votes(items)
     cleaned, dropped = drop_extreme_genres(raw_votes, max_book_share, min_books)
     canonical, trace = aggregate_genres(cleaned, min_affinity)
     book_genres = top_genres(cleaned, canonical, top_k)

@@ -30,7 +30,6 @@ from repro.datasets.models import (
 from repro.errors import PipelineError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, start_span
-from repro.parallel.pool import WorkerPool
 from repro.pipeline.cleaning import (
     CleaningReport,
     QuarantineReport,
@@ -128,8 +127,6 @@ def build_merged_dataset(
     strict: bool = False,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    n_jobs: int = 1,
-    backend: str = "auto",
 ) -> tuple[MergedDataset, MergeReport]:
     """Run the full merge pipeline; see the module docstring.
 
@@ -144,16 +141,9 @@ def build_merged_dataset(
     union, activity filter) runs in its own span under ``pipeline.merge``,
     and quarantined rows are counted per source table and reason in the
     ``pipeline.quarantined_rows`` counter.
-
-    ``n_jobs``/``backend`` parallelise the per-book stages — genre-vote
-    parsing and the normalised match-key computation — on a
-    :class:`~repro.parallel.WorkerPool` with order-stable reassembly:
-    the merged dataset and every ``MergeReport`` count are identical for
-    any worker count (``tests/parallel/test_equivalence.py``).
     """
     config = config or MergeConfig()
-    pool = WorkerPool(n_jobs=n_jobs, backend=backend)
-    with pool, start_span(tracer, "pipeline.merge", n_jobs=pool.n_jobs):
+    with start_span(tracer, "pipeline.merge"):
         with start_span(tracer, "pipeline.quarantine") as span:
             bct, bct_quarantine = quarantine_bct(bct, strict=strict)
             anobii, anobii_quarantine = quarantine_anobii(anobii, strict=strict)
@@ -179,7 +169,6 @@ def build_merged_dataset(
                 max_book_share=config.genre_max_book_share,
                 min_books=config.genre_min_books,
                 min_affinity=config.genre_min_affinity,
-                pool=pool,
             )
             span.set_attrs(
                 canonical_genres=len(set(genre_model.canonical_of.values())),
@@ -188,7 +177,7 @@ def build_merged_dataset(
 
         with start_span(tracer, "pipeline.match") as span:
             item_of_book, unmatched_bct, unmatched_anobii = _match_catalogues(
-                cleaned_bct.books, cleaned_anobii.items, pool=pool
+                cleaned_bct.books, cleaned_anobii.items
             )
             books = _merged_books(
                 cleaned_bct.books, cleaned_anobii.items, item_of_book
@@ -247,38 +236,27 @@ def build_merged_dataset(
 
 
 def _match_catalogues(
-    bct_books: Table, anobii_items: Table, pool: WorkerPool | None = None
+    bct_books: Table, anobii_items: Table
 ) -> tuple[dict[int, int], int, int]:
     """Align catalogues on the normalised (title, author) key.
 
     Returns ``{bct book_id: anobii item_id}`` for the intersection plus the
     counts of unmatched books on each side. Duplicate keys within a source
     keep the first occurrence (deterministic, mirrors a SQL anti-duplicate
-    pass). Key normalisation is a pure per-row function, so with a ``pool``
-    both catalogues' keys are computed in chunks across workers and zipped
-    back in row order — the match is identical for any backend.
+    pass).
     """
-    pool = pool or WorkerPool()
-    anobii_keys = pool.starmap(
-        match_key,
-        [
-            (str(title), str(author))
-            for title, author in zip(
-                anobii_items["title"], anobii_items["author"]
-            )
-        ],
-    )
+    anobii_keys = [
+        match_key(str(title), str(author))
+        for title, author in zip(anobii_items["title"], anobii_items["author"])
+    ]
     anobii_by_key: dict[str, int] = {}
     for item_id, key in zip(anobii_items["item_id"], anobii_keys):
         anobii_by_key.setdefault(key, int(item_id))
 
-    bct_keys = pool.starmap(
-        match_key,
-        [
-            (str(title), str(author))
-            for title, author in zip(bct_books["title"], bct_books["author"])
-        ],
-    )
+    bct_keys = [
+        match_key(str(title), str(author))
+        for title, author in zip(bct_books["title"], bct_books["author"])
+    ]
     item_of_book: dict[int, int] = {}
     seen_keys: set[str] = set()
     for book_id, key in zip(bct_books["book_id"], bct_keys):

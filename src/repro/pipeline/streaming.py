@@ -22,7 +22,7 @@ stages stream over the corpus shards in two passes:
    reloadable via :func:`load_merged_corpus`).
 
 The contract — bit-identical tables and an identical ``MergeReport``
-versus the in-memory path, for any worker count — is pinned by
+versus the in-memory path — is pinned by
 ``tests/pipeline/test_streaming_merge.py`` and documented in
 ``docs/determinism.md``.
 """
@@ -41,7 +41,6 @@ from repro.datasets.merged import MergedDataset
 from repro.datasets.models import READINGS_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, start_span
-from repro.parallel import WorkerPool
 from repro.pipeline.cleaning import CleaningReport, QuarantineReport, _keep_first_by_key
 from repro.pipeline.genres import build_genre_model
 from repro.pipeline.merge import (
@@ -177,8 +176,6 @@ def merge_sharded_corpus(
     strict: bool = False,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    n_jobs: int = 1,
-    backend: str = "auto",
 ) -> StreamingMergeResult:
     """Run the merge pipeline over a sharded corpus without materialising it.
 
@@ -190,14 +187,9 @@ def merge_sharded_corpus(
     merged readings are written back out as npz shards plus ``books.csv``
     / ``genres.csv`` under a checksum manifest instead of (or in addition
     to) being assembled in memory; reload with :func:`load_merged_corpus`.
-
-    ``n_jobs``/``backend`` parallelise the same per-book stages as the
-    in-memory path (genre-vote parsing, match keys) with order-stable
-    reassembly, so the output is identical for any worker count.
     """
     config = config or MergeConfig()
-    pool = WorkerPool(n_jobs=n_jobs, backend=backend)
-    with pool, start_span(tracer, "pipeline.merge_streaming", n_jobs=pool.n_jobs):
+    with start_span(tracer, "pipeline.merge_streaming"):
         # ------------------------------------------------------------------
         # catalogue side: identical helpers, O(books) memory
         # ------------------------------------------------------------------
@@ -244,12 +236,11 @@ def merge_sharded_corpus(
                 max_book_share=config.genre_max_book_share,
                 min_books=config.genre_min_books,
                 min_affinity=config.genre_min_affinity,
-                pool=pool,
             )
 
         with start_span(tracer, "pipeline.match"):
             item_of_book, unmatched_bct, unmatched_anobii = _match_catalogues(
-                cleaned_books, cleaned_items, pool=pool
+                cleaned_books, cleaned_items
             )
             merged_books = _merged_books(cleaned_books, cleaned_items, item_of_book)
         matched_book_ids = np.sort(

@@ -17,6 +17,8 @@ import zlib
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 DEFAULT_SEED = 20230101
 """Default seed used across the library (an arbitrary fixed constant)."""
 
@@ -55,4 +57,30 @@ def spawn_seeds(seed: int | None, count: int) -> list[int]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = make_rng(seed)
+    return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
+
+
+def task_seeds(seed: int | None, scope: str, count: int) -> list[int]:
+    """Derive ``count`` per-task integer seeds from ``(seed, scope)``.
+
+    The seeds are drawn in the parent before any task runs and depend
+    only on the arguments, so task ``i`` gets the same seed whichever
+    process runs it and in whatever order. The corpus generator seeds
+    its chunks this way, and the grid search its per-cell tracers.
+
+    Args:
+        seed: the experiment seed (``None`` selects the library default).
+        scope: a task-family label, e.g. ``"grid.cells"``; distinct
+            scopes get independent seed streams from the same seed.
+        count: number of tasks (``>= 0``).
+
+    Returns:
+        ``count`` independent seeds in ``[0, 2**31 - 1)``.
+
+    Raises:
+        ConfigurationError: when ``count`` is negative.
+    """
+    if count < 0:
+        raise ConfigurationError(f"count must be >= 0, got {count}")
+    rng = derive_rng(seed, "parallel", scope)
     return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]

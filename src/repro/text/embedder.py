@@ -10,58 +10,14 @@ why this substitution preserves the paper's content-based findings.
 
 from __future__ import annotations
 
-import functools
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.errors import NotFittedError
-from repro.parallel.pool import WorkerPool, chunk_slices
 from repro.text.hashing import hashed_counts
 from repro.text.tfidf import TfidfModel
 from repro.text.tokenize import TokenizerConfig, tokenize
-
-
-def _hash_text(text: str, dim: int, tokenizer: TokenizerConfig) -> dict[int, float]:
-    """Hash one text into bucket counts (module-level so workers can pickle it)."""
-    return hashed_counts(tokenize(text, tokenizer), dim)
-
-
-def _df_chunk(
-    texts: list[str], dim: int, tokenizer: TokenizerConfig
-) -> np.ndarray:
-    """One chunk's bucket document-frequency histogram (runs in a worker).
-
-    Returning a fixed ``(dim,)`` array per chunk instead of one sparse
-    dict per text keeps the process-backend transfer tiny; the parent
-    sums the integer-valued histograms exactly.
-    """
-    df = np.zeros(dim, dtype=np.float64)
-    for text in texts:
-        for bucket, value in _hash_text(text, dim, tokenizer).items():
-            if value != 0.0:
-                df[bucket] += 1.0
-    return df
-
-
-def _encode_chunk(
-    texts: list[str],
-    dim: int,
-    tokenizer: TokenizerConfig,
-    idf: np.ndarray,
-    sublinear_tf: bool,
-) -> np.ndarray:
-    """Hash and TF-IDF-weight one chunk into dense rows (runs in a worker).
-
-    The chunk ships back as one ``(len(texts), dim)`` float matrix — a
-    single binary buffer — rather than per-text sparse dicts. Weighting
-    goes through :class:`TfidfModel` itself so the arithmetic matches
-    the serial path operation for operation.
-    """
-    model = TfidfModel(dim=dim, sublinear_tf=sublinear_tf)
-    model._idf = np.asarray(idf, dtype=np.float64)
-    documents = [_hash_text(text, dim, tokenizer) for text in texts]
-    return model.transform_many(documents)
 
 
 @runtime_checkable
@@ -96,13 +52,6 @@ class HashedTfidfEmbedder:
         tokenizer: feature extraction configuration.
         sublinear_tf: dampen repeated tokens (recommended; long plots stop
             dominating the author tokens).
-        n_jobs: workers for the tokenise-and-hash stage of ``fit`` and
-            ``encode`` (``1`` = in-process, ``-1`` = all CPUs). Hashing
-            is a pure per-text function and chunks reassemble in order,
-            so embeddings are bit-identical for every worker count.
-        backend: execution backend for ``n_jobs > 1`` (``"process"``
-            suits this pure-Python stage; see
-            :class:`~repro.parallel.WorkerPool`).
     """
 
     def __init__(
@@ -110,79 +59,31 @@ class HashedTfidfEmbedder:
         dim: int = 512,
         tokenizer: TokenizerConfig | None = None,
         sublinear_tf: bool = True,
-        n_jobs: int = 1,
-        backend: str = "auto",
     ) -> None:
         self.dim = dim
         self.tokenizer = tokenizer or TokenizerConfig()
         self._tfidf = TfidfModel(dim=dim, sublinear_tf=sublinear_tf)
-        self._pool = WorkerPool(n_jobs=n_jobs, backend=backend)
 
     @property
     def is_fitted(self) -> bool:
         """Whether :meth:`fit` has learned corpus statistics yet."""
         return self._tfidf.is_fitted
 
-    @property
-    def n_jobs(self) -> int:
-        """The resolved worker count of the hashing pool."""
-        return self._pool.n_jobs
-
     def fit(self, corpus: Sequence[str]) -> "HashedTfidfEmbedder":
-        """Learn bucket document frequencies from the catalogue summaries.
-
-        With ``n_jobs > 1`` each worker hashes a contiguous chunk of the
-        corpus and returns its document-frequency histogram; the parent
-        sums the (integer-valued, hence exactly-summable) histograms, so
-        the fitted IDF is bit-identical to the serial fit.
-        """
-        texts = [str(text) for text in corpus]
-        if self._pool.backend == "serial":
-            self._tfidf.fit([self._hash(text) for text in texts])
-            return self
-        chunks = self._chunks(texts)
-        fn = functools.partial(
-            _df_chunk, dim=self.dim, tokenizer=self.tokenizer
-        )
-        histograms = self._pool.map(fn, chunks, chunk_size=1)
-        df = np.sum(histograms, axis=0) if histograms else np.zeros(self.dim)
-        self._tfidf.fit_from_counts(df, len(texts))
+        """Learn bucket document frequencies from the catalogue summaries."""
+        self._tfidf.fit([self._hash(str(text)) for text in corpus])
         return self
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed ``texts``; raises :class:`NotFittedError` before ``fit``.
-
-        With ``n_jobs > 1`` workers hash and weight contiguous chunks
-        into dense row blocks which the parent stacks in chunk order —
-        bit-identical to the serial encode on every backend.
-        """
+        """Embed ``texts``; raises :class:`NotFittedError` before ``fit``."""
         if not self._tfidf.is_fitted:
             raise NotFittedError(type(self).__name__)
-        work = [str(text) for text in texts]
-        if self._pool.backend == "serial":
-            return self._tfidf.transform_many(
-                [self._hash(text) for text in work]
-            )
-        chunks = self._chunks(work)
-        fn = functools.partial(
-            _encode_chunk,
-            dim=self.dim,
-            tokenizer=self.tokenizer,
-            idf=self._tfidf._idf,
-            sublinear_tf=self._tfidf.sublinear_tf,
+        return self._tfidf.transform_many(
+            [self._hash(str(text)) for text in texts]
         )
-        blocks = self._pool.map(fn, chunks, chunk_size=1)
-        if not blocks:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.vstack(blocks)
 
     def _hash(self, text: str) -> dict[int, float]:
-        return _hash_text(text, self.dim, self.tokenizer)
-
-    def _chunks(self, texts: list[str]) -> list[list[str]]:
-        """Contiguous text chunks, one map item per worker task."""
-        slices = chunk_slices(len(texts), 2 * self._pool.n_jobs)
-        return [texts[piece] for piece in slices]
+        return hashed_counts(tokenize(text, self.tokenizer), self.dim)
 
 
 class HashedCountEmbedder(HashedTfidfEmbedder):
@@ -196,13 +97,8 @@ class HashedCountEmbedder(HashedTfidfEmbedder):
         self,
         dim: int = 512,
         tokenizer: TokenizerConfig | None = None,
-        n_jobs: int = 1,
-        backend: str = "auto",
     ) -> None:
-        super().__init__(
-            dim=dim, tokenizer=tokenizer, sublinear_tf=False,
-            n_jobs=n_jobs, backend=backend,
-        )
+        super().__init__(dim=dim, tokenizer=tokenizer, sublinear_tf=False)
 
     def fit(self, corpus: Sequence[str]) -> "HashedCountEmbedder":
         """Record the corpus size; IDF stays flat so counts pass through."""

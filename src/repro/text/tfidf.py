@@ -46,10 +46,7 @@ class TfidfModel:
     ) -> "TfidfModel":
         """Fit from precomputed per-bucket document frequencies.
 
-        The distributed embedding path computes per-chunk frequency
-        histograms in workers and sums them in the parent; because the
-        frequencies are integer-valued, the summed array is bit-equal
-        to the one :meth:`fit` accumulates document by document.
+        :meth:`fit` accumulates them document by document and ends here.
         """
         df = np.asarray(document_frequencies, dtype=np.float64)
         if df.shape != (self.dim,):

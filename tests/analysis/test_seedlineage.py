@@ -133,13 +133,15 @@ class TestPoolBoundary:
             "pkg/mod.py": '''\
                 """Mod."""
 
-                from repro.parallel.pool import parallel_map
+                from concurrent.futures import ProcessPoolExecutor
+
                 from repro.rng import make_rng
 
                 def run(tasks):
                     """Run."""
                     rng = make_rng(0)
-                    return parallel_map(work, tasks, rng)
+                    with ProcessPoolExecutor() as executor:
+                        return list(executor.map(work, tasks, rng))
 
                 def work(task, rng):
                     """Work."""
@@ -147,21 +149,79 @@ class TestPoolBoundary:
             ''',
         })
         assert len(found) == 1
-        assert "crosses the parallel_map() task boundary" in found[0].message
+        assert (
+            "crosses the ProcessPoolExecutor.map() task boundary"
+            in found[0].message
+        )
 
     def test_task_seeds_crossing_pool_is_clean(self, check_tree):
         assert not findings(check_tree, {
             "pkg/mod.py": '''\
                 """Mod."""
 
-                from repro.parallel.pool import parallel_map, task_seeds
+                from concurrent.futures import ProcessPoolExecutor
+
+                from repro.rng import task_seeds
 
                 def run(tasks, seed):
                     """Run."""
-                    seeds = task_seeds(seed, len(tasks))
-                    return parallel_map(work, tasks, seeds)
+                    seeds = task_seeds(seed, "pkg.tasks", len(tasks))
+                    with ProcessPoolExecutor() as executor:
+                        return list(executor.map(work, tasks, seeds))
 
                 def work(task, seed):
+                    """Work."""
+                    return task
+            ''',
+        })
+
+    def test_raw_generator_submitted_to_bound_executor_is_flagged(
+        self, check_tree
+    ):
+        """``.submit`` counts too, on an executor bound by assignment
+        through a module alias; the raw constructor is flagged as well."""
+        found = findings(check_tree, {
+            "pkg/mod.py": '''\
+                """Mod."""
+
+                import concurrent.futures as cf
+
+                import numpy as np
+
+                def run(task):
+                    """Run."""
+                    rng = np.random.default_rng(1)
+                    executor = cf.ProcessPoolExecutor(max_workers=2)
+                    return executor.submit(work, task, rng).result()
+
+                def work(task, rng):
+                    """Work."""
+                    return task
+            ''',
+        })
+        messages = sorted(f.message for f in found)
+        assert len(messages) == 2
+        assert "crosses the ProcessPoolExecutor.submit() task boundary" in (
+            messages[0]
+        )
+        assert "outside the seed lineage" in messages[1]
+
+    def test_thread_pool_is_not_a_boundary(self, check_tree):
+        assert not findings(check_tree, {
+            "pkg/mod.py": '''\
+                """Mod."""
+
+                from concurrent.futures import ThreadPoolExecutor
+
+                from repro.rng import make_rng
+
+                def run(tasks):
+                    """Run."""
+                    rng = make_rng(0)
+                    with ThreadPoolExecutor() as executor:
+                        return list(executor.map(work, tasks, rng))
+
+                def work(task, rng):
                     """Work."""
                     return task
             ''',

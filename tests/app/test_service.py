@@ -618,3 +618,39 @@ class TestVersionConsistency:
         self._assert_consistent(fresh, lists, users)
         assert {response.model_version for response in fresh} == {"v2"}
         assert service.cached_entries == len(users)
+
+
+class TestRefreshFallback:
+    """A refresh that keeps the cold-start fallback must not map the old
+    catalogue's item indices through the new one."""
+
+    @pytest.fixture()
+    def service(self, tiny_bpr, tiny_split, tiny_merged):
+        fallback = MostReadItems().fit(tiny_split.train, tiny_merged)
+        return RecommendationService(
+            tiny_bpr, tiny_split.train, tiny_merged,
+            cold_start_fallback=fallback,
+        )
+
+    def test_new_catalogue_refits_the_fallback(
+        self, service, tiny_split, tiny_merged
+    ):
+        grown = _grown_train(tiny_split.train)
+        service.refresh_model(
+            BPR(TINY_BPR).fit(grown, tiny_merged), grown, model_version="v2"
+        )
+        books = service.recommend(RecommendationRequest("newcomer", k=5))
+        assert [b.book_id for b in books] == [
+            100059, 100194, 100106, 100154, 100103,
+        ]
+        expected = MostReadItems().fit(grown).top_items(5)
+        assert [b.book_id for b in books] == [
+            int(grown.items.id_of(int(item))) for item in expected
+        ]
+
+    def test_same_catalogue_keeps_the_fallback(
+        self, service, tiny_bpr, tiny_split
+    ):
+        fallback = service.cold_start_fallback
+        service.refresh_model(tiny_bpr, tiny_split.train, model_version="v2")
+        assert service.cold_start_fallback is fallback

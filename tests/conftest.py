@@ -29,6 +29,23 @@ TINY_MERGE = MergeConfig(min_user_readings=10, min_book_readings=5)
 
 TINY_BPR = BPRConfig(epochs=6, seed=1)
 
+#: Series whose value is a wall-clock measurement (``eval.fit_seconds``,
+#: ``bpr.batch_seconds``, ``bpr.samples_per_second``, ...) — the one
+#: legitimate difference between two runs of the same computation.
+TIMING_MARKERS = ("seconds", "duration", "latency", "per_second")
+
+
+def strip_timing_series(snapshot: dict) -> dict:
+    """A metrics snapshot without its wall-clock series."""
+    return {
+        kind: {
+            name: series
+            for name, series in snapshot[kind].items()
+            if not any(marker in name for marker in TIMING_MARKERS)
+        }
+        for kind in ("counters", "gauges", "histograms")
+    }
+
 
 @pytest.fixture(scope="session")
 def tiny_sources():

@@ -1,10 +1,14 @@
-"""Tests for the BPR grid search."""
+"""Tests for the BPR grid search, in-process and on worker processes."""
 
 import pytest
 
 from repro.core.bpr import BPRConfig
-from repro.errors import EvaluationError
+from repro.errors import ConfigurationError, EvaluationError
 from repro.eval.grid import grid_search_bpr
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
+
+from tests.conftest import strip_timing_series
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +47,61 @@ class TestGridSearch:
             grid_search_bpr(
                 tiny_split, tiny_merged, factor_grid=(),
             )
+
+
+GRID_KW = dict(
+    base_config=BPRConfig(epochs=2, seed=11),
+    factor_grid=(5, 10),
+    learning_rate_grid=(0.1,),
+    k=10,
+)
+
+
+@pytest.fixture(scope="module")
+def serial(tiny_split, tiny_merged):
+    return grid_search_bpr(tiny_split, tiny_merged, n_jobs=1, **GRID_KW)
+
+
+class TestGridEquivalence:
+    """Cells on worker processes give the in-process sweep's result."""
+
+    def test_winner_and_points_identical(self, serial, tiny_split, tiny_merged):
+        parallel = grid_search_bpr(
+            tiny_split, tiny_merged, n_jobs=2, **GRID_KW
+        )
+        assert parallel.best == serial.best
+        assert parallel.points == serial.points
+
+    def test_metrics_identical_up_to_timing(self, tiny_split, tiny_merged):
+        def sweep(n_jobs):
+            metrics = MetricsRegistry()
+            grid_search_bpr(
+                tiny_split, tiny_merged, n_jobs=n_jobs, metrics=metrics,
+                **GRID_KW,
+            )
+            return metrics.snapshot()
+
+        serial, parallel = sweep(1), sweep(2)
+        assert strip_timing_series(serial) == strip_timing_series(parallel)
+
+    def test_parallel_sweep_adopts_cell_spans(self, tiny_split, tiny_merged):
+        tracer = Tracer(seed=5)
+        grid_search_bpr(
+            tiny_split, tiny_merged, n_jobs=2, tracer=tracer, **GRID_KW,
+        )
+        names = [span.name for span in tracer.spans]
+        assert names.count("grid.cell") == 2
+        assert "grid.search" in names
+
+
+class TestJobs:
+    def test_all_cpus(self, serial, tiny_split, tiny_merged):
+        every_cpu = grid_search_bpr(
+            tiny_split, tiny_merged, n_jobs=-1, **GRID_KW
+        )
+        assert every_cpu.points == serial.points
+
+    @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "2"])
+    def test_rejects_invalid(self, tiny_split, tiny_merged, bad):
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            grid_search_bpr(tiny_split, tiny_merged, n_jobs=bad, **GRID_KW)

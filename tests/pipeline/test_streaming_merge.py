@@ -4,7 +4,7 @@ The out-of-core path (:func:`repro.pipeline.streaming.merge_sharded_corpus`)
 promises the *same* merged dataset and the *same* :class:`MergeReport` as
 ``build_merged_dataset`` over the materialised corpus — the only allowed
 difference is peak memory. These tests pin that promise on a small sharded
-corpus, at ``n_jobs`` 1 and 2, across config variants, and through the
+corpus, across config variants, and through the
 npz round-trip of the out-of-core output mode; the RSS regression at the
 bottom caps the streaming path's memory appetite against the shard size.
 """
@@ -18,7 +18,7 @@ from repro.perf.rss import measure_phase_rss, reset_peak_rss
 from repro.pipeline.merge import MergeConfig, build_merged_dataset
 from repro.pipeline.streaming import load_merged_corpus, merge_sharded_corpus
 
-from tests.parallel.test_equivalence import _strip_timing_series
+from tests.conftest import strip_timing_series
 
 CORPUS = CorpusConfig(
     n_books=220,
@@ -61,12 +61,9 @@ def _assert_datasets_identical(actual, expected):
 
 
 class TestStreamingEquivalence:
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_dataset_and_report_identical(self, corpus, reference, n_jobs):
+    def test_dataset_and_report_identical(self, corpus, reference):
         expected_merged, expected_report = reference
-        result = merge_sharded_corpus(
-            corpus, MERGE, n_jobs=n_jobs, backend="thread"
-        )
+        result = merge_sharded_corpus(corpus, MERGE)
         assert result.dataset is not None
         _assert_datasets_identical(result.dataset, expected_merged)
         assert result.report == expected_report
@@ -78,7 +75,7 @@ class TestStreamingEquivalence:
         build_merged_dataset(bct, anobii, MERGE, metrics=in_memory)
         streaming = MetricsRegistry()
         merge_sharded_corpus(corpus, MERGE, metrics=streaming)
-        assert _strip_timing_series(streaming.snapshot()) == _strip_timing_series(
+        assert strip_timing_series(streaming.snapshot()) == strip_timing_series(
             in_memory.snapshot()
         )
 

@@ -58,10 +58,6 @@ PUBLIC_API = {
         "ServedResponse", "ServiceStats",
         "save_dataset", "load_dataset", "save_bpr", "load_bpr",
     ],
-    "repro.parallel": [
-        "BACKENDS", "WorkerPool", "chunk_slices", "parallel_map",
-        "resolve_n_jobs", "shared_payload", "task_seeds",
-    ],
     "repro.resilience": [
         "BackoffPolicy", "Deadline", "retry_call",
         "CircuitBreaker",

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.rng import DEFAULT_SEED, derive_rng, make_rng, spawn_seeds
+from repro.errors import ConfigurationError
+from repro.rng import (
+    DEFAULT_SEED,
+    derive_rng,
+    make_rng,
+    spawn_seeds,
+    task_seeds,
+)
 
 
 class TestMakeRng:
@@ -52,3 +59,29 @@ class TestSpawnSeeds:
 
     def test_zero(self):
         assert spawn_seeds(1, 0) == []
+
+
+class TestTaskSeeds:
+    def test_deterministic(self):
+        assert task_seeds(7, "x", 5) == task_seeds(7, "x", 5)
+
+    def test_scopes_independent(self):
+        assert task_seeds(7, "a", 5) != task_seeds(7, "b", 5)
+
+    def test_count_zero(self):
+        assert task_seeds(7, "x", 0) == []
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ConfigurationError):
+            task_seeds(7, "x", -1)
+
+    def test_derivation_is_pinned(self):
+        """The corpus chunks and grid tracers are seeded from these
+        values: a changed derivation would silently regenerate every
+        sharded corpus."""
+        assert task_seeds(7, "corpus.loans", 4) == [
+            309150924, 1133512300, 1218361763, 868884402,
+        ]
+        assert task_seeds(None, "grid.cells", 3) == [
+            2023438086, 1170041197, 480446570,
+        ]
