@@ -27,8 +27,8 @@ head/tail skew.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
-import random
 import sys
 import threading
 import time
@@ -49,6 +49,7 @@ from repro.datasets.world import WorldConfig  # noqa: E402
 from repro.eval.split import split_readings  # noqa: E402
 from repro.obs.demo import DEMO_EPOCHS, DEMO_MERGE, DEMO_WORLD  # noqa: E402
 from repro.pipeline.merge import build_merged_dataset  # noqa: E402
+from repro.rng import derive_rng, make_rng  # noqa: E402
 
 #: One in this many requests targets an unknown (cold-start) user.
 COLD_START_EVERY = 10
@@ -88,17 +89,19 @@ def run_load(
 ) -> dict:
     """Fire ``requests`` requests from ``threads`` threads; return a report.
 
-    Each worker thread gets its own seeded RNG (``seed + thread index``)
-    and an equal share of the request budget, so a run is reproducible
-    up to scheduling order — which is exactly the order the shared
-    accounting must be indifferent to. With ``zipf`` set, user draws
-    follow a Zipf popularity law over a seeded rank permutation
-    (p ∝ 1/rank^zipf) instead of the uniform default.
+    Each worker thread gets its own seeded stream
+    (``make_rng(seed + thread index)``) and an equal share of the
+    request budget, so a run is reproducible up to scheduling order —
+    which is exactly the order the shared accounting must be indifferent
+    to. With ``zipf`` set, user draws follow a Zipf popularity law over
+    a seeded rank permutation (p ∝ 1/rank^zipf) instead of the uniform
+    default.
     """
     users = [str(user) for user in service.train.users.ids]
     cum_weights: list[float] | None = None
     if zipf is not None:
-        random.Random(seed).shuffle(users)
+        ranks = derive_rng(seed, "loadgen", "ranks").permutation(len(users))
+        users = [users[index] for index in ranks]
         total = 0.0
         cum_weights = []
         for rank in range(1, len(users) + 1):
@@ -111,14 +114,16 @@ def run_load(
     errors_lock = threading.Lock()
 
     def worker(thread_index: int, budget: int) -> None:
-        rng = random.Random(seed + thread_index)
+        rng = make_rng(seed + thread_index)
         for shot in range(budget):
             if shot % COLD_START_EVERY == COLD_START_EVERY - 1:
                 user_id = f"cold-start-{thread_index}-{shot}"
             elif cum_weights is not None:
-                user_id = rng.choices(users, cum_weights=cum_weights)[0]
+                draw = rng.random() * cum_weights[-1]
+                rank = bisect.bisect(cum_weights, draw, 0, len(users) - 1)
+                user_id = users[rank]
             else:
-                user_id = rng.choice(users)
+                user_id = users[int(rng.integers(len(users)))]
             try:
                 response = service.recommend_response(
                     RecommendationRequest(user_id=user_id, k=k)

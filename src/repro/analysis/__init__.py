@@ -1,11 +1,12 @@
 """Static invariant analysis: ``python -m repro check``.
 
 A pluggable AST-based analyzer enforcing the invariants the test suite
-can only sample: determinism (seeded randomness, no wall-clock reads),
-layering (the declared package DAG, cycle-free), lock discipline
-(consistent ``with self._lock`` guarding), exception hygiene (no
-silently swallowed failures), and docs integrity (docstring coverage,
-intra-repo markdown links).
+can only sample: seed lineage (every generator descends from
+:mod:`repro.rng`, no wall-clock reads), layering (the declared package
+DAG, cycle-free), float32 tiers, lock order (consistent ``with
+self._lock`` guarding, an acyclic lock graph), resource lifetimes,
+exception hygiene (no silently swallowed failures), and docs integrity
+(docstring coverage, intra-repo markdown links).
 
 Entry points:
 
@@ -17,8 +18,9 @@ Entry points:
 - ``repro check --write-baseline`` — grandfather an existing backlog.
 
 See ``docs/static-analysis.md`` for the rule catalogue and the guide to
-adding a rule. Everything in this package is stdlib-only so the shimmed
-doc checkers keep running in dependency-free CI jobs.
+adding a rule. Everything in this package is stdlib-only, so
+:func:`~repro.analysis.runner.run_check` needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ from repro.analysis.findings import (
 )
 from repro.analysis.model import ProjectModel, SourceFile, build_project
 from repro.analysis.rules import (
-    DeterminismRule,
     DocstringRule,
     DtypeTierRule,
     ExceptionHygieneRule,
     LayeringRule,
     LayerSpec,
     LinkRule,
-    LockDisciplineRule,
     LockOrderRule,
     ResourceLifetimeRule,
     Rule,
@@ -63,10 +63,8 @@ __all__ = [
     "WitnessStep",
     "get_dataflow",
     "Rule",
-    "DeterminismRule",
     "LayeringRule",
     "LayerSpec",
-    "LockDisciplineRule",
     "LockOrderRule",
     "SeedLineageRule",
     "DtypeTierRule",

@@ -1,7 +1,7 @@
 """The interprocedural dataflow layer under the semantic rules.
 
 :class:`DataflowModel` extends the per-file :class:`~repro.analysis.model.
-ProjectModel` with the three project-wide structures the PR-10 rules
+ProjectModel` with the three project-wide structures the dataflow rules
 (``seed-lineage``, ``dtype-tier``, ``lock-order``, ``resource-lifetime``)
 reason over:
 
@@ -22,8 +22,13 @@ reason over:
   ``const`` ...) together with a :class:`WitnessStep` trail, the raw
   material of ``repro check --explain``.
 
-Everything here is stdlib-only (``ast`` + dataclasses): the analysis
-package must keep running in the dependency-free docs CI job.
+It also holds the AST helpers the rules share (:func:`dotted_parts`,
+:func:`is_self_attr`, :func:`calls_in`, :func:`body_statements`); a
+rule imports them rather than keeping its own variant.
+
+Everything here is stdlib-only (``ast`` + dataclasses), like the rest
+of the package, so :func:`~repro.analysis.runner.run_check` needs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.model import ProjectModel, SourceFile
+from repro.analysis.model import ProjectModel, SourceFile, import_base
 
 #: Upper bound on witness-trail length (keeps findings readable).
 MAX_TRAIL = 8
@@ -114,20 +119,6 @@ class ClassInfo:
     methods: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class CallSite:
-    """One resolved (or unknown) call inside a function body."""
-
-    caller: FunctionInfo
-    node: ast.Call
-    targets: tuple[str, ...]  # canonical names; () when unknown
-
-    @property
-    def line(self) -> int:
-        """The source line of the call expression."""
-        return self.node.lineno
-
-
 def dotted_parts(node: ast.expr) -> list[str] | None:
     """``a.b.c`` as ``["a", "b", "c"]``, or ``None`` for dynamic bases."""
     parts: list[str] = []
@@ -138,6 +129,28 @@ def dotted_parts(node: ast.expr) -> list[str] | None:
         parts.append(node.id)
         return list(reversed(parts))
     return None
+
+
+def is_self_attr(node: ast.AST, attr: str | None = None) -> bool:
+    """Whether ``node`` is ``self.<attr>`` (any attribute when ``None``)."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and (attr is None or node.attr == attr)
+    )
+
+
+def calls_in(fi: FunctionInfo) -> Iterator[ast.Call]:
+    """Every call in a function's body, once each, statement by statement.
+
+    Nested closures and lambdas count as part of the body that defines
+    them; decorators and default values do not.
+    """
+    for stmt in fi.node.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                yield node
 
 
 def header_span(node: ast.stmt) -> tuple[int, int]:
@@ -201,7 +214,7 @@ class DataflowModel:
         for info in self.classes.values():
             self._infer_attr_types(info)
         for info in list(self.functions.values()):
-            for call in self._function_calls(info):
+            for call in calls_in(info):
                 for target in self.call_targets(info, call):
                     self.callers.setdefault(target, []).append((info, call))
 
@@ -218,7 +231,7 @@ class DataflowModel:
                         alias.name
                     )
             elif isinstance(node, ast.ImportFrom):
-                base = _import_base(node, source.module)
+                base = import_base(node, source.module)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -289,9 +302,9 @@ class DataflowModel:
             value: ast.expr | None = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target, value = stmt.targets[0], stmt.value
-                if _is_self_attr(target):
+                if is_self_attr(target):
                     target_attr = target.attr  # type: ignore[union-attr]
-            elif isinstance(stmt, ast.AnnAssign) and _is_self_attr(
+            elif isinstance(stmt, ast.AnnAssign) and is_self_attr(
                 stmt.target
             ):
                 target_attr = stmt.target.attr  # type: ignore[union-attr]
@@ -436,11 +449,9 @@ class DataflowModel:
                 )
                 return
             if len(parts) == 3:
-                class_info = self.classes.get(fi.class_key)
                 attr_types: set[str] = set()
                 for info in self.mro(fi.class_key):
                     attr_types |= info.attr_types.get(parts[1], set())
-                del class_info
                 for type_key in sorted(attr_types):
                     method = self.resolve_method(type_key, parts[2])
                     yield (
@@ -472,22 +483,6 @@ class DataflowModel:
                 yield init.canonical
             return
         yield resolved
-
-    def _function_calls(self, fi: FunctionInfo) -> Iterator[ast.Call]:
-        for stmt in body_statements(fi.node):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    yield node
-
-    def call_sites(self, fi: FunctionInfo) -> Iterator[CallSite]:
-        """Every call in ``fi``'s body with its resolved targets."""
-        env = self.function_env(fi)
-        for call in self._function_calls(fi):
-            yield CallSite(
-                caller=fi,
-                node=call,
-                targets=self.call_targets(fi, call, env),
-            )
 
     # ------------------------------------------------------------------
     # provenance (def-use) environments
@@ -555,7 +550,7 @@ class DataflowModel:
         relpath = fi.source.relpath
         if isinstance(target, ast.Name):
             key: str | None = target.id
-        elif _is_self_attr(target):
+        elif is_self_attr(target):
             key = f"self.{target.attr}"  # type: ignore[union-attr]
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
@@ -596,7 +591,7 @@ class DataflowModel:
                     ),
                 ),
             )
-        if _is_self_attr(expr):
+        if is_self_attr(expr):
             key = f"self.{expr.attr}"  # type: ignore[union-attr]
             prov = env.get(key)
             if prov is not None:
@@ -694,19 +689,6 @@ def get_dataflow(model: ProjectModel) -> DataflowModel:
     return cached
 
 
-def _import_base(node: ast.ImportFrom, importer: str) -> str | None:
-    if not node.level:
-        return node.module
-    parts = importer.split(".")
-    # ``importer`` is the module itself; level 1 means its package.
-    anchor = parts[: len(parts) - node.level]
-    if not anchor:
-        return node.module
-    if node.module:
-        anchor.append(node.module)
-    return ".".join(anchor)
-
-
 def _longest_module_prefix(
     dotted: str, modules: dict[str, SourceFile]
 ) -> str | None:
@@ -716,14 +698,6 @@ def _longest_module_prefix(
         if candidate in modules:
             return candidate
     return None
-
-
-def _is_self_attr(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
 
 
 def _candidate_calls(value: ast.expr | None) -> Iterator[ast.Call]:

@@ -112,7 +112,7 @@ def _module_imports(
                 if target is not None:
                     yield target, node.lineno
         elif isinstance(node, ast.ImportFrom):
-            base = _absolute_base(node, source.module)
+            base = import_base(node, source.module)
             if base is None:
                 continue
             for alias in node.names:
@@ -123,8 +123,9 @@ def _module_imports(
                     yield target, node.lineno
 
 
-def _absolute_base(node: ast.ImportFrom, importer: str) -> str | None:
-    """The absolute module a ``from ... import`` pulls names from."""
+def import_base(node: ast.ImportFrom, importer: str) -> str | None:
+    """The absolute module a ``from ... import`` in ``importer`` pulls
+    names from (relative imports resolved against its package)."""
     if not node.level:
         return node.module
     parts = importer.split(".")

@@ -6,9 +6,9 @@
 subclassing :class:`~repro.analysis.rules.base.Rule`, giving it a stable
 id, and listing it here — see ``docs/static-analysis.md``.
 
-The PR-5 rules are syntactic per-file checks; the PR-10 rules
-(``seed-lineage``, ``dtype-tier``, ``lock-order``,
-``resource-lifetime``) run on the interprocedural
+``layering``, ``exceptions``, ``docstrings`` and ``links`` are
+syntactic checks; ``seed-lineage``, ``dtype-tier``, ``lock-order`` and
+``resource-lifetime`` run on the interprocedural
 :mod:`~repro.analysis.dataflow` layer and attach witness paths to their
 findings (``repro check --explain``).
 """
@@ -16,22 +16,18 @@ findings (``repro check --explain``).
 from __future__ import annotations
 
 from repro.analysis.rules.base import Rule
-from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.docs import DocstringRule, LinkRule
 from repro.analysis.rules.dtypetier import DtypeTierRule
 from repro.analysis.rules.exceptions import ExceptionHygieneRule
 from repro.analysis.rules.layering import LayeringRule, LayerSpec
 from repro.analysis.rules.lockorder import LockOrderRule
-from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.resources import ResourceLifetimeRule
 from repro.analysis.rules.seedlineage import SeedLineageRule
 
 __all__ = [
     "Rule",
-    "DeterminismRule",
     "LayeringRule",
     "LayerSpec",
-    "LockDisciplineRule",
     "LockOrderRule",
     "SeedLineageRule",
     "DtypeTierRule",
@@ -46,9 +42,7 @@ __all__ = [
 def default_rules() -> list[Rule]:
     """One fresh instance of every shipped rule, in report order."""
     return [
-        DeterminismRule(),
         LayeringRule(),
-        LockDisciplineRule(),
         SeedLineageRule(),
         DtypeTierRule(),
         LockOrderRule(),

@@ -5,10 +5,10 @@ A rule is a stateless object with a stable ``rule_id`` (the name used by
 
 - :meth:`Rule.check_file` — called once per analyzed Python file with the
   shared :class:`~repro.analysis.model.ProjectModel`; the place for
-  AST-local checks (determinism, locks, exceptions, docstrings);
+  AST-local checks (exceptions, docstrings, resource lifetimes);
 - :meth:`Rule.check_project` — called once per run after every file; the
   place for whole-graph checks (layering, import cycles, markdown
-  links).
+  links, seed lineage, lock order).
 
 Both return iterables of :class:`~repro.analysis.findings.Finding`; the
 runner owns ordering, suppression, and rendering.

@@ -1,22 +1,32 @@
-"""``lock-order`` — the global lock-acquisition graph must be acyclic.
+"""``lock-order`` — lock discipline within and across classes.
 
 The serving stack nests locks: ``RecommendationService._lock`` is held
 while the breaker resets and gauges update, the breaker's RLock is held
 while transition listeners fire, every metrics instrument has its own
-lock. The PR-5 ``locks`` rule checks each class in isolation; this rule
-builds the *cross-class* acquisition graph over the dataflow layer:
+lock. A class *holds* a lock when ``self._lock = threading.Lock()`` or
+``RLock()`` is assigned in an ``__init__`` anywhere in its MRO; the
+class whose ``__init__`` assigns it *owns* the lock. Over the dataflow
+layer the rule checks:
 
-- **nodes** are lock-owning classes (``self._lock = threading.Lock()``
-  or ``RLock()`` anywhere in the MRO's ``__init__``);
-- **edges** ``A -> B`` mean a method of ``A``, while holding ``A``'s
-  lock (directly or through same-class helpers), calls into a method of
-  ``B`` that (transitively within ``B``) acquires ``B``'s lock;
-- a **cycle** means two threads entering from opposite ends can
-  deadlock — flagged with the full call-chain witness;
-- a helper method that mutates guarded attributes *without* acquiring
-  is additionally flagged when the call graph reaches it both from a
-  locked and from an unlocked context (the interprocedural
-  generalisation of the per-file mixed-guard check).
+- **mixed guard** — in every class holding a lock, an attribute mutated
+  under ``with self._lock`` (or in a ``*_locked`` method) in one method
+  and outside the lock in another is flagged at each unlocked site:
+  the hot path is guarded, a colder reset or merge silently races it;
+- **mixed reachability** — a helper that mutates instance state
+  *without* acquiring is flagged when the call graph reaches it both
+  from a locked and from an unlocked context;
+- **cycles** — nodes are lock owners; an edge ``A -> B`` means a method
+  of ``A``, while holding ``A``'s lock (directly or through same-class
+  helpers), calls into a method of ``B`` that (transitively within
+  ``B``) acquires ``B``'s lock. A cycle means two threads entering from
+  opposite ends can deadlock — flagged with the full call-chain
+  witness.
+
+Both mutation checks cover subclasses of the owner and share one
+scanner, which descends into nested blocks and closures. Constructor
+methods are exempt (no other thread holds a reference yet), a
+``*_locked`` name asserts that the caller holds the lock, and a line
+both checks hit is reported once.
 
 Dynamic calls (callbacks, ``getattr``) resolve to unknown and create no
 edges — the graph under-approximates, so every reported cycle is real
@@ -26,7 +36,7 @@ in the resolved call graph.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.analysis.dataflow import (
     ClassInfo,
@@ -34,8 +44,10 @@ from repro.analysis.dataflow import (
     FunctionInfo,
     WitnessStep,
     body_statements,
+    calls_in,
     dotted_parts,
     get_dataflow,
+    is_self_attr,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.model import ProjectModel
@@ -47,27 +59,42 @@ LOCK_TYPES = {"threading.Lock", "threading.RLock"}
 #: The guarded-lock attribute name (the repo-wide convention).
 LOCK_ATTR = "_lock"
 
-#: Methods allowed to touch guarded state before the object escapes.
-CONSTRUCTOR_METHODS = {"__init__", "__new__", "__post_init__"}
+#: Methods that run before the instance is shared between threads.
+CONSTRUCTOR_METHODS = frozenset(
+    {"__init__", "__new__", "__post_init__", "__setstate__"}
+)
 
 #: Suffix marking a helper whose caller must already hold the lock.
 LOCKED_SUFFIX = "_locked"
 
+#: Compound statements whose nested blocks run in the enclosing lock
+#: context (a closure is assumed to run where it is defined).
+_NESTING = (
+    ast.If,
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.Try,
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+)
+
 
 class LockOrderRule(Rule):
-    """Flag lock-acquisition cycles and cross-call guard inconsistency."""
+    """Flag mixed locked/unlocked mutation and lock-acquisition cycles."""
 
     rule_id = "lock-order"
     description = (
         "cross-class lock acquisition graph must be acyclic; guarded "
-        "attributes must not be reachable locked and unlocked"
+        "attributes must not be mutated or reached locked and unlocked"
     )
-    version = 1
+    version = 2
 
     def check_project(self, model: ProjectModel) -> Iterable[Finding]:
-        """Lock-order cycles and mixed-reachability mutations project-wide."""
+        """Lock-order cycles and mixed-guard mutations project-wide."""
         df = get_dataflow(model)
-        owners = _lock_owners(df)
+        holders = _lock_holders(df)
+        owners = {owner: df.classes[owner] for owner in holders.values()}
         acquires = {
             key: _acquiring_methods(df, info)
             for key, info in owners.items()
@@ -78,9 +105,16 @@ class LockOrderRule(Rule):
                 df, owners, acquires, key, info
             ):
                 edges.setdefault(key, {}).setdefault(target, witness)
-        yield from self._cycle_findings(df, owners, edges)
-        for key, info in owners.items():
-            yield from self._mixed_reachability(df, owners, key, info)
+        yield from self._cycle_findings(owners, edges)
+        by_line: dict[tuple[str, int], Finding] = {}
+        for key, owner in holders.items():
+            info = df.classes[key]
+            for finding in (
+                *self._mixed_reachability(df, owner, info),
+                *self._mixed_guard(info),
+            ):
+                by_line.setdefault((finding.path, finding.line), finding)
+        yield from by_line.values()
 
     # ------------------------------------------------------------------
     # edges
@@ -95,7 +129,7 @@ class LockOrderRule(Rule):
         info: ClassInfo,
     ):
         for method in _own_methods(df, info):
-            for region_line, call in _locked_calls(df, info, method):
+            for region_line, call in _locked_calls(method):
                 for edge in self._edge_targets(
                     df, owners, acquires, key, method, region_line, call,
                     set(),
@@ -125,7 +159,7 @@ class LockOrderRule(Rule):
                 if helper is None or helper.canonical in visited:
                     continue
                 visited.add(helper.canonical)
-                for inner in _calls_in(helper):
+                for inner in calls_in(helper):
                     yield from self._edge_targets(
                         df, owners, acquires, key, helper, region_line,
                         inner, visited,
@@ -156,7 +190,6 @@ class LockOrderRule(Rule):
 
     def _cycle_findings(
         self,
-        df: DataflowModel,
         owners: dict[str, ClassInfo],
         edges: dict[str, dict[str, tuple[WitnessStep, ...]]],
     ) -> Iterable[Finding]:
@@ -177,29 +210,56 @@ class LockOrderRule(Rule):
             )
 
     # ------------------------------------------------------------------
-    # interprocedural mixed locked/unlocked mutation
+    # mixed locked/unlocked mutation
     # ------------------------------------------------------------------
+
+    def _mixed_guard(self, info: ClassInfo) -> Iterable[Finding]:
+        """Attributes mutated both under and outside the lock."""
+        locked_at: dict[str, int] = {}
+        unlocked: list[tuple[str, int, str]] = []
+        for method in info.node.body:
+            if not isinstance(
+                method, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) or method.name in CONSTRUCTOR_METHODS:
+                continue
+            for attr, line, locked in _mutations(
+                method.body, method.name.endswith(LOCKED_SUFFIX)
+            ):
+                if locked:
+                    locked_at[attr] = min(line, locked_at.get(attr, line))
+                else:
+                    unlocked.append((attr, line, method.name))
+        for attr, line, method_name in unlocked:
+            if attr in locked_at:
+                yield self.finding(
+                    info.source.relpath,
+                    line,
+                    f"'{info.name}.{attr}' is mutated in '{method_name}' "
+                    "outside 'with self._lock' but under the lock at line "
+                    f"{locked_at[attr]}; hold the lock here (or mark the "
+                    "method caller-holds-lock with a '_locked' suffix)",
+                )
 
     def _mixed_reachability(
         self,
         df: DataflowModel,
-        owners: dict[str, ClassInfo],
-        key: str,
+        owner: str,
         info: ClassInfo,
     ) -> Iterable[Finding]:
-        methods = list(_own_methods(df, info))
-        # Helpers that mutate guarded attrs without acquiring and
-        # without the caller-holds-lock suffix.
-        for method in methods:
+        """Unlocked mutators the call graph reaches locked and unlocked."""
+        for method in _own_methods(df, info):
             if (
                 method.name in CONSTRUCTOR_METHODS
                 or method.name.endswith(LOCKED_SUFFIX)
+                or _acquires_directly(method)
             ):
                 continue
-            if _acquires_directly(method):
-                continue
-            mutated = _unguarded_mutations(method)
-            if not mutated:
+            unguarded = [
+                (attr, line)
+                for attr, line, locked in _mutations(method.node.body, False)
+                if not locked
+            ]
+            if not unguarded:
                 continue
             locked_caller = _caller_context(df, info, method, locked=True)
             unlocked_caller = _caller_context(
@@ -207,11 +267,11 @@ class LockOrderRule(Rule):
             )
             if locked_caller is None or unlocked_caller is None:
                 continue
-            attr, line = mutated[0]
+            attr, line = min(unguarded, key=lambda hit: hit[1])
             yield self.finding(
                 method.source.relpath,
                 line,
-                f"self.{attr} is mutated without {_short(key)}."
+                f"self.{attr} is mutated without {_short(owner)}."
                 f"{LOCK_ATTR} in {method.name}(), which the call graph "
                 f"reaches both with the lock held "
                 f"({locked_caller[0]}:{locked_caller[1]}) and without "
@@ -244,23 +304,25 @@ class LockOrderRule(Rule):
 # ----------------------------------------------------------------------
 
 
-def _lock_owners(df: DataflowModel) -> dict[str, ClassInfo]:
-    """Classes whose MRO ``__init__`` assigns a ``threading`` lock."""
-    owners: dict[str, ClassInfo] = {}
-    for key, info in df.classes.items():
+def _lock_holders(df: DataflowModel) -> dict[str, str]:
+    """``class key -> owner key`` for every class whose MRO holds a lock.
+
+    The owner is the nearest MRO class whose ``__init__`` assigns a
+    ``threading`` lock to ``self._lock``, so subclasses share their
+    base's lock-graph node.
+    """
+    holders: dict[str, str] = {}
+    for key in df.classes:
         for mro_info in df.mro(key):
             init = df.functions.get(f"{mro_info.key}.__init__")
             if init is None:
                 continue
-            env = df.function_env(init)
-            prov = env.get(f"self.{LOCK_ATTR}")
+            prov = df.function_env(init).get(f"self.{LOCK_ATTR}")
             if prov is not None and prov.origin.startswith("call:"):
                 if prov.origin[5:] in LOCK_TYPES:
-                    # Attribute the lock to the class that defines it so
-                    # subclasses share one graph node.
-                    owners[mro_info.key] = mro_info
+                    holders[key] = mro_info.key
                     break
-    return owners
+    return holders
 
 
 def _own_methods(df: DataflowModel, info: ClassInfo):
@@ -270,14 +332,51 @@ def _own_methods(df: DataflowModel, info: ClassInfo):
             yield fi
 
 
-def _acquires_directly(method: FunctionInfo) -> bool:
-    for stmt in body_statements(method.node):
+def _holds_lock(stmt: ast.stmt) -> bool:
+    """Whether ``stmt`` is a ``with self._lock:`` block."""
+    return isinstance(stmt, (ast.With, ast.AsyncWith)) and any(
+        is_self_attr(item.context_expr, LOCK_ATTR) for item in stmt.items
+    )
+
+
+def _mutated_attrs(stmt: ast.stmt) -> Iterator[str]:
+    """Instance attributes one statement assigns or augments."""
+    targets: list[ast.expr] = []
+    if isinstance(stmt, ast.Assign):
+        targets = list(stmt.targets)
+    elif isinstance(stmt, ast.AugAssign):
+        targets = [stmt.target]
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        targets = [stmt.target]
+    for target in targets:
+        elements = target.elts if isinstance(target, ast.Tuple) else [target]
+        for element in elements:
+            if is_self_attr(element) and element.attr != LOCK_ATTR:
+                yield element.attr
+
+
+def _mutations(
+    stmts: list[ast.stmt], locked: bool
+) -> Iterator[tuple[str, int, bool]]:
+    """``(attr, line, locked)`` for every ``self.<attr>`` write in
+    ``stmts``, where ``locked`` says whether the lock is held there."""
+    for stmt in stmts:
+        for attr in _mutated_attrs(stmt):
+            yield attr, stmt.lineno, locked
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                parts = dotted_parts(item.context_expr)
-                if parts == ["self", LOCK_ATTR]:
-                    return True
-    return False
+            yield from _mutations(stmt.body, locked or _holds_lock(stmt))
+        elif isinstance(stmt, _NESTING):
+            for block in (
+                stmt.body,
+                *(handler.body for handler in getattr(stmt, "handlers", ())),
+                getattr(stmt, "orelse", ()),
+                getattr(stmt, "finalbody", ()),
+            ):
+                yield from _mutations(block, locked)
+
+
+def _acquires_directly(method: FunctionInfo) -> bool:
+    return any(_holds_lock(stmt) for stmt in body_statements(method.node))
 
 
 def _acquiring_methods(df: DataflowModel, info: ClassInfo) -> set[str]:
@@ -288,7 +387,7 @@ def _acquiring_methods(df: DataflowModel, info: ClassInfo) -> set[str]:
         if _acquires_directly(method):
             direct.add(method.name)
         names: set[str] = set()
-        for call in _calls_in(method):
+        for call in calls_in(method):
             parts = dotted_parts(call.func)
             if parts is not None and len(parts) == 2 and parts[0] == "self":
                 names.add(parts[1])
@@ -304,22 +403,10 @@ def _acquiring_methods(df: DataflowModel, info: ClassInfo) -> set[str]:
     return acquired
 
 
-def _calls_in(method: FunctionInfo):
-    for stmt in body_statements(method.node):
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                yield node
-
-
-def _locked_calls(df: DataflowModel, info: ClassInfo, method: FunctionInfo):
+def _locked_calls(method: FunctionInfo):
     """``(region line, call)`` pairs inside ``with self._lock`` bodies."""
     for stmt in body_statements(method.node):
-        if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-            continue
-        if not any(
-            dotted_parts(item.context_expr) == ["self", LOCK_ATTR]
-            for item in stmt.items
-        ):
+        if not _holds_lock(stmt):
             continue
         for inner in stmt.body:
             for node in ast.walk(inner):
@@ -362,37 +449,6 @@ def _find_cycles(
     return cycles
 
 
-def _unguarded_mutations(method: FunctionInfo) -> list[tuple[str, int]]:
-    """``(attr, line)`` for self-attr writes outside any lock region."""
-    locked_spans: list[tuple[int, int]] = []
-    for stmt in body_statements(method.node):
-        if isinstance(stmt, (ast.With, ast.AsyncWith)) and any(
-            dotted_parts(item.context_expr) == ["self", LOCK_ATTR]
-            for item in stmt.items
-        ):
-            locked_spans.append(
-                (stmt.lineno, stmt.end_lineno or stmt.lineno)
-            )
-    out: list[tuple[str, int]] = []
-    for stmt in body_statements(method.node):
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr != LOCK_ATTR
-            ):
-                line = stmt.lineno
-                if not any(a <= line <= b for a, b in locked_spans):
-                    out.append((target.attr, line))
-    return sorted(out, key=lambda item: item[1])
-
-
 def _caller_context(
     df: DataflowModel,
     info: ClassInfo,
@@ -408,11 +464,9 @@ def _caller_context(
     for caller in _own_methods(df, info):
         if caller.canonical == method.canonical:
             continue
-        locked_lines: set[int] = set()
-        for region_line, call in _locked_calls(df, info, caller):
-            locked_lines.add(call.lineno)
+        locked_lines = {call.lineno for _, call in _locked_calls(caller)}
         caller_locked_context = caller.name.endswith(LOCKED_SUFFIX)
-        for call in _calls_in(caller):
+        for call in calls_in(caller):
             parts = dotted_parts(call.func)
             if parts != ["self", method.name]:
                 continue

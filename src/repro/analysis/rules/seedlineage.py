@@ -1,48 +1,56 @@
-"""``seed-lineage`` — every generator must trace back to the seed tree.
+"""``seed-lineage`` — every random draw descends from the seed tree.
 
 The determinism contract (``docs/determinism.md``) hangs every random
 draw off one root seed through :func:`repro.rng.derive_rng` (scoped
 streams) and :func:`repro.rng.task_seeds` (per-task seeds drawn up
-front). The PR-5 ``determinism`` rule catches the syntactic violations
-(``np.random.seed``, unseeded ``default_rng``); this rule enforces the
-*flow* half of the contract over the dataflow layer:
+front), and keeps real time out of behaviour. Calls resolve through the
+dataflow layer's import alias tables, and module-level and class-body
+statements are checked as well as function bodies. The rule flags:
 
-- generators must be created by ``repro.rng`` (``make_rng`` /
-  ``derive_rng``) — a raw ``np.random.default_rng(...)`` anywhere else
-  forks a parallel lineage that no scope tuple names;
-- a generator reaching a stochastic call through parameters is traced
-  interprocedurally to its creation; lineages that end at a raw
-  constructor are flagged with the full call-chain witness;
-- generators must not cross a worker-process task boundary — ``.map``
-  or ``.submit`` on a local bound from ``ProcessPoolExecutor(...)``
-  (pass seeds, derive worker-side — generator state does not fork
+- generators created outside :data:`SANCTIONED_MODULES` — a raw
+  ``np.random.default_rng(...)``, ``Generator`` or ``RandomState``
+  anywhere else forks a lineage that no scope tuple names, seeded or
+  not;
+- numpy's process-global legacy state: ``numpy.random.seed`` calls and
+  ``from numpy.random import seed`` / ``RandomState``;
+- the stdlib :mod:`random` module — unseeded and not stream-splittable;
+- wall-clock reads (:data:`WALL_CLOCK`), which leak real time into
+  behaviour. Monotonic perf timers (``time.perf_counter``,
+  ``time.monotonic``, ``time.process_time``, ``time.sleep``) stay
+  allowed: they may shape measured durations but never ranked output;
+- a generator reaching a stochastic call through parameters whose
+  lineage, traced interprocedurally, ends at a raw constructor —
+  flagged with the full call-chain witness;
+- generators crossing a worker-process task boundary — ``.map`` or
+  ``.submit`` on a local bound from ``ProcessPoolExecutor(...)`` (pass
+  seeds, derive worker-side — generator state does not fork
   deterministically across processes);
-- two call sites must not derive from the same constant scope tuple
-  (identical streams masquerading as independent ones);
-- seeds fed into ``derive_rng``/``make_rng``/``task_seeds`` must not
-  come from process- or time-dependent values (``os.getpid``, ``hash``,
-  ``time.*`` ...).
+- two call sites deriving from the same constant scope tuple (identical
+  streams masquerading as independent ones);
+- seeds fed into ``derive_rng``/``make_rng``/``task_seeds`` from
+  process- or time-dependent values (:data:`VOLATILE_ORIGINS`).
 
-Unresolvable origins degrade to silence, never to a finding.
+Each flagged line is reported once. Unresolvable origins degrade to
+silence, never to a finding.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import ast
+from typing import Iterable, Iterator
 
 from repro.analysis.dataflow import (
     FunctionInfo,
     WitnessStep,
-    body_statements,
+    dotted_parts,
     get_dataflow,
+    is_self_attr,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.model import ProjectModel
+from repro.analysis.model import ProjectModel, SourceFile, import_base
 from repro.analysis.rules.base import Rule
 
-#: Modules allowed to construct generators directly (the lineage root).
+#: The only modules that may construct generators (the lineage root).
 SANCTIONED_MODULES = {"repro.rng"}
 
 #: Canonical constructors that start a *sanctioned* lineage.
@@ -56,6 +64,29 @@ RAW_CONSTRUCTORS = {
     "numpy.random.default_rng",
     "numpy.random.Generator",
     "numpy.random.RandomState",
+}
+
+#: numpy's process-global legacy API, banned as imports.
+LEGACY_NUMPY = {"numpy.random.seed", "numpy.random.RandomState"}
+
+#: Canonical wall-clock reads: banned outright, and volatile as seeds.
+WALL_CLOCK = {
+    "time.time",
+    "time.time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+}
+
+#: Canonical origins that make a seed process- or time-dependent.
+VOLATILE_ORIGINS = WALL_CLOCK | {
+    "time.monotonic",
+    "time.perf_counter",
+    "os.getpid",
+    "uuid.uuid4",
+    "id",
+    "hash",
 }
 
 #: Generator methods that consume random state.
@@ -90,21 +121,18 @@ POOL_METHODS = {"map", "submit"}
 SEED_SINKS = {
     "repro.rng.make_rng",
     "repro.rng.derive_rng",
-    "repro.rng.spawn_seeds",
     "repro.rng.task_seeds",
 }
 
-#: Canonical origins that make a seed process- or time-dependent.
-VOLATILE_ORIGINS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.perf_counter",
-    "os.getpid",
-    "uuid.uuid4",
-    "id",
-    "hash",
-}
+_STDLIB_RANDOM = (
+    "stdlib 'random' is process-global and unseeded here; draw from "
+    "repro.rng (derive_rng/make_rng) instead"
+)
+
+_WALL_CLOCK = (
+    "reads the wall clock; use time.perf_counter/time.monotonic for "
+    "timing, or an injectable clock for behaviour"
+)
 
 
 class SeedLineageRule(Rule):
@@ -113,50 +141,146 @@ class SeedLineageRule(Rule):
     rule_id = "seed-lineage"
     description = (
         "generators must descend from repro.rng and never cross worker "
-        "boundaries; scope tuples must be unique"
+        "boundaries; scope tuples must be unique; no global numpy "
+        "seeding, stdlib random, or wall-clock reads"
     )
-    version = 2
+    version = 3
 
     def check_project(self, model: ProjectModel) -> Iterable[Finding]:
-        """Seed-lineage findings over every function in the project."""
+        """Seed-lineage findings over every statement in the project."""
         df = get_dataflow(model)
+        by_node = {id(fi.node): fi for fi in df.functions.values()}
         scope_sites: dict[tuple, list[tuple[FunctionInfo, ast.Call]]] = {}
-        for fi in df.functions.values():
-            env = df.function_env(fi)
-            for call in _calls_of(fi):
-                targets = df.call_targets(fi, call, env)
-                yield from self._check_construction(fi, call, targets)
-                yield from self._check_stochastic_use(df, fi, call, env)
-                yield from self._check_pool_boundary(fi, call, env)
-                yield from self._check_seed_source(
-                    df, fi, call, targets, env
+        lineage: list[Finding] = []
+        hazards: list[Finding] = []
+        for source in model.files:
+            for node, fi in _scoped_nodes(source, by_node):
+                if not isinstance(node, ast.Call):
+                    hazards.extend(self._check_import(source, node))
+                    continue
+                parts = dotted_parts(node.func)
+                env = None
+                targets: tuple[str, ...] = ()
+                if fi is not None:
+                    env = df.function_env(fi)
+                    targets = df.call_targets(fi, node, env)
+                elif parts is not None:
+                    targets = (df.resolve(source.module, ".".join(parts)),)
+                lineage.extend(
+                    self._check_construction(source, fi, node, targets)
                 )
-                self._collect_scope(fi, call, targets, scope_sites)
-        yield from self._check_scope_reuse(scope_sites)
+                hazards.extend(
+                    self._check_hazard_call(source, node, parts, targets)
+                )
+                if fi is None:
+                    continue
+                lineage.extend(self._check_stochastic_use(df, fi, node, env))
+                lineage.extend(self._check_pool_boundary(fi, node, env))
+                lineage.extend(
+                    self._check_seed_source(df, fi, node, targets, env)
+                )
+                self._collect_scope(fi, node, targets, scope_sites)
+        lineage.extend(self._check_scope_reuse(scope_sites))
+        # One finding per line: the lineage checks carry witnesses, so
+        # they win over a hazard reported on the same line.
+        by_line: dict[tuple[str, int], Finding] = {}
+        for finding in (*lineage, *hazards):
+            by_line.setdefault((finding.path, finding.line), finding)
+        return list(by_line.values())
 
+    # ------------------------------------------------------------------
+    # hazards: legacy numpy state, stdlib random, wall-clock reads
+    # ------------------------------------------------------------------
+
+    def _check_import(
+        self, source: SourceFile, node: ast.Import | ast.ImportFrom
+    ) -> Iterator[Finding]:
+        if isinstance(node, ast.Import):
+            if any(
+                alias.name.split(".", 1)[0] == "random"
+                for alias in node.names
+            ):
+                yield self.finding(source.relpath, node.lineno, _STDLIB_RANDOM)
+            return
+        base = import_base(node, source.module)
+        if base is None:
+            return
+        if base.split(".", 1)[0] == "random":
+            yield self.finding(source.relpath, node.lineno, _STDLIB_RANDOM)
+            return
+        for alias in node.names:
+            qualified = f"{base}.{alias.name}"
+            if qualified in WALL_CLOCK:
+                yield self.finding(
+                    source.relpath,
+                    node.lineno,
+                    f"'from {base} import {alias.name}' {_WALL_CLOCK}",
+                )
+            elif qualified in LEGACY_NUMPY:
+                yield self.finding(
+                    source.relpath,
+                    node.lineno,
+                    f"{qualified} is legacy global-state randomness; "
+                    "thread a seeded Generator from repro.rng instead",
+                )
+
+    def _check_hazard_call(
+        self,
+        source: SourceFile,
+        call: ast.Call,
+        parts: list[str] | None,
+        targets: tuple[str, ...],
+    ) -> Iterator[Finding]:
+        if parts is None:
+            return
+        name = ".".join(parts)
+        if "numpy.random.seed" in targets:
+            yield self.finding(
+                source.relpath,
+                call.lineno,
+                f"{name}() seeds process-global numpy state; thread a "
+                "seeded Generator from repro.rng instead",
+            )
+        elif any(target in WALL_CLOCK for target in targets):
+            yield self.finding(
+                source.relpath, call.lineno, f"{name}() {_WALL_CLOCK}"
+            )
+
+    # ------------------------------------------------------------------
+    # lineage
     # ------------------------------------------------------------------
 
     def _check_construction(
-        self, fi: FunctionInfo, call: ast.Call, targets: tuple[str, ...]
-    ) -> Iterable[Finding]:
-        if fi.module in SANCTIONED_MODULES:
+        self,
+        source: SourceFile,
+        fi: FunctionInfo | None,
+        call: ast.Call,
+        targets: tuple[str, ...],
+    ) -> Iterator[Finding]:
+        if source.module in SANCTIONED_MODULES:
             return
         for target in targets:
-            if target in RAW_CONSTRUCTORS:
-                yield self.finding(
-                    fi.source.relpath,
-                    call.lineno,
-                    f"{target}() creates a generator outside the seed "
-                    "lineage; use repro.rng.make_rng or derive_rng "
-                    f"(in {fi.qualname})",
-                    witness=(
-                        WitnessStep(
-                            fi.source.relpath,
-                            call.lineno,
-                            f"raw {target}() in {fi.qualname}()",
-                        ),
+            if target not in RAW_CONSTRUCTORS:
+                continue
+            message = (
+                f"{target}() creates a generator outside the seed "
+                "lineage; use repro.rng.make_rng or derive_rng"
+            )
+            if fi is None:
+                yield self.finding(source.relpath, call.lineno, message)
+                continue
+            yield self.finding(
+                source.relpath,
+                call.lineno,
+                f"{message} (in {fi.qualname})",
+                witness=(
+                    WitnessStep(
+                        source.relpath,
+                        call.lineno,
+                        f"raw {target}() in {fi.qualname}()",
                     ),
-                )
+                ),
+            )
 
     def _check_stochastic_use(
         self,
@@ -174,22 +298,13 @@ class SeedLineageRule(Rule):
         prov = df.expr_prov(fi, receiver, env)
         origin = prov.origin
         owner = fi
-        if origin.startswith("param:") and _is_self_attr(receiver):
+        if origin.startswith("param:") and is_self_attr(receiver):
             # The provenance came out of ``__init__``'s environment, so
             # the parameter belongs to the constructor, not this method.
             init = df.functions.get(f"{fi.class_key}.__init__")
             if init is not None:
                 owner = init
-        if origin.startswith("call:"):
-            canonical = origin[5:]
-            if (
-                canonical in RAW_CONSTRUCTORS
-                and fi.module not in SANCTIONED_MODULES
-            ):
-                # The construction finding already covers the creation
-                # site in this function; no duplicate here.
-                return
-            return
+        # A local constructed here is covered by the construction check.
         if not origin.startswith("param:"):
             return
         param = origin[6:]
@@ -349,6 +464,29 @@ class SeedLineageRule(Rule):
                 )
 
 
+def _scoped_nodes(
+    source: SourceFile, by_node: dict[int, FunctionInfo]
+) -> Iterator[tuple[ast.AST, FunctionInfo | None]]:
+    """Every call and import in ``source``, in source order, paired with
+    the innermost indexed function it runs in (``None`` outside one)."""
+    scopes: list[FunctionInfo | None] = [None]
+    stack: list[ast.AST | None] = [source.tree]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the end of a function's subtree
+            scopes.pop()
+            continue
+        fi = by_node.get(id(node))
+        if fi is not None:
+            scopes.append(fi)
+            stack.append(None)
+        if isinstance(node, (ast.Call, ast.Import, ast.ImportFrom)):
+            yield node, scopes[-1]
+        children = list(ast.iter_child_nodes(node))
+        children.reverse()
+        stack.extend(children)
+
+
 def _pool_boundary(call: ast.Call, env) -> str | None:
     """``<executor class>.<method>`` when ``call`` is ``.map``/``.submit``
     on a local bound from a process-pool executor, else ``None``.
@@ -370,18 +508,3 @@ def _pool_boundary(call: ast.Call, env) -> str | None:
     if executor not in POOL_EXECUTORS:
         return None
     return f"{executor}.{func.attr}"
-
-
-def _calls_of(fi: FunctionInfo):
-    for stmt in body_statements(fi.node):
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                yield node
-
-
-def _is_self_attr(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )

@@ -13,8 +13,8 @@ served from the incremental cache (:mod:`repro.analysis.cache`) without
 re-parsing anything; baseline filtering is applied after the cache so a
 baseline edit alone never stales an entry.
 
-Everything here is stdlib-only on purpose: the docs CI job runs the
-shimmed checkers without numpy installed.
+Everything here is stdlib-only on purpose: :func:`run_check` needs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ Commands:
   (columnar npz shards behind checksum manifests) for the paper-scale
   data path; ``--resume`` continues an interrupted write, reusing every
   shard that already verifies.
-- ``check [paths]`` — run the static analyzer (determinism, layering,
-  lock discipline, seed lineage, dtype tiers, lock ordering, resource
-  lifetimes, exception hygiene, docs integrity) over the given paths
+- ``check [paths]`` — run the static analyzer (layering, seed lineage,
+  dtype tiers, lock order, resource lifetimes, exception hygiene, docs
+  integrity) over the given paths
   (default ``src``); exits 1 when findings survive suppression. Warm
   re-runs hit the incremental cache (``--no-cache`` to bypass); output
   formats are text, JSON, and SARIF 2.1.0, and ``--explain

@@ -52,14 +52,6 @@ def derive_rng(seed: int | None, *scope: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(material))
 
 
-def spawn_seeds(seed: int | None, count: int) -> list[int]:
-    """Return ``count`` independent integer seeds derived from ``seed``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    rng = make_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
-
-
 def task_seeds(seed: int | None, scope: str, count: int) -> list[int]:
     """Derive ``count`` per-task integer seeds from ``(seed, scope)``.
 

@@ -1,4 +1,4 @@
-"""``lock-order``: cycle detection and mixed-reachability fixtures."""
+"""``lock-order``: cycle, mixed-reachability and mixed-guard fixtures."""
 
 from __future__ import annotations
 
@@ -257,6 +257,21 @@ class TestMixedReachability:
             ''',
         })
 
+    def test_line_hit_by_both_checks_is_reported_once(self, check_tree):
+        """The helper's write is also a mixed-guard site; one finding."""
+        files = dict(self.MIXED)
+        files["pkg/svc.py"] = files["pkg/svc.py"].replace(
+            "    with self._lock:\n"
+            "                        self._bump()",
+            "    with self._lock:\n"
+            "                        self.hits += 1\n"
+            "                        self._bump()",
+        )
+        assert "self.hits += 1" in files["pkg/svc.py"]
+        found = findings(check_tree, files)
+        assert len(found) == 1
+        assert "reaches both with the lock held" in found[0].message
+
     def test_pragma_suppresses(self, check_tree):
         files = dict(self.MIXED)
         files["pkg/svc.py"] = files["pkg/svc.py"].replace(
@@ -265,5 +280,139 @@ class TestMixedReachability:
             "# repro: allow[lock-order] — fixture justification",
         )
         result = check_tree({**PKG, **files}, rule_ids=RULE)
+        assert result.ok
+        assert result.suppressed == 1
+
+
+# ----------------------------------------------------------------------
+# mixed guard: one attribute, locked on one path and bare on another
+# ----------------------------------------------------------------------
+
+MIXED_GUARD = """\
+import threading
+
+
+class Stats:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def hit(self):
+        with self._lock:
+            self.count += 1
+
+    def reset(self):
+        self.count = 0
+"""
+
+CONSISTENT = """\
+import threading
+
+
+class Stats:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def hit(self):
+        with self._lock:
+            self.count += 1
+
+    def reset(self):
+        with self._lock:
+            self.count = 0
+"""
+
+LOCKED_SUFFIX = """\
+import threading
+
+
+class Machine:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.state = "closed"
+
+    def trip(self):
+        with self._lock:
+            self.state = "open"
+            self._reopen_locked()
+
+    def _reopen_locked(self):
+        self.state = "half-open"
+"""
+
+INHERITED = """\
+import threading
+
+
+class Base:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+
+class Child(Base):
+    def __init__(self):
+        super().__init__()
+        self.value = 0
+
+    def bump(self):
+        with self._lock:
+            self.value += 1
+
+    def clear(self):
+        self.value = 0
+"""
+
+
+class TestMixedGuardFlags:
+    def test_mixed_mutation_is_flagged(self, check_tree):
+        result = check_tree({"mod.py": MIXED_GUARD}, rule_ids=RULE)
+        assert [f.line for f in result.findings] == [14]
+        finding = result.findings[0]
+        assert finding.rule == "lock-order"
+        assert "'Stats.count' is mutated in 'reset'" in finding.message
+        assert "outside 'with self._lock'" in finding.message
+        assert "under the lock at line 11" in finding.message
+
+    def test_inherited_lock_ownership_is_enforced(self, check_tree):
+        result = check_tree({"mod.py": INHERITED}, rule_ids=RULE)
+        assert [f.line for f in result.findings] == [19]
+        assert "'Child.value' is mutated in 'clear'" in result.findings[0].message
+
+
+class TestMixedGuardClean:
+    def test_consistent_locking_is_clean(self, check_tree):
+        result = check_tree({"mod.py": CONSISTENT}, rule_ids=RULE)
+        assert result.ok, result.render_text()
+
+    def test_locked_suffix_counts_as_locked_context(self, check_tree):
+        result = check_tree({"mod.py": LOCKED_SUFFIX}, rule_ids=RULE)
+        assert result.ok, result.render_text()
+
+    def test_constructor_mutation_is_exempt(self, check_tree):
+        # __init__ assigns guarded attributes lock-free: legal, the
+        # instance is not shared yet.
+        result = check_tree({"mod.py": CONSISTENT}, rule_ids=RULE)
+        assert result.ok
+
+    def test_lockless_class_is_ignored(self, check_tree):
+        source = (
+            "class Plain:\n"
+            "    def set(self, v):\n"
+            "        self.value = v\n"
+        )
+        result = check_tree({"mod.py": source}, rule_ids=RULE)
+        assert result.ok
+
+
+class TestMixedGuardSuppression:
+    def test_inline_pragma_silences(self, check_tree):
+        patched = MIXED_GUARD.replace(
+            "    def reset(self):\n        self.count = 0",
+            "    def reset(self):\n"
+            "        self.count = 0  "
+            "# repro: allow[lock-order] — single-threaded",
+        )
+        result = check_tree({"mod.py": patched}, rule_ids=RULE)
         assert result.ok
         assert result.suppressed == 1

@@ -36,15 +36,18 @@ class TestExitCodes:
     def test_findings_exit_one(self, bad_tree, capsys):
         assert check(bad_tree) == 1
         out = capsys.readouterr().out
-        assert "mod.py:1: [determinism]" in out
+        assert "mod.py:1: [seed-lineage]" in out
 
     def test_unknown_rule_exits_two(self, good_tree, capsys):
-        assert check(good_tree, "--rule", "nonsense") == 2
-        assert "unknown rule id(s): nonsense" in capsys.readouterr().err
+        # Ids of rules folded into others get no alias.
+        for rule_id in ("nonsense", "locks", "determinism"):
+            assert check(good_tree, "--rule", rule_id) == 2
+            err = capsys.readouterr().err
+            assert f"unknown rule id(s): {rule_id}" in err
 
     def test_rule_filter_limits_the_run(self, bad_tree):
         assert check(bad_tree, "--rule", "exceptions") == 0
-        assert check(bad_tree, "--rule", "determinism") == 1
+        assert check(bad_tree, "--rule", "seed-lineage") == 1
 
 
 class TestJsonSchema:
@@ -56,12 +59,12 @@ class TestJsonSchema:
         assert payload["files_checked"] == 1
         counts = payload["counts"]
         assert counts["total"] == len(payload["findings"]) == 1
-        assert counts["by_rule"] == {"determinism": 1}
+        assert counts["by_rule"] == {"seed-lineage": 1}
         assert counts["suppressed"] == 0
         assert counts["baselined"] == 0
         finding = payload["findings"][0]
         assert set(finding) == {"rule", "path", "line", "severity", "message"}
-        assert finding["rule"] == "determinism"
+        assert finding["rule"] == "seed-lineage"
         assert finding["path"] == "mod.py"
         assert finding["line"] == 1
         assert finding["severity"] == "error"

@@ -1,4 +1,9 @@
-"""``seed-lineage``: flag/no-flag fixtures and witness-path goldens."""
+"""``seed-lineage``: flag/no-flag fixtures and witness-path goldens.
+
+The lineage fixtures trace generators through the dataflow layer; the
+hazard fixtures cover global numpy seeding, stdlib ``random`` and
+wall-clock reads, which the rule flags wherever they appear.
+"""
 
 from __future__ import annotations
 
@@ -327,3 +332,143 @@ class TestScopeReuse:
                     return derive_rng(seed, "task", task)
             ''',
         })
+
+
+# ----------------------------------------------------------------------
+# hazards: legacy numpy state, stdlib random, wall-clock reads
+# ----------------------------------------------------------------------
+
+BAD = """\
+import random
+import numpy as np
+import time
+from datetime import datetime
+
+
+def stochastic():
+    np.random.seed(0)
+    state = np.random.RandomState(3)
+    generator = np.random.default_rng()
+    started = time.time()
+    stamp = datetime.now()
+    return random.random(), state, generator, started, stamp
+"""
+
+GOOD = """\
+import time
+
+from repro.rng import make_rng
+
+
+def seeded(seed):
+    generator = make_rng(seed)
+    started = time.perf_counter()
+    return generator, started
+"""
+
+#: Every RNG and clock hazard at once, module level included.
+RNG_AND_CLOCK = """\
+import random
+import time
+from datetime import datetime
+
+import numpy as np
+from numpy.random import RandomState
+
+G = np.random.default_rng()
+
+
+def stochastic():
+    np.random.seed(0)
+    legacy = np.random.RandomState(3)
+    unseeded = np.random.default_rng()
+    seeded = np.random.default_rng(5)
+    imported = RandomState(1)
+    started = time.time()
+    stamp = datetime.now()
+    return legacy, unseeded, seeded, imported, started, stamp
+"""
+
+
+class TestHazardFlags:
+    def test_bad_fixture_flags_every_sin(self, check_tree):
+        result = check_tree({"mod.py": BAD}, rule_ids=RULE)
+        assert [f.line for f in result.findings] == [1, 8, 9, 10, 11, 12]
+        messages = [finding.message for finding in result.findings]
+        assert any("stdlib 'random'" in m for m in messages)
+        assert any("seeds process-global numpy state" in m for m in messages)
+        assert any(
+            "numpy.random.RandomState() creates a generator outside" in m
+            for m in messages
+        )
+        assert any(
+            "numpy.random.default_rng() creates a generator outside" in m
+            for m in messages
+        )
+        assert any("time.time() reads the wall clock" in m for m in messages)
+        assert any("datetime.now() reads the wall clock" in m for m in messages)
+        assert all(finding.rule == "seed-lineage" for finding in result.findings)
+
+    def test_from_time_import_time_flagged(self, check_tree):
+        result = check_tree(
+            {"mod.py": "from time import time\n"}, rule_ids=RULE
+        )
+        assert len(result.findings) == 1
+        assert "'from time import time'" in result.findings[0].message
+
+    @pytest.mark.parametrize("name", ["seed", "RandomState"])
+    def test_from_numpy_random_import_flagged(self, check_tree, name):
+        result = check_tree(
+            {"mod.py": f"from numpy.random import {name}\n"}, rule_ids=RULE
+        )
+        assert len(result.findings) == 1
+        assert name in result.findings[0].message
+
+    def test_every_rng_and_clock_line_flagged_once(self, check_tree):
+        result = check_tree({"mod.py": RNG_AND_CLOCK}, rule_ids=RULE)
+        lines = [f.line for f in result.findings]
+        assert lines == [1, 6, 8, 12, 13, 14, 15, 16, 17, 18]
+        assert len(set(lines)) == len(lines) == 10
+
+
+class TestHazardClean:
+    def test_good_fixture_is_clean(self, check_tree):
+        result = check_tree({"mod.py": GOOD}, rule_ids=RULE)
+        assert result.ok, result.render_text()
+
+    def test_perf_timers_allowlisted(self, check_tree):
+        source = (
+            "import time\n"
+            "a = time.perf_counter()\n"
+            "b = time.monotonic()\n"
+            "c = time.process_time()\n"
+            "time.sleep(0)\n"
+        )
+        result = check_tree({"mod.py": source}, rule_ids=RULE)
+        assert result.ok, result.render_text()
+
+    def test_repro_rng_may_construct_generators(self, check_tree):
+        source = (
+            "import numpy as np\n"
+            "g = np.random.default_rng()\n"
+            "def fresh():\n"
+            "    return np.random.default_rng()\n"
+        )
+        result = check_tree(
+            {"repro/__init__.py": "", "repro/rng.py": source}, rule_ids=RULE
+        )
+        assert result.ok, result.render_text()
+        # The same code anywhere else starts an unsanctioned lineage.
+        result = check_tree({"other.py": source}, rule_ids=RULE)
+        assert [f.line for f in result.findings] == [2, 4]
+
+
+class TestHazardSuppression:
+    def test_inline_pragma_silences(self, check_tree):
+        source = (
+            "import numpy as np\n"
+            "np.random.seed(0)  # repro: allow[seed-lineage] — fixture\n"
+        )
+        result = check_tree({"mod.py": source}, rule_ids=RULE)
+        assert result.ok
+        assert result.suppressed == 1

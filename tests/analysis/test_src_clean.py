@@ -15,6 +15,11 @@ from repro.analysis import run_check
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: The trees gated against the committed baseline.
+AUX_TREES = [
+    REPO_ROOT / name for name in ("scripts", "benchmarks", "examples")
+]
+
 
 def test_src_has_no_findings():
     result = run_check([REPO_ROOT / "src"], root=REPO_ROOT)
@@ -30,13 +35,13 @@ def test_src_run_covers_the_whole_package():
 def test_scripts_and_benchmarks_clean_modulo_baseline():
     """The auxiliary trees stay clean beyond the committed baseline.
 
-    ``check-baseline.json`` grandfathers the load generator's
-    intentionally-skewed stdlib sampling; anything *new* in scripts/ or
-    benchmarks/ must be fixed (or justified inline), never silently
+    ``check-baseline.json`` grandfathers the load generator's catch-all
+    request handler; anything *new* in scripts/, benchmarks/ or
+    examples/ must be fixed (or justified inline), never silently
     accumulated.
     """
     result = run_check(
-        [REPO_ROOT / "scripts", REPO_ROOT / "benchmarks"],
+        AUX_TREES,
         root=REPO_ROOT,
         baseline=REPO_ROOT / "check-baseline.json",
     )
@@ -53,8 +58,6 @@ def test_committed_baseline_carries_no_dead_fingerprints():
     """
     from repro.analysis import load_baseline
 
-    result = run_check(
-        [REPO_ROOT / "scripts", REPO_ROOT / "benchmarks"], root=REPO_ROOT
-    )
+    result = run_check(AUX_TREES, root=REPO_ROOT)
     live = {finding.fingerprint for finding in result.findings}
     assert load_baseline(REPO_ROOT / "check-baseline.json") <= live

@@ -8,7 +8,6 @@ from repro.rng import (
     DEFAULT_SEED,
     derive_rng,
     make_rng,
-    spawn_seeds,
     task_seeds,
 )
 
@@ -43,22 +42,6 @@ class TestDeriveRng:
         a = derive_rng(5, "x").integers(10**6)
         b = derive_rng(6, "x").integers(10**6)
         assert a != b
-
-
-class TestSpawnSeeds:
-    def test_count(self):
-        assert len(spawn_seeds(1, 5)) == 5
-
-    def test_distinct(self):
-        seeds = spawn_seeds(1, 20)
-        assert len(set(seeds)) == 20
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(1, -1)
-
-    def test_zero(self):
-        assert spawn_seeds(1, 0) == []
 
 
 class TestTaskSeeds:
