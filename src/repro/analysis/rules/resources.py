@@ -31,6 +31,7 @@ from repro.analysis.dataflow import (
     FunctionInfo,
     WitnessStep,
     body_statements,
+    calls_in,
     dotted_parts,
     get_dataflow,
     parent_map,
@@ -92,20 +93,17 @@ class ResourceLifetimeRule(Rule):
         closed = _closed_names(fi)
         returned = _returned_names(fi)
         passed = _names_passed_to_calls(fi)
-        for stmt in body_statements(fi.node):
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                targets = df.call_targets(fi, node, env)
-                parts = dotted_parts(node.func)
-                yield from self._check_handle(
-                    df, source, fi, node, targets, parts, parents,
-                    closed, returned, passed,
+        for call in calls_in(fi):
+            targets = df.call_targets(fi, call, env)
+            parts = dotted_parts(call.func)
+            yield from self._check_handle(
+                df, source, fi, call, targets, parts, parents,
+                closed, returned, passed,
+            )
+            if fi.module not in SANCTIONED_WRITE_MODULES:
+                yield from self._check_write(
+                    df, source, fi, call, targets, parts, env
                 )
-                if fi.module not in SANCTIONED_WRITE_MODULES:
-                    yield from self._check_write(
-                        df, source, fi, node, targets, parts, env
-                    )
 
     # ------------------------------------------------------------------
     # handle lifetimes
@@ -351,17 +349,13 @@ def _self_store_attr(binding: ast.expr) -> str | None:
 
 
 def _closed_names(fi: FunctionInfo) -> set[str]:
-    out: set[str] = set()
-    for stmt in body_statements(fi.node):
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "close"
-                and isinstance(node.func.value, ast.Name)
-            ):
-                out.add(node.func.value.id)
-    return out
+    return {
+        call.func.value.id
+        for call in calls_in(fi)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr == "close"
+        and isinstance(call.func.value, ast.Name)
+    }
 
 
 def _returned_names(fi: FunctionInfo) -> set[str]:
@@ -385,16 +379,13 @@ def _returned_names(fi: FunctionInfo) -> set[str]:
 def _names_passed_to_calls(fi: FunctionInfo) -> set[str]:
     """Names handed to other calls (ownership unknowable — degrade)."""
     out: set[str] = set()
-    for stmt in body_statements(fi.node):
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            for arg in (*node.args, *(k.value for k in node.keywords)):
-                target = arg
-                if isinstance(target, ast.Starred):
-                    target = target.value
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
+    for call in calls_in(fi):
+        for arg in (*call.args, *(k.value for k in call.keywords)):
+            target = arg
+            if isinstance(target, ast.Starred):
+                target = target.value
+            if isinstance(target, ast.Name):
+                out.add(target.id)
     return out
 
 

@@ -2,8 +2,9 @@
 
 Mirrors the Anobii social-network dump described in Section 3 of the paper:
 a rich item catalogue (plot, keywords, crowd-voted genres) plus explicit 1-5
-star ratings. Offers the paper's source-level filters: keep Italian items
-that are books, and keep only positive feedback (rating >= 3).
+star ratings. The paper's source-level filters are :func:`italian_books`
+for the catalogue and :data:`POSITIVE_RATING_THRESHOLD` for the ratings
+(keep only positive feedback, rating >= 3).
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ from repro.tables import Table, ops
 POSITIVE_RATING_THRESHOLD = 3
 
 KEPT_LANGUAGE = "ita"
+
+
+def italian_books(items: Table) -> np.ndarray:
+    """Mask of the catalogue rows the paper keeps: Italian items that are
+    books."""
+    return np.asarray(
+        [
+            bool(is_book) and language == KEPT_LANGUAGE
+            for is_book, language in zip(items["is_book"], items["language"])
+        ],
+        dtype=bool,
+    )
 
 
 @dataclass(frozen=True)
@@ -64,34 +77,6 @@ class AnobiiDataset:
         item_ids = self.items["item_id"]
         if len(set(item_ids.tolist())) != len(item_ids):
             raise DatasetError("duplicate item_id values in the Anobii catalogue")
-
-    # ------------------------------------------------------------------
-    # paper Section 3 filters
-    # ------------------------------------------------------------------
-
-    def filter_italian_books(self) -> "AnobiiDataset":
-        """Keep Italian-language items that are books, plus their ratings."""
-        items = self.items.filter(
-            lambda t: np.asarray(
-                [
-                    bool(is_book) and language == KEPT_LANGUAGE
-                    for is_book, language in zip(t["is_book"], t["language"])
-                ],
-                dtype=bool,
-            )
-        )
-        kept_ids = set(items["item_id"].tolist())
-        ratings = self.ratings.filter(
-            np.asarray([i in kept_ids for i in self.ratings["item_id"]], dtype=bool)
-        )
-        return AnobiiDataset(items=items, ratings=ratings)
-
-    def positive_feedback(
-        self, threshold: int = POSITIVE_RATING_THRESHOLD
-    ) -> "AnobiiDataset":
-        """Drop ratings below ``threshold`` (negative feedback)."""
-        ratings = self.ratings.filter(self.ratings["rating"] >= threshold)
-        return AnobiiDataset(items=self.items, ratings=ratings)
 
     # ------------------------------------------------------------------
     # characterisation helpers

@@ -2,8 +2,8 @@
 
 Mirrors the *Biblioteche Civiche di Torino* dump described in Section 3 of
 the paper: a catalogue table and nine years of loan events. The container
-validates referential integrity and offers the paper's source-level filter
-(Italian monographs and manuscripts).
+validates referential integrity; :func:`italian_monographs` is the paper's
+source-level catalogue filter (Italian monographs and manuscripts).
 """
 
 from __future__ import annotations
@@ -21,6 +21,18 @@ KEPT_MATERIALS = frozenset({"monograph", "manuscript"})
 
 #: Edition language the paper keeps.
 KEPT_LANGUAGE = "ita"
+
+
+def italian_monographs(books: Table) -> np.ndarray:
+    """Mask of the catalogue rows the paper keeps: Italian monographs and
+    manuscripts."""
+    return np.asarray(
+        [
+            material in KEPT_MATERIALS and language == KEPT_LANGUAGE
+            for material, language in zip(books["material"], books["language"])
+        ],
+        dtype=bool,
+    )
 
 
 @dataclass(frozen=True)
@@ -67,27 +79,6 @@ class BCTDataset:
                     f"{int(negative.sum())} loans returned before they were "
                     "borrowed"
                 )
-
-    # ------------------------------------------------------------------
-    # paper Section 3 filters
-    # ------------------------------------------------------------------
-
-    def filter_italian_monographs(self) -> "BCTDataset":
-        """Keep Italian monographs/manuscripts and the loans touching them."""
-        books = self.books.filter(
-            lambda t: np.asarray(
-                [
-                    material in KEPT_MATERIALS and language == KEPT_LANGUAGE
-                    for material, language in zip(t["material"], t["language"])
-                ],
-                dtype=bool,
-            )
-        )
-        kept_ids = set(books["book_id"].tolist())
-        loans = self.loans.filter(
-            np.asarray([b in kept_ids for b in self.loans["book_id"]], dtype=bool)
-        )
-        return BCTDataset(books=books, loans=loans)
 
     # ------------------------------------------------------------------
     # characterisation helpers

@@ -2,9 +2,10 @@
 
 Order of operations, as in the paper:
 
-1. :mod:`repro.pipeline.cleaning` — source-level filters: Italian
-   monographs/manuscripts for BCT, Italian book items for Anobii, and the
-   positive-feedback filter (rating >= 3).
+1. Quarantine malformed source rows and apply the source-level filters:
+   Italian monographs/manuscripts for BCT, Italian book items for Anobii,
+   and the positive-feedback filter (rating >= 3). The reports live in
+   :mod:`repro.pipeline.cleaning`.
 2. :mod:`repro.pipeline.genres` — clean the crowd-voted genres (drop
    ubiquitous and rare labels, entropy-guided aggregation, top-4 with
    vote-proportional probabilities).
@@ -14,20 +15,15 @@ Order of operations, as in the paper:
    floor), and emit a validated :class:`repro.datasets.MergedDataset`.
 4. :mod:`repro.pipeline.stats` — dataset characterisation used by Figs 1-2.
 
-:mod:`repro.pipeline.streaming` runs the same merge out-of-core over a
-sharded corpus (:func:`~repro.pipeline.streaming.merge_sharded_corpus`),
-producing a bit-identical dataset and report without ever materialising
-the full event stream.
+Steps 1-3 are one merge (:func:`~repro.pipeline.merge.run_merge`) that
+streams the events in two passes. :func:`build_merged_dataset` runs it
+over in-memory sources; :mod:`repro.pipeline.streaming` runs it over a
+sharded corpus on disk
+(:func:`~repro.pipeline.streaming.merge_sharded_corpus`), with peak
+memory bounded by one shard.
 """
 
-from repro.pipeline.cleaning import (
-    QuarantinedRow,
-    QuarantineReport,
-    clean_anobii,
-    clean_bct,
-    quarantine_anobii,
-    quarantine_bct,
-)
+from repro.pipeline.cleaning import QuarantinedRow, QuarantineReport
 from repro.pipeline.genres import GenreModel, build_genre_model
 from repro.pipeline.merge import MergeConfig, MergeReport, build_merged_dataset
 from repro.pipeline.streaming import (
@@ -40,10 +36,6 @@ from repro.pipeline import stats
 __all__ = [
     "QuarantinedRow",
     "QuarantineReport",
-    "clean_anobii",
-    "clean_bct",
-    "quarantine_anobii",
-    "quarantine_bct",
     "GenreModel",
     "build_genre_model",
     "MergeConfig",

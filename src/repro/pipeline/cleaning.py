@@ -1,17 +1,18 @@
-"""Source-level cleaning steps (paper Section 3).
+"""Reports of the source-level cleaning steps (paper Section 3).
 
-Each function returns both the cleaned dataset and a :class:`CleaningReport`
-with before/after row counts, so pipelines can log exactly what each filter
-removed — the paper reports these reductions (e.g. 290 125 -> 228 059 BCT
-books) and the reports make our equivalents auditable.
+The merge (:mod:`repro.pipeline.merge`) applies the paper's source-level
+filters and records each as a :class:`CleaningReport` with before/after
+row counts, so pipelines can log exactly what each filter removed — the
+paper reports these reductions (e.g. 290 125 -> 228 059 BCT books) and
+the reports make our equivalents auditable.
 
 Real library dumps also contain *malformed* rows — dangling foreign keys,
 loans returned before they were borrowed, blank user ids, duplicate
-catalogue entries. :func:`quarantine_bct` and :func:`quarantine_anobii`
-pull those rows into a :class:`QuarantineReport` (with full row context,
-annotated per source table) instead of aborting on the first bad row; the
-``strict=True`` escape hatch restores fail-fast behaviour for pipelines
-that would rather stop than drop.
+catalogue entries. The merge sets those rows aside in a
+:class:`QuarantineReport` (with full row context, annotated per source
+table) instead of aborting on the first bad row; its ``strict=True``
+escape hatch restores fail-fast behaviour for pipelines that would rather
+stop than drop.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.datasets.anobii import POSITIVE_RATING_THRESHOLD, AnobiiDataset
-from repro.datasets.bct import BCTDataset
 from repro.errors import PipelineError
 
 
@@ -125,116 +124,3 @@ def _keep_first_by_key(values) -> np.ndarray:
         mask[i] = value not in seen
         seen.add(value)
     return mask
-
-
-def quarantine_bct(
-    bct: BCTDataset, strict: bool = False
-) -> tuple[BCTDataset, QuarantineReport]:
-    """Split malformed BCT rows out of the dump before cleaning.
-
-    Quarantines duplicate catalogue entries, loans referencing unknown
-    books (dangling foreign keys), loans returned before they were
-    borrowed, and loans with a blank user id. ``strict=True`` raises
-    :class:`PipelineError` instead of quarantining.
-    """
-    report = QuarantineReport()
-    books = bct.books
-    keep_books = _keep_first_by_key(books["book_id"].tolist())
-    for i in np.flatnonzero(~keep_books):
-        report.add("bct.books", int(i), "duplicate book_id", books.row(int(i)))
-    if not keep_books.all():
-        books = books.filter(keep_books)
-
-    known_books = set(books["book_id"].tolist())
-    loans = bct.loans
-    keep_loans = np.ones(loans.num_rows, dtype=bool)
-    book_ids = loans["book_id"]
-    user_ids = loans["user_id"]
-    loan_dates = loans["loan_date"]
-    return_dates = loans["return_date"]
-    for i in range(loans.num_rows):
-        reason = None
-        if int(book_ids[i]) not in known_books:
-            reason = "dangling book_id"
-        elif not str(user_ids[i]).strip():
-            reason = "blank user_id"
-        elif return_dates[i] < loan_dates[i]:
-            reason = "returned before borrowed"
-        if reason is not None:
-            keep_loans[i] = False
-            report.add("bct.loans", i, reason, loans.row(i))
-    report.raise_if(strict)
-    if keep_loans.all() and keep_books.all():
-        return bct, report
-    return BCTDataset(books=books, loans=loans.filter(keep_loans)), report
-
-
-def quarantine_anobii(
-    anobii: AnobiiDataset, strict: bool = False
-) -> tuple[AnobiiDataset, QuarantineReport]:
-    """Split malformed Anobii rows out of the dump before cleaning.
-
-    Quarantines duplicate catalogue items, ratings referencing unknown
-    items, ratings outside the 1-5 star scale, and ratings with a blank
-    user id. ``strict=True`` raises :class:`PipelineError` instead.
-    """
-    report = QuarantineReport()
-    items = anobii.items
-    keep_items = _keep_first_by_key(items["item_id"].tolist())
-    for i in np.flatnonzero(~keep_items):
-        report.add("anobii.items", int(i), "duplicate item_id", items.row(int(i)))
-    if not keep_items.all():
-        items = items.filter(keep_items)
-
-    known_items = set(items["item_id"].tolist())
-    ratings = anobii.ratings
-    keep_ratings = np.ones(ratings.num_rows, dtype=bool)
-    item_ids = ratings["item_id"]
-    user_ids = ratings["user_id"]
-    stars = ratings["rating"]
-    for i in range(ratings.num_rows):
-        reason = None
-        if int(item_ids[i]) not in known_items:
-            reason = "dangling item_id"
-        elif not str(user_ids[i]).strip():
-            reason = "blank user_id"
-        elif not 1 <= int(stars[i]) <= 5:
-            reason = "rating outside [1, 5]"
-        if reason is not None:
-            keep_ratings[i] = False
-            report.add("anobii.ratings", i, reason, ratings.row(i))
-    report.raise_if(strict)
-    if keep_ratings.all() and keep_items.all():
-        return anobii, report
-    return (
-        AnobiiDataset(items=items, ratings=ratings.filter(keep_ratings)),
-        report,
-    )
-
-
-def clean_bct(bct: BCTDataset) -> tuple[BCTDataset, CleaningReport]:
-    """Keep Italian monographs and manuscripts, per the paper."""
-    cleaned = bct.filter_italian_monographs()
-    report = CleaningReport(
-        step="bct italian monographs",
-        catalogue_before=bct.n_books,
-        catalogue_after=cleaned.n_books,
-        events_before=bct.n_loans,
-        events_after=cleaned.n_loans,
-    )
-    return cleaned, report
-
-
-def clean_anobii(
-    anobii: AnobiiDataset, min_rating: int = POSITIVE_RATING_THRESHOLD
-) -> tuple[AnobiiDataset, CleaningReport]:
-    """Keep Italian books and positive feedback (rating >= ``min_rating``)."""
-    cleaned = anobii.filter_italian_books().positive_feedback(min_rating)
-    report = CleaningReport(
-        step=f"anobii italian books, rating >= {min_rating}",
-        catalogue_before=anobii.n_items,
-        catalogue_after=cleaned.n_items,
-        events_before=anobii.n_ratings,
-        events_after=cleaned.n_ratings,
-    )
-    return cleaned, report

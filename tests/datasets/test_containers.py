@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.datasets.anobii import AnobiiDataset
-from repro.datasets.bct import BCTDataset
+from repro.datasets.anobii import AnobiiDataset, italian_books
+from repro.datasets.bct import BCTDataset, italian_monographs
 from repro.datasets.merged import MergedDataset
 from repro.datasets.models import (
     ANOBII_ITEMS_SCHEMA,
@@ -25,16 +25,18 @@ class TestBCTDataset:
             BCTDataset(books=tiny_sources.bct.loans, loans=tiny_sources.bct.loans)
 
     def test_filter_keeps_only_italian_monographs(self, tiny_sources):
-        filtered = tiny_sources.bct.filter_italian_monographs()
-        assert set(filtered.books["material"].tolist()) <= {
-            "monograph", "manuscript"
-        }
-        assert set(filtered.books["language"].tolist()) == {"ita"}
-        assert filtered.n_books < tiny_sources.bct.n_books
+        books = tiny_sources.bct.books
+        filtered = books.filter(italian_monographs(books))
+        assert set(filtered["material"].tolist()) <= {"monograph", "manuscript"}
+        assert set(filtered["language"].tolist()) == {"ita"}
+        assert filtered.num_rows < books.num_rows
 
-    def test_filter_drops_orphaned_loans(self, tiny_sources):
-        filtered = tiny_sources.bct.filter_italian_monographs()
-        filtered.validate()
+    def test_filter_drops_orphaned_loans(self, tiny_sources, tiny_merge_report):
+        """The merge keeps exactly the loans of the kept books."""
+        bct = tiny_sources.bct
+        kept = set(bct.books.filter(italian_monographs(bct.books))["book_id"].tolist())
+        expected = sum(int(book_id) in kept for book_id in bct.loans["book_id"])
+        assert tiny_merge_report.cleaning[0].events_after == expected < bct.n_loans
 
     def test_validate_catches_dangling_loans(self, tiny_sources):
         books = tiny_sources.bct.books.head(1)
@@ -61,17 +63,31 @@ class TestBCTDataset:
 
 class TestAnobiiDataset:
     def test_filter_italian_books(self, tiny_sources):
-        filtered = tiny_sources.anobii.filter_italian_books()
-        assert filtered.items["is_book"].all()
-        assert set(filtered.items["language"].tolist()) == {"ita"}
+        items = tiny_sources.anobii.items
+        filtered = items.filter(italian_books(items))
+        assert filtered["is_book"].all()
+        assert set(filtered["language"].tolist()) == {"ita"}
 
     def test_positive_feedback_threshold(self, tiny_sources):
-        positive = tiny_sources.anobii.positive_feedback()
-        assert positive.ratings["rating"].min() >= 3
+        """Three stars is the lowest rating the merge keeps."""
+        from repro.pipeline import build_merged_dataset
+        from tests.conftest import TINY_MERGE
 
-    def test_positive_feedback_custom_threshold(self, tiny_sources):
-        strict = tiny_sources.anobii.positive_feedback(threshold=5)
-        assert set(strict.ratings["rating"].tolist()) <= {5}
+        anobii = tiny_sources.anobii
+
+        def ratings_kept(stars):
+            ratings = anobii.ratings.with_column(
+                "rating", np.full(anobii.n_ratings, stars, dtype=np.int64)
+            )
+            _, report = build_merged_dataset(
+                tiny_sources.bct,
+                AnobiiDataset(items=anobii.items, ratings=ratings),
+                TINY_MERGE,
+            )
+            return report.cleaning[1].events_after
+
+        assert ratings_kept(3) > 0
+        assert ratings_kept(2) == 0
 
     def test_validate_catches_out_of_range_rating(self, tiny_sources):
         ratings = tiny_sources.anobii.ratings.head(1).with_column(

@@ -87,7 +87,7 @@ class TestGoldens:
     def test_demo_covers_the_whole_request_path(self, demo_run):
         names = {span.name for span in demo_run.tracer.spans}
         for expected in (
-            "demo.run", "pipeline.merge", "pipeline.genres", "bpr.fit",
+            "demo.run", "pipeline.merge_streaming", "pipeline.genres", "bpr.fit",
             "bpr.epoch", "eval.fit", "eval.evaluate", "service.request",
             "service.batch",
         ):

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets.anobii import italian_books
 from repro.errors import PipelineError
 from repro.pipeline.genres import (
     GenreModel,
@@ -140,9 +141,8 @@ class TestTopGenres:
 
 class TestBuildGenreModel:
     def test_end_to_end_on_tiny_world(self, tiny_sources):
-        model = build_genre_model(
-            tiny_sources.anobii.filter_italian_books().items
-        )
+        items = tiny_sources.anobii.items
+        model = build_genre_model(items.filter(italian_books(items)))
         # Ubiquitous labels must be gone.
         assert set(model.dropped_genres) >= {
             "Fiction And Literature", "Self Help",
@@ -154,17 +154,15 @@ class TestBuildGenreModel:
             assert sum(p for _, p in genres) == pytest.approx(1.0)
 
     def test_sibling_subgenres_collapse(self, tiny_sources):
-        model = build_genre_model(
-            tiny_sources.anobii.filter_italian_books().items
-        )
+        items = tiny_sources.anobii.items
+        model = build_genre_model(items.filter(italian_books(items)))
         canonical = model.canonical_of
         if "Comics" in canonical and "Graphic Novels" in canonical:
             assert canonical["Comics"] == canonical["Graphic Novels"]
 
     def test_to_table_schema(self, tiny_sources):
-        model = build_genre_model(
-            tiny_sources.anobii.filter_italian_books().items
-        )
+        items = tiny_sources.anobii.items
+        model = build_genre_model(items.filter(italian_books(items)))
         table = model.to_table()
         assert table.column_names == ("book_id", "genre", "probability")
         assert table.num_rows >= len(model.book_genres)

@@ -1,12 +1,19 @@
 """Tests for the BCT + Anobii merge step."""
 
-from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.datasets import generate_sources
+from repro.datasets.anobii import AnobiiDataset
+from repro.datasets.bct import BCTDataset, italian_monographs
 from repro.datasets.synthetic import ANOBII_ID_BASE, BCT_ID_BASE
 from repro.errors import PipelineError
+from repro.experiments.config import config_for_scale
 from repro.pipeline.merge import MergeConfig, build_merged_dataset
+
+from tests.conftest import TINY_MERGE
+from tests.pipeline.merge_oracle import assert_matches_oracle
 
 
 class TestMergeConfigValidation:
@@ -16,17 +23,12 @@ class TestMergeConfigValidation:
         with pytest.raises(PipelineError):
             MergeConfig(min_book_readings=0)
 
-    def test_rating_bounds(self):
-        with pytest.raises(PipelineError):
-            MergeConfig(min_rating=6)
-
 
 class TestCatalogueAlignment:
     def test_only_shared_books_survive(self, tiny_sources, tiny_merged):
         """Every merged book must exist in both cleaned catalogues."""
-        bct_books = set(
-            tiny_sources.bct.filter_italian_monographs().books["book_id"].tolist()
-        )
+        books = tiny_sources.bct.books
+        bct_books = set(books.filter(italian_monographs(books))["book_id"].tolist())
         assert set(tiny_merged.books["book_id"].tolist()) <= bct_books
 
     def test_merged_ids_align_to_same_latent_book(self, tiny_merged):
@@ -60,24 +62,6 @@ class TestActivityFilters:
         # the paper), so post-filter counts can dip slightly below the
         # floor; they must never collapse.
         assert min(len(books) for books in distinct.values()) >= 5
-
-    def test_iterated_filter_reaches_fixpoint(self, tiny_sources):
-        config = MergeConfig(
-            min_user_readings=10, min_book_readings=5,
-            iterate_activity_filter=True,
-        )
-        merged, _ = build_merged_dataset(
-            tiny_sources.bct, tiny_sources.anobii, config
-        )
-        distinct: dict[str, set] = {}
-        events: Counter = Counter()
-        for user, book in zip(
-            merged.readings["user_id"], merged.readings["book_id"]
-        ):
-            distinct.setdefault(str(user), set()).add(int(book))
-            events[int(book)] += 1
-        assert min(len(books) for books in distinct.values()) >= 10
-        assert min(events.values()) >= 5
 
     def test_stricter_book_floor_keeps_fewer_books(self, tiny_sources):
         loose, _ = build_merged_dataset(
@@ -117,3 +101,42 @@ class TestReadingsUnion:
         )[:200]:
             item = int(book) - BCT_ID_BASE + ANOBII_ID_BASE
             assert (str(user), item) in positive_pairs
+
+
+class TestOracleEquivalence:
+    """The one merge over in-memory sources equals the per-row oracle."""
+
+    @pytest.mark.parametrize(
+        "config", [TINY_MERGE, replace(TINY_MERGE, min_loan_days=7)]
+    )
+    def test_tiny_world(self, tiny_sources, config):
+        assert_matches_oracle(tiny_sources.bct, tiny_sources.anobii, config)
+
+    def test_small_world(self):
+        config = config_for_scale("small")
+        sources = generate_sources(config.world)
+        assert_matches_oracle(sources.bct, sources.anobii, config.merge)
+
+    def test_empty_event_tables(self, tiny_sources):
+        bct = BCTDataset(
+            books=tiny_sources.bct.books, loans=tiny_sources.bct.loans.head(0)
+        )
+        anobii = AnobiiDataset(
+            items=tiny_sources.anobii.items, ratings=tiny_sources.anobii.ratings.head(0)
+        )
+        merged, report = assert_matches_oracle(bct, anobii, TINY_MERGE)
+        assert merged.n_readings == 0 and merged.n_books == 0
+        assert report.users_before_filter == 0
+
+    def test_user_id_in_both_sources_is_refused(self, tiny_sources):
+        """BCT patrons and Anobii users are counted in separate spaces."""
+        bct_user = str(tiny_sources.bct.loans["user_id"][0])
+        ratings = tiny_sources.anobii.ratings
+        user_ids = ratings["user_id"].copy()
+        user_ids[0] = bct_user
+        anobii = AnobiiDataset(
+            items=tiny_sources.anobii.items,
+            ratings=ratings.with_column("user_id", user_ids),
+        )
+        with pytest.raises(PipelineError, match="both BCT and Anobii"):
+            build_merged_dataset(tiny_sources.bct, anobii, TINY_MERGE)

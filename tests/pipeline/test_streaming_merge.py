@@ -1,24 +1,28 @@
-"""Streaming merge == in-memory merge, bit for bit.
+"""The streaming merge over a sharded corpus equals the per-row oracle.
 
-The out-of-core path (:func:`repro.pipeline.streaming.merge_sharded_corpus`)
-promises the *same* merged dataset and the *same* :class:`MergeReport` as
-``build_merged_dataset`` over the materialised corpus — the only allowed
-difference is peak memory. These tests pin that promise on a small sharded
-corpus, across config variants, and through the
-npz round-trip of the out-of-core output mode; the RSS regression at the
-bottom caps the streaming path's memory appetite against the shard size.
+:func:`repro.pipeline.streaming.merge_sharded_corpus` promises the *same*
+merged dataset, :class:`MergeReport` and metrics series as the per-row
+oracle (``tests/pipeline/merge_oracle.py``) over the materialised corpus
+— the only allowed difference is peak memory. These tests pin that
+promise on a small sharded corpus, across config variants, and through
+the npz round-trip of the out-of-core output mode; the RSS regression at
+the bottom caps the streaming path's memory appetite against the shard
+size.
 """
 
-import numpy as np
+import shutil
+
 import pytest
 
 from repro.datasets.corpus import CorpusConfig, ShardedCorpusWriter
+from repro.errors import PersistenceError
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.rss import measure_phase_rss, reset_peak_rss
-from repro.pipeline.merge import MergeConfig, build_merged_dataset
+from repro.pipeline.merge import MergeConfig
 from repro.pipeline.streaming import load_merged_corpus, merge_sharded_corpus
 
 from tests.conftest import strip_timing_series
+from tests.pipeline.merge_oracle import assert_same_merge, oracle_merge
 
 CORPUS = CorpusConfig(
     n_books=220,
@@ -42,62 +46,43 @@ def corpus(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def reference(corpus):
-    bct, anobii = corpus.materialise()
-    return build_merged_dataset(bct, anobii, MERGE)
+def sources(corpus):
+    return corpus.materialise()
 
 
-def _assert_tables_identical(actual, expected):
-    assert actual.column_names == expected.column_names
-    assert actual.num_rows == expected.num_rows
-    for name in expected.column_names:
-        assert np.array_equal(actual[name], expected[name]), name
-
-
-def _assert_datasets_identical(actual, expected):
-    _assert_tables_identical(actual.books, expected.books)
-    _assert_tables_identical(actual.readings, expected.readings)
-    _assert_tables_identical(actual.genres, expected.genres)
+@pytest.fixture(scope="module")
+def reference(sources):
+    return oracle_merge(*sources, MERGE)
 
 
 class TestStreamingEquivalence:
     def test_dataset_and_report_identical(self, corpus, reference):
-        expected_merged, expected_report = reference
         result = merge_sharded_corpus(corpus, MERGE)
         assert result.dataset is not None
-        _assert_datasets_identical(result.dataset, expected_merged)
-        assert result.report == expected_report
-        assert str(result.report) == str(expected_report)
+        assert_same_merge((result.dataset, result.report), reference)
 
-    def test_metrics_identical_up_to_timing(self, corpus):
-        bct, anobii = corpus.materialise()
-        in_memory = MetricsRegistry()
-        build_merged_dataset(bct, anobii, MERGE, metrics=in_memory)
+    def test_metrics_identical_up_to_timing(self, corpus, sources):
+        oracle = MetricsRegistry()
+        oracle_merge(*sources, MERGE, metrics=oracle)
         streaming = MetricsRegistry()
         merge_sharded_corpus(corpus, MERGE, metrics=streaming)
         assert strip_timing_series(streaming.snapshot()) == strip_timing_series(
-            in_memory.snapshot()
+            oracle.snapshot()
         )
 
     @pytest.mark.parametrize(
         "variant",
         [
             MergeConfig(min_user_readings=5, min_book_readings=8,
-                        iterate_activity_filter=True),
-            MergeConfig(min_user_readings=5, min_book_readings=8,
                         min_loan_days=7),
-            MergeConfig(min_user_readings=2, min_book_readings=2,
-                        min_rating=4),
+            MergeConfig(min_user_readings=2, min_book_readings=2),
         ],
     )
-    def test_config_variants_identical(self, corpus, variant):
-        bct, anobii = corpus.materialise()
-        expected_merged, expected_report = build_merged_dataset(
-            bct, anobii, variant
-        )
+    def test_config_variants_identical(self, corpus, sources, variant):
         result = merge_sharded_corpus(corpus, variant)
-        _assert_datasets_identical(result.dataset, expected_merged)
-        assert result.report == expected_report
+        assert_same_merge(
+            (result.dataset, result.report), oracle_merge(*sources, variant)
+        )
 
 
 class TestOutOfCoreOutput:
@@ -109,7 +94,7 @@ class TestOutOfCoreOutput:
         assert result.dataset is None
         assert result.report == expected_report
         loaded = load_merged_corpus(tmp_path / "merged")
-        _assert_datasets_identical(loaded, expected_merged)
+        assert_same_merge((loaded, expected_report), reference)
 
     def test_output_is_manifested(self, corpus, tmp_path):
         from repro.resilience.artefacts import verify_manifest
@@ -119,6 +104,14 @@ class TestOutOfCoreOutput:
         )
         manifest = verify_manifest(tmp_path / "merged")
         assert manifest["merged"]["readings"] > 0
+
+    def test_swapped_shard_is_refused(self, corpus, tmp_path):
+        """A shard copied over another fails the manifest check on load."""
+        out = tmp_path / "merged"
+        merge_sharded_corpus(corpus, MERGE, materialise=False, output_dir=out)
+        shutil.copyfile(out / "readings-00000.npz", out / "readings-00001.npz")
+        with pytest.raises(PersistenceError):
+            load_merged_corpus(out)
 
 
 class TestStreamingRss:

@@ -22,10 +22,9 @@ PUBLIC_API = {
         "CorpusConfig", "ShardedCorpus", "ShardedCorpusWriter",
     ],
     "repro.pipeline": [
-        "clean_bct", "clean_anobii", "build_genre_model", "GenreModel",
+        "build_genre_model", "GenreModel",
         "MergeConfig", "MergeReport", "build_merged_dataset", "stats",
         "QuarantineReport", "QuarantinedRow",
-        "quarantine_bct", "quarantine_anobii",
         "merge_sharded_corpus", "StreamingMergeResult", "load_merged_corpus",
     ],
     "repro.text": [
