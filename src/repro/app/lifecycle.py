@@ -2,8 +2,8 @@
 
 Libraries acquire books and readers continuously, so the fitted BPR
 model is a *living artefact*: it gets retrained (warm-started from its
-predecessor), extended with folded-in users, published, served, rolled
-back, and garbage-collected — all without restarting the service. This
+predecessor), published, served, rolled back, and garbage-collected —
+all without restarting the service. This
 module provides the storage half of that lifecycle; the serving half is
 :meth:`~repro.app.service.RecommendationService.refresh_from_store`.
 

@@ -17,20 +17,14 @@ A plain-BPR alternative (uniform negative sampling with the sigmoid
 gradient of Equation 3) is available via ``sampler="uniform"`` and is used
 by the sampler ablation bench.
 
-Online-learning extensions (the model as a living artefact):
-
-- **warm start** — ``fit(train, warm_start=previous_model)`` seeds the
-  factor matrices from an earlier fitted model through the expanding
-  :class:`~repro.core.interactions.Indexer`\\ s: users/items present in
-  both catalogues continue training from their learned rows, brand-new
-  ones keep their fresh random initialisation. The catalogue can grow,
-  shrink, and reorder between fits — rows are matched by external id,
-  never by index.
-- **fold-in** — :meth:`BPR.fold_in` solves a single new user's factor
-  vector against the *frozen* item factors (a ridge least-squares fit to
-  their read items), and :func:`fold_in_users` grafts a batch of such
-  users into an expanded model + interaction matrix so they get
-  personalised, seen-item-masked lists without any retraining.
+Warm start keeps the model a living artefact:
+``fit(train, warm_start=previous_model)`` seeds the factor matrices from
+an earlier fitted model through the expanding
+:class:`~repro.core.interactions.Indexer`\\ s: users/items present in
+both catalogues continue training from their learned rows, brand-new
+ones keep their fresh random initialisation. The catalogue can grow,
+shrink, and reorder between fits — rows are matched by external id,
+never by index.
 
 Training runs in-process on the float32 kernel in
 :mod:`repro.core.bpr_kernel` (pre-drawn negative sampling against a
@@ -48,7 +42,7 @@ import numpy as np
 
 from repro.core.base import Recommender
 from repro.core.bpr_kernel import seen_bitset, train_batch
-from repro.core.interactions import Indexer, InteractionMatrix
+from repro.core.interactions import InteractionMatrix
 from repro.datasets.merged import MergedDataset
 from repro.errors import ConfigurationError, NotFittedError
 from repro.obs.metrics import MetricsRegistry
@@ -263,16 +257,17 @@ class BPR(Recommender):
                 started = time.perf_counter()
                 with start_span(self.tracer, "bpr.epoch", epoch=epoch) as span:
                     order = rng.permutation(len(pos_users))
+                    users, items = pos_users.take(order), pos_items.take(order)
                     trial_total, updated_total = 0.0, 0
                     for start in range(0, len(order), cfg.batch_size):
-                        batch = order[start:start + cfg.batch_size]
+                        stop = start + cfg.batch_size
                         batch_started = (
                             time.perf_counter()
                             if batch_histogram is not None
                             else 0.0
                         )
                         stats = train_batch(
-                            V, P, pos_users[batch], pos_items[batch],
+                            V, P, users[start:stop], items[start:stop],
                             seen, n_items, rng, cfg,
                         )
                         if batch_histogram is not None:
@@ -326,58 +321,6 @@ class BPR(Recommender):
             self.item_factors.T
         )
 
-    # ------------------------------------------------------------------
-    # fold-in: new users without a retrain
-    # ------------------------------------------------------------------
-
-    def fold_in(
-        self,
-        item_indices: Sequence[int] | np.ndarray,
-        regularization: float | None = None,
-    ) -> np.ndarray:
-        """Solve one new user's factor vector against frozen item factors.
-
-        Ridge least squares on the user's read items: minimise
-        ``sum_i (1 - x · p_i)^2 + lambda * |N_u| * |x|^2`` over the items
-        ``i`` the user has read, with the item factors ``p_i`` held fixed.
-        The closed form is one ``(L × L)`` solve, so a brand-new user gets
-        a personalised factor vector in microseconds instead of an epoch
-        of SGD. Deterministic: a pure function of the item factors and the
-        item set (no randomness).
-
-        Args:
-            item_indices: matrix indices of the items the user read (at
-                least one, all within the fitted catalogue).
-            regularization: ridge strength per read item; defaults to the
-                training ``config.regularization``.
-        """
-        P = self.item_factors
-        idx = np.asarray(item_indices, dtype=np.int64)
-        if idx.ndim != 1 or len(idx) == 0:
-            raise ConfigurationError(
-                "fold_in needs a non-empty 1-D array of item indices"
-            )
-        if len(idx) and (int(idx.min()) < 0 or int(idx.max()) >= len(P)):
-            raise ConfigurationError(
-                f"fold_in item indices must lie in [0, {len(P)}), got "
-                f"[{int(idx.min())}, {int(idx.max())}]"
-            )
-        lam = (
-            self.config.regularization if regularization is None
-            else regularization
-        )
-        if lam < 0:
-            raise ConfigurationError("regularization must be non-negative")
-        sub = P[idx].astype(np.float64)
-        n_factors = sub.shape[1]
-        # A tiny absolute floor keeps the system well-posed even at
-        # lambda = 0 with rank-deficient histories.
-        ridge = lam * len(idx) + 1e-9
-        gram = sub.T @ sub + ridge * np.eye(n_factors)
-        rhs = sub.sum(axis=0)
-        solution = np.linalg.solve(gram, rhs)
-        return solution.astype(self.user_factors.dtype, copy=False)
-
 
 def _seed_from_model(
     warm: BPR, train: InteractionMatrix, V: np.ndarray, P: np.ndarray
@@ -401,93 +344,3 @@ def _seed_from_model(
         target[new_rows] = old_factors[old_rows].astype(
             target.dtype, copy=False
         )
-
-
-def fold_in_users(
-    model: BPR,
-    train: InteractionMatrix,
-    new_user_items: "dict[str, Sequence[int]]",
-    regularization: float | None = None,
-) -> tuple[BPR, InteractionMatrix]:
-    """Graft brand-new users into a fitted model without retraining.
-
-    Each new user's factor vector is solved with :meth:`BPR.fold_in`
-    against the frozen item factors; the returned ``(model, train)`` pair
-    has an expanded user :class:`~repro.core.interactions.Indexer`,
-    factor rows for every old user byte-identical to the input model, and
-    interaction rows for the new users so seen-item masking applies to
-    their histories. Item factors and the item indexer are untouched.
-
-    Args:
-        model: a fitted :class:`BPR`.
-        train: the interaction matrix the model was fitted on.
-        new_user_items: new user id → external book ids they have read.
-            Ids already in the catalogue, unknown books, or empty
-            histories raise :class:`~repro.errors.ConfigurationError`.
-        regularization: forwarded to :meth:`BPR.fold_in`.
-
-    Returns:
-        ``(folded_model, expanded_train)`` ready for
-        :meth:`~repro.app.service.RecommendationService.refresh_model`.
-    """
-    if not model.is_fitted:
-        raise NotFittedError(model.name)
-    if not new_user_items:
-        raise ConfigurationError("fold_in_users needs at least one new user")
-    from scipy import sparse
-
-    old_users = train.users
-    items = train.items
-    new_ids = sorted(new_user_items)
-    for user_id in new_ids:
-        if user_id in old_users:
-            raise ConfigurationError(
-                f"user {user_id!r} is already in the catalogue; fold-in is "
-                "for brand-new users (retrain to update existing ones)"
-            )
-    rows_of_items: list[np.ndarray] = []
-    for user_id in new_ids:
-        books = list(new_user_items[user_id])
-        if not books:
-            raise ConfigurationError(
-                f"new user {user_id!r} has an empty history; fold-in needs "
-                "at least one read item"
-            )
-        try:
-            rows_of_items.append(items.indices_of(books))
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"new user {user_id!r} references unknown book {exc.args[0]!r}"
-            ) from exc
-
-    # Solve the new rows, then splice everything into the sorted order the
-    # expanded indexer assigns (same permutation trick as restrict_users).
-    new_factors = np.stack(
-        [
-            model.fold_in(item_rows, regularization=regularization)
-            for item_rows in rows_of_items
-        ]
-    )
-    users = Indexer(list(old_users.ids) + new_ids)
-    concat_ids = list(old_users.ids) + new_ids
-    order = users.indices_of(concat_ids)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-
-    V = np.concatenate([model.user_factors, new_factors])[inverse]
-    new_rows = sparse.csr_matrix(
-        (
-            np.ones(sum(len(rows) for rows in rows_of_items), dtype=np.float64),
-            np.concatenate(rows_of_items),
-            np.cumsum([0] + [len(rows) for rows in rows_of_items]),
-        ),
-        shape=(len(new_ids), len(items)),
-    )
-    stacked = sparse.vstack([train.csr, new_rows]).tocsr()[inverse]
-    expanded = InteractionMatrix(users, items, stacked)
-
-    folded = BPR(model.config)
-    folded._train = expanded
-    folded._user_factors = V
-    folded._item_factors = model.item_factors
-    return folded, expanded

@@ -2,13 +2,18 @@
 
 Factors are float32. WARP negatives are *pre-drawn*: multi-trial
 candidate blocks are drawn up front and scored with one einsum each, and
-each row's first margin violator is found with a vectorised ``argmax``
-instead of a per-trial Python loop. Updates are ``np.bincount``
+each row's first margin violator is one ``argmax`` over the whole block
+plus one pick of the entry it points at, instead of a per-trial Python
+loop. Factor rows are gathered with ``ndarray.take``, which is cheaper
+than fancy indexing; a batch gathers its users' and positive items'
+rows once and reuses them in the update. Updates are ``np.bincount``
 segment sums rather than the slow ``np.add.at``. A sampled negative the
 user has already read is rejected by one lookup in a packed bitset of
 every ``(user, item)`` interaction, built once per fit
-(:func:`seen_bitset`). Training is deterministic given the seed; the
-contract is tabulated in ``docs/determinism.md``.
+(:func:`seen_bitset`). Training is deterministic given the seed, and a
+fit is bit-identical to one through the kernel's frozen predecessor in
+``tests/core/bpr_kernel_oracle.py``; the contract is tabulated in
+``docs/determinism.md``.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ def is_seen(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
     ``seen`` is a :func:`seen_bitset`; every key of a valid
     ``(user, item)`` pair lies inside it, the last item of the last user
-    included, so no position needs clamping.
+    included, so no position needs clamping. ``keys`` may have any
+    shape; the result has the same one.
     """
-    return (seen[keys >> 3] & _BIT[keys & 7]) != 0
+    return (seen.take(keys >> 3) & _BIT.take(keys & 7)) != 0
 
 
 def sample_unseen(
@@ -116,23 +122,22 @@ def predraw_candidates(
         boolean mask of the entries that are genuinely unseen.
     """
     shape = (len(users), max_trials)
-    total = shape[0] * max_trials
-    candidates = rng.integers(0, n_items, size=total, dtype=np.int64)
-    base = np.repeat(users * np.int64(n_items), max_trials)
+    candidates = rng.integers(0, n_items, size=shape, dtype=np.int64)
+    base = users * np.int64(n_items)
     # One full-matrix membership test, then redraw rounds that touch
-    # only the (vanishing) colliding subset.
-    colliding = np.flatnonzero(is_seen(seen, base + candidates))
+    # only the (vanishing) colliding subset of the flat matrix.
+    colliding = np.flatnonzero(is_seen(seen, base[:, None] + candidates))
+    flat = candidates.reshape(-1)
     for _ in range(RESAMPLE_ROUNDS):
         if colliding.size == 0:
             break
-        candidates[colliding] = rng.integers(
-            0, n_items, size=colliding.size, dtype=np.int64
-        )
-        keys = base[colliding] + candidates[colliding]
+        redrawn = rng.integers(0, n_items, size=colliding.size, dtype=np.int64)
+        flat[colliding] = redrawn
+        keys = base.take(colliding // max_trials) + redrawn
         colliding = colliding[is_seen(seen, keys)]
-    valid = np.ones(total, dtype=bool)
-    valid[colliding] = False
-    return candidates.reshape(shape), valid.reshape(shape)
+    valid = np.ones(shape, dtype=bool)
+    valid.reshape(-1)[colliding] = False
+    return candidates, valid
 
 
 def stable_neg_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -172,13 +177,18 @@ def scatter_add(
 
     ``np.bincount`` accumulates in float64 regardless of input dtype, so
     a float32 ``target`` sees each batch's duplicate-summation performed
-    at higher precision before the single rounding on add-back.
+    at higher precision before the single rounding on add-back. The
+    rounded column sums are added back in one pass over ``target``
+    rather than one strided pass per column; each element gets the same
+    single add either way.
     """
     n_rows = target.shape[0]
+    sums = np.empty((target.shape[1], n_rows), dtype=target.dtype)
     for column in range(target.shape[1]):
-        target[:, column] += np.bincount(
+        sums[column] = np.bincount(
             indices, weights=updates[:, column], minlength=n_rows
         ).astype(target.dtype, copy=False)
+    target += sums.T
 
 
 # repro: tier[float32]
@@ -188,27 +198,30 @@ def _apply_updates(
     users: np.ndarray,
     items: np.ndarray,
     negatives: np.ndarray,
+    Vu: np.ndarray,
+    Pi: np.ndarray,
+    Pn: np.ndarray,
     weight: np.ndarray,
     config: "BPRConfig",
 ) -> None:
     """The float32 segment-sum update step.
 
-    Positive and negative item updates concatenate into a single
-    :func:`scatter_add` over ``P`` so each batch pays two segment-sum
-    passes (one per factor matrix).
+    ``Vu``, ``Pi`` and ``Pn`` are the factor rows of ``users``, ``items``
+    and ``negatives`` as gathered before any update of this batch.
+    Positive and negative item updates are written into one buffer, so
+    each batch pays two segment-sum passes (one per factor matrix).
     """
     lr = V.dtype.type(config.learning_rate)
     reg = V.dtype.type(config.regularization)
-    Vu = V[users]
-    Pi = P[items]
-    Pn = P[negatives]
+    n = len(users)
     w = weight[:, None]
     scatter_add(V, users, lr * (w * (Pi - Pn) - reg * Vu))
-    scatter_add(
-        P,
-        np.concatenate([items, negatives]),
-        np.concatenate([lr * (w * Vu - reg * Pi), lr * (-w * Vu - reg * Pn)]),
-    )
+    item_updates = np.empty((2 * n, Vu.shape[1]), dtype=V.dtype)
+    w_vu = w * Vu
+    np.multiply(lr, w_vu - reg * Pi, out=item_updates[:n])
+    # -(w·Vu) equals (-w)·Vu bit for bit: negation is exact.
+    np.multiply(lr, -w_vu - reg * Pn, out=item_updates[n:])
+    scatter_add(P, np.concatenate([items, negatives]), item_updates)
 
 
 # ----------------------------------------------------------------------
@@ -231,58 +244,71 @@ def train_batch(
 
     WARP sampling pre-draws multi-trial candidate blocks
     (:func:`predraw_candidates`), scores each block with a single
-    batched einsum, and locates each row's first margin violator with a
-    vectorised ``argmax`` — no per-trial Python loop. A row's trial
-    count is the violator's overall column index + 1 (the WARP "draws
-    needed"); rows none of whose ``max_trials`` pre-drawn candidates
-    violate are skipped. ``seen`` is the fit's :func:`seen_bitset`.
+    batched einsum, and locates each row's first margin violator with
+    one ``argmax`` over the block — no per-trial Python loop. A row's
+    trial count is the violator's overall column index + 1 (the WARP
+    "draws needed"); rows none of whose ``max_trials`` pre-drawn
+    candidates violate are skipped. ``seen`` is the fit's
+    :func:`seen_bitset`.
     """
     batch = len(users)
-    Vu = V[users]
-    pos_scores = np.einsum("ij,ij->i", Vu, P[items])
+    Vu = V.take(users, axis=0)
+    Pi = P.take(items, axis=0)
+    pos_scores = np.einsum("ij,ij->i", Vu, Pi)
 
     if config.sampler == "uniform":
         negatives = sample_unseen(users, seen, n_items, rng)
-        neg_scores = np.einsum("ij,ij->i", Vu, P[negatives])
-        weight = stable_neg_sigmoid(pos_scores - neg_scores)
-        _apply_updates(V, P, users, items, negatives, weight, config)
+        Pn = P.take(negatives, axis=0)
+        weight = stable_neg_sigmoid(pos_scores - np.einsum("ij,ij->i", Vu, Pn))
+        _apply_updates(V, P, users, items, negatives, Vu, Pi, Pn, weight, config)
         return float(batch), batch
 
-    margin = V.dtype.type(config.margin)
-    thresholds = pos_scores - margin
-    # Pre-draw candidate blocks of doubling width for still-unresolved
-    # rows: each block is one multi-trial draw + rejection, one gather,
-    # one einsum, and one argmax. WARP resolves most rows within a
-    # couple of trials, so drawing and scoring the full
-    # ``(batch, max_trials)`` matrix up front would do
-    # ~max_trials / mean_trials times the necessary work; the doubling
-    # schedule keeps the Python loop at O(log max_trials) iterations
-    # while paying only for the trials rows actually consume.
+    # Pre-draw candidate blocks of doubling width for still-open rows:
+    # each block is one multi-trial draw + rejection, one gather, one
+    # einsum, and one argmax. WARP resolves most rows within a couple of
+    # trials, so drawing and scoring the full ``(batch, max_trials)``
+    # matrix up front would do ~max_trials / mean_trials times the
+    # necessary work; the doubling schedule keeps the Python loop at
+    # O(log max_trials) iterations while paying only for the trials rows
+    # actually consume. The open rows' users, factor rows and thresholds
+    # shrink with them, so later rounds gather only from what is left.
     negatives = np.zeros(batch, dtype=np.int64)
     trials = np.zeros(batch, dtype=np.int64)
-    unresolved = np.arange(batch)
+    open_rows = np.arange(batch)
+    open_users, open_Vu = users, Vu
+    open_thresholds = pos_scores - V.dtype.type(config.margin)
     drawn, width = 0, 4
-    while drawn < config.max_trials and unresolved.size:
+    while drawn < config.max_trials and open_rows.size:
         width = min(width, config.max_trials - drawn)
-        block, valid = predraw_candidates(
-            users[unresolved], seen, n_items, width, rng
-        )
-        block_scores = np.einsum("bf,btf->bt", Vu[unresolved], P[block])
-        violating = valid & (block_scores > thresholds[unresolved, None])
-        hit = violating.any(axis=1)
-        hit_rows = unresolved[hit]
-        first = np.argmax(violating[hit], axis=1)
+        block, valid = predraw_candidates(open_users, seen, n_items, width, rng)
+        block_scores = np.einsum("bf,btf->bt", open_Vu, P.take(block, axis=0))
+        violating = block_scores > open_thresholds[:, None]
+        violating &= valid
+        # argmax is the first True of a row, or 0 for a row without one;
+        # picking that entry tells the two apart.
+        first = violating.argmax(axis=1)
+        hit = violating[np.arange(open_rows.size), first]
+        hits = np.flatnonzero(hit)
+        first = first.take(hits)
+        hit_rows = open_rows.take(hits)
         trials[hit_rows] = drawn + first + 1
-        negatives[hit_rows] = block[hit, first]
-        unresolved = unresolved[~hit]
+        negatives[hit_rows] = block[hits, first]
         drawn, width = drawn + width, width * 2
+        misses = np.flatnonzero(~hit)
+        open_rows = open_rows.take(misses)
+        open_users = open_users.take(misses)
+        open_Vu = open_Vu.take(misses, axis=0)
+        open_thresholds = open_thresholds.take(misses)
     rows = np.flatnonzero(trials)
     if rows.size == 0:
         return 0.0, 0
-    rank_estimate = np.maximum((n_items - 1) / trials[rows], 1.0)
+    trials = trials.take(rows)
+    rank_estimate = np.maximum((n_items - 1) / trials, 1.0)
     weight = (np.log1p(rank_estimate) / np.log1p(n_items - 1)).astype(V.dtype)
+    negatives = negatives.take(rows)
     _apply_updates(
-        V, P, users[rows], items[rows], negatives[rows], weight, config
+        V, P, users.take(rows), items.take(rows), negatives,
+        Vu.take(rows, axis=0), Pi.take(rows, axis=0),
+        P.take(negatives, axis=0), weight, config,
     )
-    return float(trials[rows].sum()), int(rows.size)
-
+    return float(trials.sum()), int(rows.size)

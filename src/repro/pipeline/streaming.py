@@ -9,8 +9,9 @@ readings shards under a checksum manifest (``output_dir=...``, the
 out-of-core mode), reloadable via :func:`load_merged_corpus`.
 
 ``tests/pipeline/test_streaming_merge.py`` checks the merge against the
-per-row oracle over the materialised corpus, round-trips the out-of-core
-output, and caps peak RSS against the shard size.
+per-row oracle over the materialised corpus, refuses a swapped input
+shard, round-trips the out-of-core output, and caps peak RSS against the
+shard size.
 """
 
 from __future__ import annotations
@@ -60,7 +61,14 @@ def merge_sharded_corpus(
     as npz shards plus ``books.csv`` / ``genres.csv`` under a checksum
     manifest instead of (or in addition to) being assembled in memory;
     reload with :func:`load_merged_corpus`.
+
+    The corpus is re-hashed against its manifests first
+    (:meth:`~repro.datasets.corpus.ShardedCorpus.verify`), so a corrupt,
+    truncated or swapped shard raises a
+    :class:`~repro.errors.PersistenceError` such as
+    :class:`~repro.errors.ChecksumMismatchError` before any row is merged.
     """
+    corpus.verify()
     config = config or MergeConfig()
     write = None
     if output_dir is not None:

@@ -1,12 +1,14 @@
 """Tests for the BPR training kernel (``repro.core.bpr_kernel``).
 
-Two oracles live here. ``_FrozenTrainer`` is a verbatim copy of the
-historical float64 trainer (per-trial WARP loop, ``np.add.at``
+Three oracles are used here. ``_FrozenTrainer`` is a verbatim copy of
+the historical float64 trainer (per-trial WARP loop, ``np.add.at``
 updates, the original overflow-prone sigmoid); the float32 kernel must
 reach its KPI level. ``_SortedKeySampler`` is the kernel's earlier
 membership test — a binary search over the sorted
 ``user * n_items + item`` keys — and a fit that samples through it must
 be bit-identical to one that samples through the seen bitset.
+``tests/core/bpr_kernel_oracle.py`` is the float32 batch step before its
+gathers were reworked, and a fit through it must be bit-identical too.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.core.bpr_kernel import (
 from repro.core.interactions import InteractionMatrix
 from repro.rng import derive_rng, make_rng
 
+from tests.core import bpr_kernel_oracle
 from tests.core.test_bpr import block_world
 
 
@@ -250,6 +253,69 @@ class TestSortedKeyBitIdentity:
         sorted_key_fit = BPR(config).fit(train, warm_start=previous)
         assert np.array_equal(bitset_fit.user_factors, sorted_key_fit.user_factors)
         assert np.array_equal(bitset_fit.item_factors, sorted_key_fit.item_factors)
+
+
+def all_but_one_reader_world():
+    """``block_world`` plus a user who has read every item but item 0."""
+    base = block_world()
+    users, items = base.positive_pairs()
+    pairs = [
+        (base.users.ids[user], base.items.ids[item])
+        for user, item in zip(users, items)
+    ]
+    pairs += [("u999", item) for item in base.items.ids[1:]]
+    return InteractionMatrix.from_pairs(pairs)
+
+
+class TestFrozenKernelBitIdentity:
+    """The reworked batch step runs the frozen kernel's float32
+    arithmetic on the same RNG draws in the same order, so both fits
+    end on the same factors, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "world,overrides,warm",
+        [
+            (block_world, {"sampler": "warp"}, False),
+            (
+                block_world,
+                {"sampler": "warp", "max_trials": 3, "batch_size": 7},
+                False,
+            ),
+            (block_world, {"sampler": "uniform"}, False),
+            (block_world, {"sampler": "warp"}, True),
+            (all_but_one_reader_world, {"sampler": "warp"}, False),
+        ],
+        ids=[
+            "warp", "warp-short-trials", "uniform", "warp-warm-start",
+            "warp-all-but-one-reader",
+        ],
+    )
+    def test_fit_bit_identical_to_frozen_kernel(
+        self, monkeypatch, world, overrides, warm
+    ):
+        train = world()
+        previous = BPR(BPRConfig(epochs=2, seed=3)).fit(train) if warm else None
+        config = BPRConfig(epochs=4, seed=11, **overrides)
+        fit = BPR(config).fit(train, warm_start=previous)
+        monkeypatch.setattr(
+            bpr_module, "train_batch", bpr_kernel_oracle.train_batch
+        )
+        frozen_fit = BPR(config).fit(train, warm_start=previous)
+        assert np.array_equal(fit.user_factors, frozen_fit.user_factors)
+        assert np.array_equal(fit.item_factors, frozen_fit.item_factors)
+
+    def test_all_but_one_reader_leaves_invalid_slots(self):
+        """The last case above reaches the paths it is there for: the
+        user's candidate blocks keep slots that survive every redraw
+        round, and the rest all land on the one item left unread."""
+        train = all_but_one_reader_world()
+        user = train.users.index_of("u999")
+        users = np.full(64, user, dtype=np.int64)
+        candidates, valid = predraw_candidates(
+            users, bitset_of(train), train.n_items, 4, make_rng(0)
+        )
+        assert not valid.all()
+        assert np.all(candidates[valid] == train.items.index_of(0))
 
 
 class TestSeenBitset:

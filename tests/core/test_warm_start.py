@@ -1,33 +1,22 @@
-"""Warm-start retrain and user fold-in: the incremental halves of BPR.
+"""Warm-start retrain: the incremental half of BPR.
 
-A library's catalogue and membership grow continuously; retraining from
-scratch every night is wasteful and folding a new member in should not
-need a retrain at all. Contract under test:
+A library's catalogue and membership grow continuously, and retraining
+from scratch every night is wasteful. Contract under test:
 
 - ``fit(..., warm_start=old)`` seeds factor rows by *external id*, so
   the catalogue may grow, shrink, or reorder between fits, and the run
   stays a pure function of ``(config, train, warm factors)``;
 - a warm retrain started from a model fitted on the chronological first
   half of the data reaches validation URR within ``WARM_URR_TOLERANCE``
-  of the from-scratch fit (measured ~0.05 on the tiny world);
-- ``fold_in_users`` gives brand-new users *personalised* top-k lists —
-  served by the primary model, different per history, not the
-  popularity list — while leaving every existing user's factors
-  byte-identical.
+  of the from-scratch fit (measured ~0.05 on the tiny world).
 """
 
 import numpy as np
 import pytest
 
-from repro.app.service import (
-    SERVED_BY_PRIMARY,
-    RecommendationRequest,
-    RecommendationService,
-)
 from repro.core import BPR, BPRConfig
-from repro.core.bpr import _seed_from_model, fold_in_users
+from repro.core.bpr import _seed_from_model
 from repro.core.interactions import InteractionMatrix
-from repro.core.most_read import MostReadItems
 from repro.errors import ConfigurationError, NotFittedError
 from repro.eval.evaluator import evaluate_model
 
@@ -129,97 +118,4 @@ class TestWarmStart:
         with pytest.raises(ConfigurationError, match="factors"):
             BPR(config).fit(
                 tiny_split.train, tiny_merged, warm_start=first_half_model
-            )
-
-
-@pytest.fixture(scope="module")
-def folded(tiny_bpr, tiny_split):
-    """Two brand-new users with disjoint histories folded into tiny_bpr."""
-    item_ids = list(tiny_split.train.items.ids)
-    histories = {
-        "newcomer-a": item_ids[:6],
-        "newcomer-b": item_ids[-6:],
-    }
-    model, train = fold_in_users(tiny_bpr, tiny_split.train, histories)
-    return model, train, histories
-
-
-class TestFoldIn:
-    def test_existing_users_untouched(self, folded, tiny_bpr, tiny_split):
-        model, train, _ = folded
-        assert train.n_users == tiny_split.train.n_users + 2
-        assert model.item_factors is tiny_bpr.item_factors
-        old_ids = list(tiny_split.train.users.ids)
-        old_rows = tiny_split.train.users.indices_of(old_ids)
-        new_rows = train.users.indices_of(old_ids)
-        assert np.array_equal(
-            model.user_factors[new_rows], tiny_bpr.user_factors[old_rows]
-        )
-        # and their interaction rows survived the splice
-        user = old_ids[0]
-        assert np.array_equal(
-            train.csr[train.users.index_of(user)].toarray(),
-            tiny_split.train.csr[tiny_split.train.users.index_of(user)]
-            .toarray(),
-        )
-
-    def test_new_users_get_personalised_unread_lists(self, folded):
-        model, train, histories = folded
-        lists = {}
-        for user_id, books in histories.items():
-            index = train.users.index_of(user_id)
-            top = model.recommend(index, k=10)
-            seen = set(train.items.indices_of(books))
-            assert len(top) == 10
-            assert not seen & set(top)
-            lists[user_id] = tuple(top)
-        # different histories produce different rankings
-        assert lists["newcomer-a"] != lists["newcomer-b"]
-
-    def test_fold_in_is_not_the_popularity_list(
-        self, folded, tiny_split, tiny_merged
-    ):
-        model, train, histories = folded
-        most_read = MostReadItems().fit(tiny_split.train, tiny_merged)
-        popular = tuple(most_read.recommend(0, k=10))
-        for user_id in histories:
-            top = tuple(model.recommend(train.users.index_of(user_id), k=10))
-            assert top != popular
-
-    def test_folded_model_serves_new_users_as_primary(
-        self, folded, tiny_merged
-    ):
-        model, train, histories = folded
-        service = RecommendationService(model, train, tiny_merged, cache_size=0)
-        for user_id in histories:
-            response = service.recommend_response(
-                RecommendationRequest(user_id=user_id, k=5)
-            )
-            assert response.served_by == SERVED_BY_PRIMARY
-            assert not response.degraded
-            assert len(response.books) == 5
-
-    def test_fold_in_is_deterministic(self, tiny_bpr, tiny_split):
-        item_ids = list(tiny_split.train.items.ids)
-        histories = {"newcomer": item_ids[:4]}
-        first, _ = fold_in_users(tiny_bpr, tiny_split.train, histories)
-        second, _ = fold_in_users(tiny_bpr, tiny_split.train, histories)
-        assert np.array_equal(first.user_factors, second.user_factors)
-
-    def test_fold_in_rejects_bad_input(self, tiny_bpr, tiny_split):
-        item_ids = list(tiny_split.train.items.ids)
-        existing = str(tiny_split.train.users.ids[0])
-        with pytest.raises(ConfigurationError, match="already in"):
-            fold_in_users(
-                tiny_bpr, tiny_split.train, {existing: item_ids[:2]}
-            )
-        with pytest.raises(ConfigurationError, match="empty history"):
-            fold_in_users(tiny_bpr, tiny_split.train, {"newcomer": []})
-        with pytest.raises(ConfigurationError, match="unknown book"):
-            fold_in_users(tiny_bpr, tiny_split.train, {"newcomer": [-42]})
-        with pytest.raises(ConfigurationError, match="at least one"):
-            fold_in_users(tiny_bpr, tiny_split.train, {})
-        with pytest.raises(NotFittedError):
-            fold_in_users(
-                BPR(TINY_CFG), tiny_split.train, {"newcomer": item_ids[:2]}
             )

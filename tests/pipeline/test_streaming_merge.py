@@ -14,8 +14,8 @@ import shutil
 
 import pytest
 
-from repro.datasets.corpus import CorpusConfig, ShardedCorpusWriter
-from repro.errors import PersistenceError
+from repro.datasets.corpus import CorpusConfig, ShardedCorpus, ShardedCorpusWriter
+from repro.errors import ChecksumMismatchError, PersistenceError
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.rss import measure_phase_rss, reset_peak_rss
 from repro.pipeline.merge import MergeConfig
@@ -83,6 +83,17 @@ class TestStreamingEquivalence:
         assert_same_merge(
             (result.dataset, result.report), oracle_merge(*sources, variant)
         )
+
+
+class TestCorruptInput:
+    def test_swapped_input_shard_is_refused(self, corpus, tmp_path):
+        """A loan shard copied over another fails the corpus checksums
+        before any row is merged, instead of merging the wrong events."""
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus.root, copy)
+        shutil.copyfile(copy / "loans-00000.npz", copy / "loans-00001.npz")
+        with pytest.raises(ChecksumMismatchError):
+            merge_sharded_corpus(ShardedCorpus(copy), MERGE)
 
 
 class TestOutOfCoreOutput:
