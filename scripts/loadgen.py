@@ -11,8 +11,10 @@ When the storm settles the script audits the shared accounting: the
 request counter, the cache hit/miss tally, and the latency histogram
 (the single source behind ``ServiceStats.percentile`` and ``health()``)
 must all equal the number of requests issued — a lost increment anywhere
-fails the run. It then prints throughput and p50/p95/p99 latency and
-exits non-zero if any request errored.
+fails the run. The cache must hold no more lists than the distinct known
+ids issued: an unknown id's cold-start list takes no slot. It then
+prints throughput and p50/p95/p99 latency and exits non-zero if any
+request errored.
 
 Usage::
 
@@ -112,9 +114,11 @@ def run_load(
         per_thread[index] += 1
     errors: list[str] = []
     errors_lock = threading.Lock()
+    known_issued: list[set[str]] = [set() for _ in per_thread]
 
     def worker(thread_index: int, budget: int) -> None:
         rng = make_rng(seed + thread_index)
+        known = known_issued[thread_index]
         for shot in range(budget):
             if shot % COLD_START_EVERY == COLD_START_EVERY - 1:
                 user_id = f"cold-start-{thread_index}-{shot}"
@@ -122,8 +126,10 @@ def run_load(
                 draw = rng.random() * cum_weights[-1]
                 rank = bisect.bisect(cum_weights, draw, 0, len(users) - 1)
                 user_id = users[rank]
+                known.add(user_id)
             else:
                 user_id = users[int(rng.integers(len(users)))]
+                known.add(user_id)
             try:
                 response = service.recommend_response(
                     RecommendationRequest(user_id=user_id, k=k)
@@ -166,6 +172,12 @@ def run_load(
         audit_failures.append(
             f"histogram observations {observed} != issued {requests}"
         )
+    distinct_known = len(set().union(*known_issued))
+    if service.cached_entries > distinct_known:
+        audit_failures.append(
+            f"cache holds {service.cached_entries} lists for "
+            f"{distinct_known} distinct known ids issued"
+        )
     return {
         "threads": threads,
         "requests": requests,
@@ -180,6 +192,7 @@ def run_load(
             "p99": round(stats.percentile(0.99), 6),
         },
         "cache_hit_rate": round(stats.cache_hit_rate, 4),
+        "distinct_known_ids": distinct_known,
         "degradations": dict(stats.degradations),
         "errors": len(errors),
         "error_samples": errors[:5],

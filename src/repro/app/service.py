@@ -13,9 +13,10 @@ A single request is a batch of one: cache misses are grouped by k and
 scored exactly, one ``model.recommend_batch`` call per group, behind a
 circuit breaker, optional retries and per-request deadlines, above a
 degradation chain (primary → fitted most-read → static popularity). An
-LRU cache answers repeat requests, :meth:`RecommendationService.refresh_from_store`
-hot-swaps the state from a model store, and every stats movement is
-mirrored into a metrics registry (plus optional trace spans).
+LRU cache of primary responses answers repeat requests,
+:meth:`RecommendationService.refresh_from_store` hot-swaps the state
+from a model store, and every stats movement is mirrored into a metrics
+registry (plus optional trace spans).
 ``docs/serving.md`` is the operator's guide.
 """
 
@@ -25,7 +26,7 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,9 +89,12 @@ class RecommendationRequest:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class ServedBook:
-    """One recommended book, as shown on a GUI card."""
+class ServedBook(NamedTuple):
+    """One recommended book, as shown on a GUI card.
+
+    A named tuple, not a dataclass: every served list builds k of them,
+    and a tuple is built in about half the time.
+    """
 
     book_id: int
     title: str
@@ -106,9 +110,10 @@ class ServedResponse:
     ``SERVED_BY_*`` tags; ``none`` when nothing could serve it).
     ``degraded`` is True when a *failure* forced a fallback — a cold-start
     user served the popularity list is not degraded. ``error`` carries the
-    triggering failure, ``from_cache`` marks LRU hits, and
-    ``model_version`` names the store version that produced the list
-    (``None`` for a model that did not come from a store).
+    triggering failure, ``from_cache`` marks LRU hits (only primary
+    responses are cached), and ``model_version`` names the store version
+    that produced the list (``None`` for a model that did not come from a
+    store).
     """
 
     books: tuple[ServedBook, ...]
@@ -292,7 +297,7 @@ class RecommendationService:
             :class:`~repro.core.most_read.MostReadItems`: unknown users get
             its top-k instead of an error, and it is the chain's second link.
         cache_size: served lists kept in the LRU cache (``0`` disables
-            it); only healthy responses are cached.
+            it); only primary responses are cached.
         latency_window: per-request latencies kept for percentiles.
         breaker: the circuit breaker guarding primary scoring.
         retry_policy: optional :class:`~repro.resilience.retry.BackoffPolicy`
@@ -584,9 +589,13 @@ class RecommendationService:
         state: ServingState,
         entries: list[tuple[tuple[str, int], ServedResponse]],
     ) -> None:
-        """Cache healthy responses as their ``from_cache=True`` form (a hit
+        """Cache primary responses as their ``from_cache=True`` form (a hit
         returns the entry as is), unless ``state`` was swapped out since:
-        such responses were right for their requesters, not for the cache."""
+        such responses were right for their requesters, not for the cache.
+
+        A fallback list is never cached, and neither is an unknown user's
+        cold-start list: unknown ids rarely repeat, and each would evict
+        a known user's list."""
         if not self.cache_size:
             return
         fresh = [
@@ -595,8 +604,10 @@ class RecommendationService:
                 model_version=response.model_version,
             ))
             for key, response in entries
-            if not response.degraded and response.error is None
+            if response.served_by == SERVED_BY_PRIMARY
         ]
+        if not fresh:
+            return
         with self._lock:
             if self._state is not state:
                 return
@@ -638,13 +649,6 @@ class RecommendationService:
         self._cache_insert(state, [(key, response)])
         self.stats.record(self._clock() - started)
         return response
-
-    def recommend_many(
-        self, requests: Sequence[RecommendationRequest]
-    ) -> list[list[ServedBook]]:
-        """The books of :meth:`recommend_many_responses`; a request that
-        cannot be served comes back as an empty list."""
-        return [list(r.books) for r in self.recommend_many_responses(requests)]
 
     def recommend_many_responses(
         self, requests: Sequence[RecommendationRequest]

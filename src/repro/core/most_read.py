@@ -37,10 +37,15 @@ class MostReadItems(Recommender):
         counts = train.item_counts().astype(np.float64)
         # Tiny index-based tiebreak keeps the ranking total and deterministic.
         self._scores = counts - np.arange(len(counts)) * 1e-9
+        # Ranked once here: the service asks for the top-k per request.
+        self._order = np.argsort(-self._scores, kind="stable")
 
     def score_users(self, user_indices: np.ndarray) -> np.ndarray:
         return np.tile(self._scores, (len(user_indices), 1))
 
     def top_items(self, k: int) -> np.ndarray:
-        """The global top-``k`` item indices (identical for every user)."""
-        return np.argsort(-self._scores, kind="stable")[:k]
+        """The global top-``k`` item indices (identical for every user).
+
+        A fresh array each call, so a caller may write into it.
+        """
+        return self._order[:k].copy()

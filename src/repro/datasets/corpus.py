@@ -59,6 +59,7 @@ from repro.datasets.synthetic import (
 )
 from repro.datasets.world import LatentWorld, WorldConfig
 from repro.errors import (
+    ChecksumMismatchError,
     ConfigurationError,
     DatasetError,
     ManifestMissingError,
@@ -66,6 +67,7 @@ from repro.errors import (
 )
 from repro.resilience.artefacts import (
     MANIFEST_NAME,
+    read_manifest,
     verify_manifest,
     write_manifest,
 )
@@ -589,12 +591,38 @@ class ShardedCorpus:
         return max((p.stat().st_size for p in paths), default=0)
 
     def verify(self) -> dict:
-        """Re-hash every artefact against its manifest; returns the corpus one."""
+        """Hash every artefact once, against the corpus manifest, then
+        check that each artefact's own manifest has the right kind and
+        records the same bytes and SHA-256; returns the corpus manifest.
+
+        Raises what :func:`~repro.resilience.artefacts.verify_manifest`
+        raises; :class:`~repro.errors.ChecksumMismatchError` when an
+        artefact manifest disagrees with the corpus manifest, and
+        :class:`~repro.errors.PersistenceError` when the corpus manifest
+        does not list an artefact.
+        """
         manifest = verify_manifest(self.root, kind=CORPUS_KIND)
-        for path in (self.root / "books.npz", self.root / "items.npz"):
-            verify_manifest(path, kind=CATALOGUE_KIND)
-        for path in self.loan_shard_paths + self.rating_shard_paths:
-            verify_manifest(path, kind=SHARD_KIND)
+        listed = manifest.get("files", {})
+        artefacts = [
+            (self.root / "books.npz", CATALOGUE_KIND),
+            (self.root / "items.npz", CATALOGUE_KIND),
+        ] + [
+            (path, SHARD_KIND)
+            for path in self.loan_shard_paths + self.rating_shard_paths
+        ]
+        for path, kind in artefacts:
+            expected = listed.get(path.name)
+            if expected is None:
+                raise PersistenceError(
+                    f"{path} is not listed in the corpus manifest"
+                )
+            files = read_manifest(path, kind=kind).get("files", {})
+            entry = files.get(path.name, {})
+            if any(entry.get(key) != expected[key] for key in ("bytes", "sha256")):
+                raise ChecksumMismatchError(
+                    f"{path}: its manifest disagrees with the corpus "
+                    "manifest on bytes or sha256"
+                )
         return manifest
 
     # ------------------------------------------------------------------

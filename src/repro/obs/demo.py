@@ -144,14 +144,14 @@ def run_instrumented_demo(
                     served_by[response.served_by] = (
                         served_by.get(response.served_by, 0) + 1
                     )
-            # A cold-start user degrades to the static popularity list.
+            # A cold-start user gets the most-read list, which is not cached.
             response = service.recommend_response(
                 RecommendationRequest(user_id="cold-start-user", k=DEMO_SERVE_K)
             )
             served_by[response.served_by] = (
                 served_by.get(response.served_by, 0) + 1
             )
-            # One batched pass through recommend_many (all cache hits).
+            # One batched pass (all cache hits).
             for response in service.recommend_many_responses(requests):
                 served_by[response.served_by] = (
                     served_by.get(response.served_by, 0) + 1

@@ -38,7 +38,9 @@ folds it in with :meth:`MetricsRegistry.merge_snapshot`.
 
 from __future__ import annotations
 
+import math
 import threading
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Mapping
 
@@ -237,7 +239,6 @@ class Histogram(_Instrument):
             )
         self.buckets = bounds
         self.window_size = window
-        self._bounds = np.asarray(bounds, dtype=np.float64)
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
@@ -251,7 +252,13 @@ class Histogram(_Instrument):
         observers cannot break the counts-sum-to-count invariant.
         """
         value = float(value)
-        index = int(np.searchsorted(self._bounds, value, side="left"))
+        # The bucket ``np.searchsorted(buckets, value, side="left")`` names;
+        # bisect on the tuple is cheaper for one value, but it puts NaN
+        # first, where searchsorted puts it in the overflow bucket.
+        if math.isnan(value):
+            index = len(self.buckets)
+        else:
+            index = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -298,10 +305,10 @@ class Histogram(_Instrument):
         for index, bucket_count in enumerate(self._counts):
             cumulative += bucket_count
             if cumulative >= target:
-                if index < len(self._bounds):
-                    return float(self._bounds[index])
-                return float(self._bounds[-1])
-        return float(self._bounds[-1])
+                if index < len(self.buckets):
+                    return self.buckets[index]
+                return self.buckets[-1]
+        return self.buckets[-1]
 
     @property
     def mean(self) -> float:

@@ -146,19 +146,15 @@ def write_manifest(
     return manifest_path
 
 
-def verify_manifest(artefact: str | Path, kind: str | None = None) -> dict:
-    """Verify every file listed in the manifest beside ``artefact``.
+def read_manifest(artefact: str | Path, kind: str | None = None) -> dict:
+    """The manifest beside ``artefact``, parsed and checked, no file hashed.
 
-    Returns the parsed manifest on success. Raises:
+    Raises:
 
     - :class:`ManifestMissingError` — no manifest beside the artefact;
     - :class:`ArtefactVersionError` — manifest written by an incompatible
       format version, or its ``kind`` does not match ``kind``;
-    - :class:`TruncatedArtefactError` — a file is shorter than recorded;
-    - :class:`ChecksumMismatchError` — byte length matches (or exceeds)
-      the record but the SHA-256 does not;
-    - :class:`PersistenceError` — a listed file is absent or the manifest
-      itself is unreadable.
+    - :class:`PersistenceError` — the manifest itself is unreadable.
     """
     artefact = Path(artefact)
     manifest_path = manifest_path_for(artefact)
@@ -185,6 +181,22 @@ def verify_manifest(artefact: str | Path, kind: str | None = None) -> dict:
             f"{manifest_path} describes a {manifest.get('kind')!r} artefact, "
             f"expected {kind!r}"
         )
+    return manifest
+
+
+def verify_manifest(artefact: str | Path, kind: str | None = None) -> dict:
+    """Verify every file listed in the manifest beside ``artefact``.
+
+    Returns the parsed manifest on success. Raises what
+    :func:`read_manifest` raises, and:
+
+    - :class:`TruncatedArtefactError` — a file is shorter than recorded;
+    - :class:`ChecksumMismatchError` — byte length matches (or exceeds)
+      the record but the SHA-256 does not;
+    - :class:`PersistenceError` — a listed file is absent.
+    """
+    artefact = Path(artefact)
+    manifest = read_manifest(artefact, kind=kind)
     base = artefact if artefact.is_dir() else artefact.parent
     for name, entry in manifest.get("files", {}).items():
         file = base / name

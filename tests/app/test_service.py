@@ -1,12 +1,16 @@
 """Tests for the recommendation service (the GUI request path)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.app.service import (
+    SERVED_BY_MOST_READ,
     SERVED_BY_STATIC,
     RecommendationRequest,
     RecommendationService,
+    ServedBook,
 )
 from repro.core.bpr import BPR
 from repro.core.interactions import InteractionMatrix
@@ -54,6 +58,14 @@ class TestRequests:
         )
         assert not history_ids & {b.book_id for b in recommended}
 
+    def test_cards_are_small_immutable_values(self, service, a_user):
+        [card] = service.recommend(RecommendationRequest(user_id=a_user, k=1))
+        rebuilt = ServedBook(card.book_id, card.title, card.author, 1)
+        assert card == rebuilt and card.rank == 1
+        with pytest.raises(AttributeError):
+            card.rank = 2
+        assert sys.getsizeof(card) <= 72
+
     def test_unknown_user(self, service):
         with pytest.raises(UnknownUserError):
             service.recommend(RecommendationRequest(user_id="stranger"))
@@ -79,6 +91,31 @@ class TestColdStartFallback:
             for i in fallback.top_items(5)
         ]
         assert [b.book_id for b in books] == expected
+
+    def test_unknown_user_is_answered_fresh_and_never_cached(
+        self, tiny_bpr, tiny_split, tiny_merged
+    ):
+        fallback = MostReadItems().fit(tiny_split.train, tiny_merged)
+        service = RecommendationService(
+            tiny_bpr, tiny_split.train, tiny_merged,
+            cold_start_fallback=fallback,
+        )
+        expected = [
+            int(tiny_split.train.items.id_of(int(i)))
+            for i in fallback.top_items(5)
+        ]
+        request = RecommendationRequest("newcomer", k=5)
+        responses = [
+            service.recommend_response(request),
+            service.recommend_response(request),
+            *service.recommend_many_responses([request]),
+        ]
+        for response in responses:
+            assert [b.book_id for b in response.books] == expected
+            assert response.served_by == SERVED_BY_MOST_READ
+            assert not response.from_cache and not response.degraded
+        assert service.cached_entries == 0
+        assert service.stats.cache_hits == 0
 
     def test_known_users_still_personalised(
         self, tiny_bpr, tiny_split, tiny_merged, a_user
@@ -167,6 +204,32 @@ class TestCache:
         assert service.stats.cache_hits == 0
         assert service.stats.cache_misses == 4
 
+    def test_unknown_users_take_no_slot(self, tiny_bpr, tiny_split, tiny_merged):
+        """More distinct unknown ids than the cache holds evict no known
+        user's list: only primary responses are cached."""
+        fallback = MostReadItems().fit(tiny_split.train, tiny_merged)
+        service = self._service(
+            tiny_bpr, tiny_split, tiny_merged,
+            cold_start_fallback=fallback, cache_size=4,
+        )
+        known = [
+            RecommendationRequest(user_id=user, k=5)
+            for user in tiny_merged.bct_user_ids[:2]
+        ]
+        first = service.recommend_many_responses(known)
+        strangers = [
+            RecommendationRequest(user_id=f"new-{n}", k=5)
+            for n in range(3 * service.cache_size)
+        ]
+        for start in range(0, len(strangers), 3):
+            service.recommend_many_responses(strangers[start:start + 3])
+        service.recommend_response(strangers[0])
+        assert service.cached_entries == len(known)
+        again = service.recommend_many_responses(known)
+        assert all(response.from_cache for response in again)
+        assert [r.books for r in again] == [r.books for r in first]
+        assert service.stats.cache_hits == len(known)
+
     def test_cache_disabled(self, tiny_bpr, tiny_split, tiny_merged, a_user):
         service = self._service(
             tiny_bpr, tiny_split, tiny_merged, cache_size=0
@@ -221,7 +284,10 @@ class TestRecommendMany:
             RecommendationRequest(user_id=user, k=5)
             for user in tiny_merged.bct_user_ids[:4]
         ]
-        batched = service.recommend_many(requests)
+        batched = [
+            list(response.books)
+            for response in service.recommend_many_responses(requests)
+        ]
         singles = [service.recommend(request) for request in requests]
         assert batched == singles
 
@@ -231,13 +297,13 @@ class TestRecommendMany:
         service = RecommendationService(tiny_bpr, tiny_split.train, tiny_merged)
         service.recommend(RecommendationRequest(user_id=a_user, k=5))
         other = tiny_merged.bct_user_ids[1]
-        results = service.recommend_many(
+        results = service.recommend_many_responses(
             [
                 RecommendationRequest(user_id=a_user, k=5),
                 RecommendationRequest(user_id=other, k=7),
             ]
         )
-        assert len(results[0]) == 5 and len(results[1]) == 7
+        assert len(results[0].books) == 5 and len(results[1].books) == 7
         assert service.stats.cache_hits == 1
 
     def test_unknown_user_marked_not_raised(self, service, a_user):
@@ -257,10 +323,13 @@ class TestRecommendMany:
         assert stranger.books == ()
         assert stranger.served_by == SERVED_BY_NONE
         assert "stranger" in stranger.error
-        # recommend_many mirrors the markers as empty lists.
-        lists = service.recommend_many(
-            [RecommendationRequest(user_id="stranger", k=5)]
-        )
+        # Alone in its batch, the stranger still comes back empty.
+        lists = [
+            list(response.books)
+            for response in service.recommend_many_responses(
+                [RecommendationRequest(user_id="stranger", k=5)]
+            )
+        ]
         assert lists == [[]]
 
     def test_unknown_user_uses_fallback(self, tiny_bpr, tiny_split, tiny_merged):
@@ -269,15 +338,15 @@ class TestRecommendMany:
             tiny_bpr, tiny_split.train, tiny_merged,
             cold_start_fallback=fallback,
         )
-        [books] = service.recommend_many(
+        [response] = service.recommend_many_responses(
             [RecommendationRequest(user_id="newcomer", k=5)]
         )
-        assert books == service.recommend(
+        assert list(response.books) == service.recommend(
             RecommendationRequest(user_id="newcomer", k=5)
         )
 
     def test_empty_batch(self, service):
-        assert service.recommend_many([]) == []
+        assert service.recommend_many_responses([]) == []
 
 
 class TestResilience:

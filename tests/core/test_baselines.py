@@ -71,3 +71,26 @@ class TestMostReadItems:
         train = InteractionMatrix.from_pairs([("u", 0), ("v", 1)])
         model = MostReadItems().fit(train)
         assert model.top_items(2).tolist() == [0, 1]
+
+    def test_top_items_is_the_stable_argsort_for_every_k(self):
+        """Counts with ties: every prefix of the ranking is the stable
+        argsort of the counts, ties in index order."""
+        counts = np.random.default_rng(5).integers(1, 4, size=40)
+        train = InteractionMatrix.from_pairs(
+            (f"u{copy}", item)
+            for item, count in enumerate(counts.tolist())
+            for copy in range(count)
+        )
+        assert train.item_counts().tolist() == counts.tolist()
+        model = MostReadItems().fit(train)
+        order = np.argsort(-counts, kind="stable")
+        for k in range(1, train.n_items + 2):
+            assert model.top_items(k).tolist() == order[:k].tolist()
+
+    def test_writing_into_top_items_leaves_the_ranking(self, train):
+        model = MostReadItems().fit(train)
+        first = model.top_items(3)
+        expected = first.tolist()
+        first[:] = -1
+        assert model.top_items(3).tolist() == expected
+        assert model.recommend(0, 3).tolist() == expected

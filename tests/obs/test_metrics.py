@@ -115,6 +115,51 @@ class TestHistogramProperties:
             Histogram("h", buckets=(1.0, float("inf")))
 
 
+class TestBucketRule:
+    """Every value lands in the bucket ``np.searchsorted`` names, so the
+    bucket indices (and the goldens) stay those of the vectorised rule."""
+
+    @staticmethod
+    def _bucket(bounds, value):
+        histogram = Histogram("h", buckets=bounds)
+        histogram.observe(value)
+        return histogram.bucket_counts.index(1)
+
+    @staticmethod
+    def _searchsorted(bounds, value):
+        return int(np.searchsorted(np.asarray(bounds), value, side="left"))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.5,), (0.1, 1.0, 10.0), (-1.0, 0.0, 1.0), DEFAULT_LATENCY_BUCKETS],
+    )
+    def test_edges_and_specials(self, bounds):
+        inf, nan = float("inf"), float("nan")
+        between = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+        nudged = [
+            float(np.nextafter(b, toward)) for b in bounds for toward in (-inf, inf)
+        ]
+        values = [
+            *bounds, *between, *nudged,
+            0.0, -0.0, -1e-300, -3.0, 1e300, inf, -inf, nan,
+        ]
+        for value in values:
+            assert self._bucket(bounds, value) == self._searchsorted(
+                bounds, value
+            ), value
+
+    def test_nan_lands_in_the_overflow_bucket(self):
+        bounds = (0.1, 1.0)
+        assert self._bucket(bounds, float("nan")) == len(bounds)
+
+    @settings(deadline=None, max_examples=200)
+    @given(value=st.floats(allow_nan=True, allow_infinity=True))
+    def test_any_float(self, value):
+        assert self._bucket(DEFAULT_LATENCY_BUCKETS, value) == (
+            self._searchsorted(DEFAULT_LATENCY_BUCKETS, value)
+        )
+
+
 class TestCounterAndGauge:
     def test_counter_rejects_negative_increment(self):
         counter = Counter("c")

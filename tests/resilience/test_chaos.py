@@ -205,8 +205,8 @@ class TestServiceChaos:
         # it directly and it is not marked degraded.
         assert responses[1].served_by == SERVED_BY_MOST_READ
         assert len(responses[1].books) == 5
-        lists = service.recommend_many(requests)
-        assert [len(books) for books in lists] == [5, 5, 8]
+        again = service.recommend_many_responses(requests)
+        assert [len(response.books) for response in again] == [5, 5, 8]
 
     def test_static_last_link_without_cold_start(
         self, tiny_bpr, tiny_split, tiny_merged, users

@@ -337,7 +337,10 @@ class TestServingEquivalence:
         single_service = RecommendationService(
             tiny_bpr, tiny_split.train, tiny_merged, cache_size=0
         )
-        batched = batch_service.recommend_many(requests)
+        batched = [
+            list(response.books)
+            for response in batch_service.recommend_many_responses(requests)
+        ]
         singles = [single_service.recommend(r) for r in requests]
         assert batched == singles
 
