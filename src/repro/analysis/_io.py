@@ -1,12 +1,12 @@
 """Stdlib-only atomic writes for the analyzer's own artefacts.
 
 The sanctioned project-wide write path is
-:func:`repro.resilience.artefacts.atomic_write`, but importing it pulls
-in the whole ``repro.resilience`` package — and ``resilience.retry``
-imports numpy at module level. :func:`~repro.analysis.runner.run_check`
-needs only the standard library, so this module re-implements the same
-temp-file + fsync + rename sequence with nothing but the stdlib (no
-fault-injection hooks; the analyzer is not under chaos testing).
+:func:`repro.resilience.artefacts.atomic_write`, but it lives outside
+this package, and :func:`~repro.analysis.runner.run_check` needs only the
+standard library and ``repro.analysis`` itself, so this module
+re-implements the same temp-file + fsync + rename sequence with nothing
+but the stdlib (no fault-injection hooks; the analyzer is not under chaos
+testing).
 
 The ``resource-lifetime`` rule treats this module as a sanctioned write
 implementation, exactly like the artefacts module itself.

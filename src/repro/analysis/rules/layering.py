@@ -17,11 +17,8 @@ A module may import its own layer and anything *below* it, never above.
 ``drivers`` sit on top and may orchestrate the whole stack. A handful of
 modules are explicitly re-homed by :data:`DEFAULT_SPEC.overrides` — the
 end-to-end demo driver that lives inside a utility package for
-packaging convenience but is architecturally top-of-stack, and the
-fault-injection wrappers that subclass core models:
-
-- ``repro.obs.demo`` → ``drivers``;
-- ``repro.resilience.faults`` → ``core``.
+packaging convenience but is architecturally top-of-stack:
+``repro.obs.demo`` → ``drivers``.
 
 Besides direction, the rule also rejects *cycles*: strongly connected
 components in the real module-level import graph fail the check even
@@ -31,7 +28,6 @@ of one layer may import each other's names only acyclically).
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -105,8 +101,6 @@ DEFAULT_SPEC = LayerSpec(
         "repro": "drivers",
         # The end-to-end demo driver shipped inside a utility package.
         "repro.obs.demo": "drivers",
-        # Fault-injection wrappers subclass core recommenders.
-        "repro.resilience.faults": "core",
     },
     root="repro",
 )

@@ -11,9 +11,9 @@ matrix, version, cold-start fallback, card arrays, static popularity
 order), so its books and its ``model_version`` come from the same model.
 A single request is a batch of one: cache misses are grouped by k and
 scored exactly, one ``model.recommend_batch`` call per group, behind a
-circuit breaker, optional retries and per-request deadlines, above a
-degradation chain (primary → fitted most-read → static popularity). An
-LRU cache of primary responses answers repeat requests,
+circuit breaker and per-request deadlines, above a degradation chain
+(primary → fitted most-read → static popularity). An LRU cache of
+primary responses answers repeat requests,
 :meth:`RecommendationService.refresh_from_store` hot-swaps the state
 from a model store, and every stats movement is mirrored into a metrics
 registry (plus optional trace spans).
@@ -43,16 +43,12 @@ from repro.resilience.breaker import (
     STATE_OPEN,
     CircuitBreaker,
 )
-from repro.resilience.retry import BackoffPolicy, Deadline, retry_call
 
 #: The paper's deployed list length.
 DEFAULT_K = 20
 
 #: Served top-k lists kept in the LRU cache by default.
 DEFAULT_CACHE_SIZE = 1024
-
-#: Per-request latencies kept for percentile reporting by default.
-DEFAULT_LATENCY_WINDOW = 10_000
 
 #: ``served_by`` tags, in degradation-chain order.
 SERVED_BY_PRIMARY = "primary"
@@ -71,9 +67,10 @@ _UNKNOWN_CARD = ("(unknown)", "(unknown)")
 class RecommendationRequest:
     """One GUI request.
 
-    ``timeout_seconds`` is an optional per-request deadline budget: when
-    it runs out before the primary model was invoked, the service answers
-    from the degradation chain instead of blocking the GUI.
+    ``timeout_seconds`` is an optional per-request deadline budget,
+    counted from the request's arrival at the service: when it runs out
+    before the primary model was invoked, the service answers from the
+    degradation chain instead of blocking the GUI.
     """
 
     user_id: str
@@ -164,21 +161,19 @@ class ServingState:
 class ServiceStats:
     """Aggregate latency, cache, and degradation accounting.
 
-    One shared :class:`~repro.obs.metrics.Histogram` (``latency_window``
-    bounds its raw-observation window) drives :meth:`percentile`,
-    :attr:`latencies` and the registry's ``service.latency_seconds``
+    One shared :class:`~repro.obs.metrics.Histogram` drives
+    :meth:`percentile` and the registry's ``service.latency_seconds``
     series, so they cannot disagree. ``degradations`` counts
     fallback-served requests per ``served_by`` source; ``errors`` counts
-    underlying failures (more than degradations when retries or several
-    chain links fail for one request). Every mutation runs under one
-    lock, so concurrent serving threads never lose an increment.
+    underlying failures (more than degradations when several chain links
+    fail for one request). Every mutation runs under one lock, so
+    concurrent serving threads never lose an increment.
     """
 
     requests: int = 0
     total_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    latency_window: int = DEFAULT_LATENCY_WINDOW
     errors: int = 0
     last_error: str | None = None
     refreshes: int = 0
@@ -190,21 +185,9 @@ class ServiceStats:
     """The shared latency histogram (a standalone one when omitted)."""
 
     def __post_init__(self) -> None:
-        if self.latency_window < 1:
-            raise ConfigurationError(
-                f"latency_window must be >= 1, got {self.latency_window}"
-            )
         if self.histogram is None:
-            self.histogram = Histogram(
-                "service.latency_seconds", window=self.latency_window
-            )
+            self.histogram = Histogram("service.latency_seconds")
         self._lock = threading.Lock()
-
-    @property
-    def latencies(self) -> tuple[float, ...]:
-        """The retained per-request latencies (histogram window view)."""
-        assert self.histogram is not None
-        return self.histogram.window
 
     @property
     def mean_seconds(self) -> float:
@@ -232,10 +215,6 @@ class ServiceStats:
         per_request = elapsed / requests if requests else 0.0
         for _ in range(requests):
             self.histogram.observe(per_request)
-
-    def note_cache(self, hit: bool) -> None:
-        """Account one cache lookup (``hit=True``) or miss."""
-        self.note_lookups(int(hit), int(not hit))
 
     def note_lookups(self, hits: int, misses: int) -> None:
         """Account a batch's cache lookups in one step."""
@@ -298,16 +277,11 @@ class RecommendationService:
             its top-k instead of an error, and it is the chain's second link.
         cache_size: served lists kept in the LRU cache (``0`` disables
             it); only primary responses are cached.
-        latency_window: per-request latencies kept for percentiles.
         breaker: the circuit breaker guarding primary scoring.
-        retry_policy: optional :class:`~repro.resilience.retry.BackoffPolicy`
-            for primary scoring failures, retried before degrading.
         degrade_unknown_users: an unknown user without a cold-start
             fallback gets the static list (degraded) instead of
             :class:`UnknownUserError`.
-        seed: seed for the retry jitter stream (``repro.rng`` semantics).
         clock: injectable monotonic clock (deadlines, staleness, latency).
-        retry_sleep: injectable sleep for retry backoff.
         metrics: the :class:`~repro.obs.metrics.MetricsRegistry` to record
             into (a private one when omitted).
         tracer: optional :class:`~repro.obs.trace.Tracer`.
@@ -329,13 +303,9 @@ class RecommendationService:
         dataset: MergedDataset,
         cold_start_fallback: "MostReadItems | None" = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
         breaker: CircuitBreaker | None = None,
-        retry_policy: BackoffPolicy | None = None,
         degrade_unknown_users: bool = False,
-        seed: int | None = None,
         clock: Callable[[], float] = time.monotonic,
-        retry_sleep: Callable[[float], None] = time.sleep,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         model_version: str | None = None,
@@ -346,9 +316,7 @@ class RecommendationService:
         self.dataset = dataset
         self.cache_size = cache_size
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.retry_policy = retry_policy
         self.degrade_unknown_users = degrade_unknown_users
-        self.seed = seed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         counter = self.metrics.counter
@@ -383,17 +351,12 @@ class RecommendationService:
         self._m_breaker_state = self.metrics.gauge(
             "service.breaker_state", help="0=closed, 1=half-open, 2=open"
         )
-        latency_histogram = self.metrics.histogram(
-            "service.latency_seconds", window=latency_window,
-            help="per-request service latency",
-        )
-        self.stats = ServiceStats(
-            latency_window=latency_window, histogram=latency_histogram
-        )
+        self.stats = ServiceStats(histogram=self.metrics.histogram(
+            "service.latency_seconds", help="per-request service latency"
+        ))
         self.breaker.on_transition = self._on_breaker_transition
         self._m_breaker_state.set(_BREAKER_STATE_VALUE[self.breaker.state])
         self._clock = clock
-        self._retry_sleep = retry_sleep
         self._lock = threading.RLock()
         self._cache: OrderedDict[tuple[str, int], ServedResponse] = OrderedDict()
         books = dataset.books
@@ -424,9 +387,6 @@ class RecommendationService:
     @property
     def cold_start_fallback(self) -> "MostReadItems | None":
         return self._state.cold_start_fallback
-
-    def known_user(self, user_id: str) -> bool:
-        return user_id in self._state.train.users
 
     def _build_state(
         self,
@@ -461,11 +421,6 @@ class RecommendationService:
         """How many served lists the LRU cache currently holds."""
         with self._lock:
             return len(self._cache)
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached top-k list (e.g. after retraining)."""
-        with self._lock:
-            self._cache.clear()
 
     def refresh_model(
         self,
@@ -640,7 +595,7 @@ class RecommendationService:
         with start_span(
             self.tracer, "service.request", user_id=request.user_id, k=request.k
         ) as span:
-            [response] = self._resolve(state, [request])
+            [response] = self._resolve(state, [request], started)
             if response is None:
                 self.stats.record(self._clock() - started)
                 raise UnknownUserError(request.user_id)
@@ -667,7 +622,9 @@ class RecommendationService:
             state, results = self._cache_lookup(keys)
             self._note_lookups(results)
             misses = [i for i, cached in enumerate(results) if cached is None]
-            resolved = self._resolve(state, [requests[i] for i in misses])
+            resolved = self._resolve(
+                state, [requests[i] for i in misses], started
+            )
             for position, response in zip(misses, resolved):
                 if response is None:
                     error = UnknownUserError(requests[position].user_id)
@@ -690,11 +647,6 @@ class RecommendationService:
         if user_id not in state.train.users:
             raise UnknownUserError(user_id)
         return list(state.books(state.seen(state.train.users.index_of(user_id))))
-
-    def metrics_snapshot(self) -> dict:
-        """The metrics registry's immutable snapshot (see
-        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`)."""
-        return self.metrics.snapshot()
 
     def health(self) -> dict:
         """A service health report (breaker, cache, latency, errors).
@@ -738,31 +690,34 @@ class RecommendationService:
     # ------------------------------------------------------------------
 
     def _resolve(
-        self, state: ServingState, requests: Sequence[RecommendationRequest]
+        self,
+        state: ServingState,
+        requests: Sequence[RecommendationRequest],
+        started: float,
     ) -> list[ServedResponse | None]:
         """Resolve cache-missed requests against one state; never raises.
 
-        Known users with budget left, while the breaker allows, are
-        grouped by k for :meth:`_score_group`; the others take the
-        fallback chain. ``None`` marks an unserveable unknown user.
+        Known users whose budget, counted from ``started`` (when the
+        service took the request or its batch), is not spent are grouped
+        by k for :meth:`_score_group` while the breaker allows; the others
+        take the fallback chain. ``None`` marks an unserveable unknown
+        user.
         """
         results: list[ServedResponse | None] = [None] * len(requests)
-        groups: dict[int, list[tuple[int, int, Deadline | None]]] = {}
+        groups: dict[int, list[tuple[int, int]]] = {}
         users = state.train.users
         for position, request in enumerate(requests):
             if request.user_id not in users:
                 results[position] = self._cold_start(state, request)
                 continue
             user_index = users.index_of(request.user_id)
-            deadline = None
-            if request.timeout_seconds is not None:
-                deadline = Deadline.start(request.timeout_seconds, self._clock)
-            if deadline is not None and deadline.expired:
+            if (
+                request.timeout_seconds is not None
+                and self._clock() - started >= request.timeout_seconds
+            ):
                 error = "deadline expired before primary scoring"
             elif self.breaker.allow():
-                groups.setdefault(request.k, []).append(
-                    (position, user_index, deadline)
-                )
+                groups.setdefault(request.k, []).append((position, user_index))
                 continue
             else:
                 error = "circuit breaker open"
@@ -775,42 +730,29 @@ class RecommendationService:
         self,
         state: ServingState,
         k: int,
-        members: list[tuple[int, int, Deadline | None]],
+        members: list[tuple[int, int]],
         results: list[ServedResponse | None],
     ) -> None:
         """Score one k-group exactly and build its responses, as one
         guarded call: a failure in either counts one breaker failure and
-        degrades this group only. Retries stop at the group's earliest
-        deadline. Scorings count on ``service.retrieval.requests``."""
-        indices = np.asarray([user for _, user, _ in members], dtype=np.int64)
-
-        def score() -> list[np.ndarray]:
+        degrades this group only. Scorings count on
+        ``service.retrieval.requests``."""
+        indices = np.asarray([user for _, user in members], dtype=np.int64)
+        try:
             lists = state.model.recommend_batch(indices, k)
             self._m_exact.inc(len(indices))
-            return lists
-
-        deadlines = [deadline for _, _, deadline in members if deadline is not None]
-        try:
-            lists = score() if self.retry_policy is None else retry_call(
-                score,
-                policy=self.retry_policy,
-                seed=self.seed,
-                scope="service.primary",
-                sleep=self._retry_sleep,
-                deadline=min(deadlines, key=Deadline.remaining, default=None),
-            )
             served = [
                 (position, ServedResponse(
                     state.books(items), SERVED_BY_PRIMARY,
                     model_version=state.version,
                 ))
-                for (position, _, _), items in zip(members, lists, strict=True)
+                for (position, _), items in zip(members, lists, strict=True)
             ]
         except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
             self.breaker.record_failure()
             self._note_error(exc)
             error = f"{type(exc).__name__}: {exc}"
-            for position, user_index, _ in members:
+            for position, user_index in members:
                 results[position] = self._fallback(state, user_index, k, error)
             return
         self.breaker.record_success()

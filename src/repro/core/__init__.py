@@ -10,8 +10,6 @@ Four algorithms from the paper plus two extensions:
   embedding similarity to the user's history (Equation 1);
 - :class:`~repro.core.bpr.BPR` — collaborative filtering: matrix
   factorisation trained with WARP-sampled pairwise ranking (Equations 2-3);
-- :class:`~repro.core.item_knn.ItemKNN` — item-item co-occurrence CF
-  (extension; a classical comparator);
 - :class:`~repro.core.hybrid.HybridRecommender` — CB+CF score blend
   (extension; the paper's natural follow-up);
 - :class:`~repro.core.sequential.SequentialMarkov` — first-order
@@ -27,10 +25,8 @@ from repro.core.random_items import RandomItems
 from repro.core.most_read import MostReadItems
 from repro.core.closest_items import ClosestItems
 from repro.core.bpr import BPR, BPRConfig
-from repro.core.item_knn import ItemKNN
 from repro.core.hybrid import HybridRecommender
 from repro.core.sequential import SequentialMarkov
-from repro.core.registry import available_models, create_model, register_model
 
 __all__ = [
     "Recommender",
@@ -41,10 +37,6 @@ __all__ = [
     "ClosestItems",
     "BPR",
     "BPRConfig",
-    "ItemKNN",
     "HybridRecommender",
     "SequentialMarkov",
-    "available_models",
-    "create_model",
-    "register_model",
 ]

@@ -102,15 +102,6 @@ class Recommender(abc.ABC):
             mask_seen_rows(scores, self.train.csr, user_indices)
         return scores
 
-    def rank_items(self, user_index: int) -> np.ndarray:
-        """The user's full ranking: item indices sorted by decreasing score.
-
-        Masked items sort last. Used by the First Rank (FR) metric, which
-        the paper computes on the full ranking rather than the top-k cut.
-        """
-        scores = self.masked_scores(np.asarray([user_index]))[0]
-        return np.argsort(-scores, kind="stable")
-
     def recommend(self, user_index: int, k: int) -> np.ndarray:
         """Top-``k`` item indices for one user (``R_u`` in the paper).
 

@@ -148,29 +148,16 @@ class ClosestItems(Recommender):
             )
 
     @property
-    def is_sparse(self) -> bool:
-        """Whether the fitted similarity is the truncated sparse form."""
-        return self._similarity_sparse is not None
-
-    @property
     def similarity(self) -> np.ndarray:
         """The item-item cosine similarity matrix (diagonal zeroed).
 
-        In truncated sparse mode this densifies the CSR matrix — use
-        :attr:`similarity_sparse` for the memory-bounded representation.
+        In truncated sparse mode this densifies the CSR matrix.
         """
         if self._similarity is not None:
             return self._similarity
         if self._similarity_sparse is not None:
             return self._similarity_sparse.toarray()
         raise NotFittedError(self.name)
-
-    @property
-    def similarity_sparse(self) -> sparse.csr_matrix:
-        """The truncated top-N similarity (only in sparse mode)."""
-        if self._similarity_sparse is None:
-            raise NotFittedError(self.name)
-        return self._similarity_sparse
 
     def similarity_nbytes(self) -> int:
         """Bytes held by the fitted similarity representation."""
@@ -205,14 +192,3 @@ class ClosestItems(Recommender):
             if history.size:
                 scores[row] = similarity[:, history].mean(axis=1)
         return scores
-
-    def most_similar(self, item_index: int, k: int = 10) -> list[tuple[int, float]]:
-        """The ``k`` catalogue items most similar to one item (diagnostics)."""
-        if self._similarity_sparse is not None:
-            row = np.asarray(
-                self._similarity_sparse.getrow(item_index).todense()
-            ).ravel()
-        else:
-            row = self.similarity[item_index]
-        top = np.argsort(-row, kind="stable")[:k]
-        return [(int(i), float(row[i])) for i in top]

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import DatasetError, UnknownUserError
-from repro.tables import Table
 
 
 class Indexer:
@@ -124,82 +123,6 @@ class InteractionMatrix:
         self.csr.sum_duplicates()
 
     # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[Hashable, Hashable]],
-        users: Indexer | None = None,
-        items: Indexer | None = None,
-    ) -> "InteractionMatrix":
-        """Build from (user id, item id) events; repeats accumulate counts.
-
-        Index resolution runs through the vectorised
-        :meth:`Indexer.indices_of` (one binary search over the sorted id
-        arrays) rather than one dict probe per event.
-        """
-        user_ids: list = []
-        item_ids: list = []
-        for user, item in pairs:
-            user_ids.append(user)
-            item_ids.append(item)
-        return cls.from_id_lists(user_ids, item_ids, users=users, items=items)
-
-    @classmethod
-    def from_id_lists(
-        cls,
-        user_ids: Sequence[Hashable],
-        item_ids: Sequence[Hashable],
-        users: Indexer | None = None,
-        items: Indexer | None = None,
-    ) -> "InteractionMatrix":
-        """Build from parallel user-id / item-id columns.
-
-        The columnar counterpart of :meth:`from_pairs` — no per-event
-        tuples are materialised, so this is the entry point for the
-        streaming/out-of-core paths where the event count is large.
-        """
-        if len(user_ids) != len(item_ids):
-            raise DatasetError(
-                f"user ids ({len(user_ids)}) and item ids ({len(item_ids)}) "
-                "must have equal length"
-            )
-        if users is None:
-            users = Indexer(user_ids)
-        if items is None:
-            items = Indexer(item_ids)
-        rows = users.indices_of(user_ids)
-        cols = items.indices_of(item_ids)
-        data = np.ones(len(user_ids), dtype=np.float64)
-        matrix = sparse.coo_matrix(
-            (data, (rows, cols)), shape=(len(users), len(items))
-        )
-        return cls(users, items, matrix.tocsr())
-
-    @classmethod
-    def from_readings_table(
-        cls,
-        readings: Table,
-        users: Indexer | None = None,
-        items: Indexer | None = None,
-    ) -> "InteractionMatrix":
-        """Build from a merged ``readings`` table (user_id, book_id columns).
-
-        Columns convert via ``ndarray.tolist()`` (one C-level pass that
-        yields the same Python ``str``/``int`` ids the row-wise path
-        produced) instead of a per-element generator, keeping the
-        construction linear-time and allocation-light at corpus scale.
-        """
-        return cls.from_id_lists(
-            readings["user_id"].tolist(),
-            readings["book_id"].tolist(),
-            users=users,
-            items=items,
-        )
-
-    # ------------------------------------------------------------------
     # views and accessors
     # ------------------------------------------------------------------
 
@@ -252,13 +175,3 @@ class InteractionMatrix:
         rows, cols = self.positive_pairs()
         return np.sort(rows * np.int64(self.n_items) + cols)
 
-    def restrict_users(self, user_indices: np.ndarray) -> "InteractionMatrix":
-        """A matrix over a subset of users (item indexing unchanged)."""
-        user_indices = np.asarray(user_indices, dtype=np.int64)
-        sub = self.csr[user_indices]
-        users = Indexer(self.users.id_of(int(i)) for i in user_indices)
-        order = users.indices_of([self.users.id_of(int(i)) for i in user_indices])
-        # `users` sorts ids; permute rows to match the sorted indexer.
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order))
-        return InteractionMatrix(users, self.items, sub[inverse])

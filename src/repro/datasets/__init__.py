@@ -3,8 +3,8 @@
 The paper works on two proprietary data sources (the BCT loans database and
 an Anobii dump). Neither is distributable, so this subpackage provides:
 
-- :mod:`repro.datasets.models` — the record types and table schemas the
-  paper describes (Books/Loans for BCT, Items/Ratings for Anobii);
+- :mod:`repro.datasets.models` — the table schemas the paper describes
+  (Books/Loans for BCT, Items/Ratings for Anobii);
 - :mod:`repro.datasets.world` — a latent *world model* (users with genre and
   author preferences, a catalogue with power-law popularity) from which both
   sources are observed;

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.models import (
-    ANOBII_ITEMS_SCHEMA,
-    ANOBII_RATINGS_SCHEMA,
-    parse_genre_votes,
-)
+from repro.datasets.models import ANOBII_ITEMS_SCHEMA, ANOBII_RATINGS_SCHEMA
 from repro.errors import DatasetError
-from repro.tables import Table, ops
+from repro.tables import Table
 
 #: Rating threshold below which feedback is treated as negative and dropped
 #: (paper Section 3: "we remove rows with ratings lower than 3").
@@ -93,22 +89,3 @@ class AnobiiDataset:
     @property
     def n_users(self) -> int:
         return len(set(self.ratings["user_id"].tolist()))
-
-    def ratings_per_user(self) -> Table:
-        """Table (user_id, n_ratings)."""
-        return self.ratings.group_by("user_id").aggregate(
-            {"n_ratings": ("rating_id", ops.count)}
-        )
-
-    def ratings_per_item(self) -> Table:
-        """Table (item_id, n_ratings)."""
-        return self.ratings.group_by("item_id").aggregate(
-            {"n_ratings": ("rating_id", ops.count)}
-        )
-
-    def genre_votes_of(self, item_id: int) -> dict[str, int]:
-        """Parse the crowd-voted genres of one item."""
-        matches = self.items.filter(self.items["item_id"] == item_id)
-        if matches.num_rows == 0:
-            raise DatasetError(f"unknown item_id: {item_id}")
-        return parse_genre_votes(str(matches["genre_votes"][0]))

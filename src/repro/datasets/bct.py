@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.datasets.models import BCT_BOOKS_SCHEMA, BCT_LOANS_SCHEMA
 from repro.errors import DatasetError
-from repro.tables import Table, ops
+from repro.tables import Table
 
 #: Material types the paper keeps ("monographies and manuscripts").
 KEPT_MATERIALS = frozenset({"monograph", "manuscript"})
@@ -95,26 +95,3 @@ class BCTDataset:
     @property
     def n_users(self) -> int:
         return len(set(self.loans["user_id"].tolist()))
-
-    def loans_per_user(self) -> Table:
-        """Table (user_id, n_loans) — the activity distribution."""
-        return self.loans.group_by("user_id").aggregate(
-            {"n_loans": ("loan_id", ops.count)}
-        )
-
-    def loans_per_book(self) -> Table:
-        """Table (book_id, n_loans) — the popularity distribution."""
-        return self.loans.group_by("book_id").aggregate(
-            {"n_loans": ("loan_id", ops.count)}
-        )
-
-    def loan_durations(self) -> np.ndarray:
-        """Days each loan lasted (return date minus loan date).
-
-        The paper's Section 4 points at this signal as the way to refine
-        the "borrowed means appreciated" assumption; see
-        ``MergeConfig.min_loan_days`` and the ``ablation_duration``
-        experiment.
-        """
-        deltas = self.loans["return_date"] - self.loans["loan_date"]
-        return deltas.astype("timedelta64[D]").astype(np.int64)

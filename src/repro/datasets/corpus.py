@@ -585,11 +585,6 @@ class ShardedCorpus:
     def anobii_epoch(self) -> np.datetime64:
         return np.datetime64(self.meta["anobii_epoch"])
 
-    def largest_shard_bytes(self) -> int:
-        """Size of the biggest event shard on disk — the RSS budget unit."""
-        paths = self.loan_shard_paths + self.rating_shard_paths
-        return max((p.stat().st_size for p in paths), default=0)
-
     def verify(self) -> dict:
         """Hash every artefact once, against the corpus manifest, then
         check that each artefact's own manifest has the right kind and

@@ -138,15 +138,6 @@ class MergedDataset:
             table.setdefault(int(book_id), {})[str(genre)] = float(prob)
         return table
 
-    def book_metadata(self, book_id: int) -> dict[str, object]:
-        """All metadata fields of one book, including its genre model."""
-        matches = self.books.filter(self.books["book_id"] == book_id)
-        if matches.num_rows == 0:
-            raise DatasetError(f"unknown book_id: {book_id}")
-        row = matches.row(0)
-        row["genres"] = self.genre_probabilities.get(book_id, {})
-        return row
-
     def restrict_to_sources(self, sources: frozenset[str] | set[str]) -> "MergedDataset":
         """Return a dataset keeping only readings from the given sources.
 

@@ -1,4 +1,4 @@
-"""Record types and table schemas for the BCT and Anobii sources.
+"""Table schemas for the BCT and Anobii sources.
 
 These mirror the tables the paper describes in Section 3:
 
@@ -16,8 +16,6 @@ sources, a *Readings* table (the union of loans and positive ratings), and a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from datetime import date
 
 from repro.tables import Schema
 
@@ -97,78 +95,6 @@ BOOK_GENRES_SCHEMA = Schema(
         ("probability", "float"),
     ]
 )
-
-
-@dataclass(frozen=True)
-class BookRecord:
-    """One book of the BCT catalogue."""
-
-    book_id: int
-    author: str
-    title: str
-    material: str = "monograph"
-    language: str = "ita"
-
-
-@dataclass(frozen=True)
-class LoanRecord:
-    """One loan event from the BCT Loans table.
-
-    ``return_date`` makes the loan *duration* available — the paper's
-    Section 4 names it as the natural refinement of the "borrowed means
-    appreciated" assumption (a book returned within days was probably
-    abandoned).
-    """
-
-    loan_id: int
-    user_id: str
-    book_id: int
-    loan_date: date
-    return_date: date
-
-    def __post_init__(self) -> None:
-        if self.return_date < self.loan_date:
-            raise ValueError(
-                f"loan {self.loan_id}: returned before borrowed "
-                f"({self.return_date} < {self.loan_date})"
-            )
-
-    @property
-    def duration_days(self) -> int:
-        return (self.return_date - self.loan_date).days
-
-
-@dataclass(frozen=True)
-class AnobiiItemRecord:
-    """One item of the Anobii catalogue, with crowd-sourced metadata."""
-
-    item_id: int
-    author: str
-    title: str
-    language: str = "ita"
-    plot: str = ""
-    keywords: str = ""
-    genre_votes: dict[str, int] = field(default_factory=dict)
-    is_book: bool = True
-
-    def genre_votes_json(self) -> str:
-        """Serialise the genre votes for storage in a str column."""
-        return json.dumps(self.genre_votes, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class RatingRecord:
-    """One rating event from the Anobii Ratings table."""
-
-    rating_id: int
-    user_id: str
-    item_id: int
-    rating: int
-    rating_date: date
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.rating <= 5:
-            raise ValueError(f"rating must be in [1, 5], got {self.rating}")
 
 
 def parse_genre_votes(serialized: str) -> dict[str, int]:

@@ -672,14 +672,6 @@ class LatentWorld:
     def n_users(self) -> int:
         return len(self.users)
 
-    def genre_of(self, book: int) -> str:
-        """True primary genre name of a latent book."""
-        return self.genre_names[self.book_genre[book]]
-
-    def total_readings(self) -> int:
-        """Total positive reading events across all users."""
-        return sum(len(user.readings) for user in self.users)
-
     def raw_genre_votes(self, book: int, rng: np.random.Generator) -> dict[str, int]:
         """Sample crowd-sourced genre votes for ``book``.
 

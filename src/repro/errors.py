@@ -66,17 +66,6 @@ class UnknownUserError(EvaluationError):
         super().__init__(f"unknown user: {user_id!r}")
 
 
-class UnknownModelError(ConfigurationError):
-    """A model name was not found in the registry."""
-
-    def __init__(self, name: str, available: tuple[str, ...]) -> None:
-        self.name = name
-        self.available = available
-        super().__init__(
-            f"unknown model {name!r}; registered models: {', '.join(available)}"
-        )
-
-
 class PersistenceError(ReproError):
     """Saving or loading a model/dataset artefact failed."""
 
@@ -95,35 +84,3 @@ class ChecksumMismatchError(PersistenceError):
 
 class ArtefactVersionError(PersistenceError):
     """An artefact was written by an incompatible format version."""
-
-
-class ResilienceError(ReproError):
-    """Base class for the resilience layer's failures."""
-
-
-class DeadlineExceededError(ResilienceError):
-    """A per-request deadline budget ran out before the work completed."""
-
-
-class RetryExhaustedError(ResilienceError):
-    """Every retry attempt failed; carries the last underlying error."""
-
-    def __init__(self, attempts: int, last_error: BaseException) -> None:
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            f"all {attempts} attempts failed; last error: "
-            f"{type(last_error).__name__}: {last_error}"
-        )
-
-
-class CircuitOpenError(ResilienceError):
-    """A call was rejected because the guarding circuit breaker is open."""
-
-
-class InjectedFaultError(ResilienceError):
-    """A failure deliberately raised by the :class:`FaultInjector` harness."""
-
-    def __init__(self, site: str) -> None:
-        self.site = site
-        super().__init__(f"injected fault at {site!r}")

@@ -4,7 +4,7 @@
   user's readings form the test set, the rest (and all Anobii readings)
   split 80/20 into train/validation.
 - :mod:`repro.eval.metrics` — URR, NRR, Precision, Recall, First Rank
-  (Equations 4-7) plus MAP/NDCG extensions.
+  (Equations 4-7).
 - :mod:`repro.eval.evaluator` — end-to-end: fit, score, rank, measure.
 - :mod:`repro.eval.grid` — the BPR hyper-parameter grid search.
 - :mod:`repro.eval.groups` — the history-size group analysis of Fig. 4.
@@ -19,12 +19,7 @@ from repro.eval.beyond_accuracy import (
     BeyondAccuracyReport,
     evaluate_beyond_accuracy,
 )
-from repro.eval.bootstrap import (
-    ConfidenceInterval,
-    PairedComparison,
-    bootstrap_metric,
-    paired_bootstrap_difference,
-)
+from repro.eval.bootstrap import PairedComparison, paired_bootstrap_difference
 
 __all__ = [
     "DatasetSplit",
@@ -41,8 +36,6 @@ __all__ = [
     "evaluate_by_history_size",
     "BeyondAccuracyReport",
     "evaluate_beyond_accuracy",
-    "ConfidenceInterval",
     "PairedComparison",
-    "bootstrap_metric",
     "paired_bootstrap_difference",
 ]

@@ -45,14 +45,6 @@ class BeyondAccuracyReport:
     serendipity: float
     coverage: float
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "Div": self.diversity,
-            "Nov": self.novelty,
-            "Ser": self.serendipity,
-            "Cov": self.coverage,
-        }
-
 
 def evaluate_beyond_accuracy(
     model: Recommender,

@@ -3,12 +3,9 @@
 The paper reports point estimates only; with ~6 000 test users, differences
 like BPR's URR 0.26 vs Closest's 0.22 deserve uncertainty quantification.
 This module resamples *users* with replacement (the KPIs are user-level
-means, so the user is the exchangeable unit) to produce:
-
-- percentile confidence intervals for any KPI of one evaluation;
-- a *paired* bootstrap for the difference between two models evaluated on
-  the same users — pairing removes the between-user variance that
-  dominates unpaired comparisons.
+means, so the user is the exchangeable unit) for a *paired* bootstrap of
+the difference between two models evaluated on the same users — pairing
+removes the between-user variance that dominates unpaired comparisons.
 """
 
 from __future__ import annotations
@@ -24,27 +21,6 @@ from repro.rng import derive_rng
 SUPPORTED_METRICS = ("urr", "nrr", "precision", "recall", "first_rank")
 
 DEFAULT_RESAMPLES = 1000
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """A point estimate with a percentile bootstrap interval."""
-
-    metric: str
-    estimate: float
-    low: float
-    high: float
-    confidence: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.metric}={self.estimate:.3f} "
-            f"[{self.low:.3f}, {self.high:.3f}] "
-            f"@{self.confidence * 100:.0f}%"
-        )
-
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
 
 
 def _per_user_values(
@@ -70,34 +46,6 @@ def _per_user_values(
     if metric == "recall":
         return hits / per_user.test_sizes
     return per_user.first_ranks.astype(np.float64)
-
-
-def bootstrap_metric(
-    result: EvaluationResult,
-    metric: str,
-    k: int,
-    n_resamples: int = DEFAULT_RESAMPLES,
-    confidence: float = 0.95,
-    seed: int | None = None,
-) -> ConfidenceInterval:
-    """Percentile bootstrap CI for one KPI of one evaluation."""
-    if not 0 < confidence < 1:
-        raise EvaluationError(f"confidence must be in (0, 1), got {confidence}")
-    if n_resamples < 10:
-        raise EvaluationError(f"n_resamples must be >= 10, got {n_resamples}")
-    values = _per_user_values(result, metric, k)
-    rng = derive_rng(seed, "bootstrap", metric)
-    n = len(values)
-    samples = rng.integers(0, n, size=(n_resamples, n))
-    means = values[samples].mean(axis=1)
-    alpha = (1.0 - confidence) / 2
-    return ConfidenceInterval(
-        metric=metric,
-        estimate=float(values.mean()),
-        low=float(np.quantile(means, alpha)),
-        high=float(np.quantile(means, 1 - alpha)),
-        confidence=confidence,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The paper's KPIs (Section 5) plus standard ranking extensions.
+"""The paper's KPIs (Section 5).
 
 All metrics consume two per-user arrays produced by the evaluator:
 
@@ -35,16 +35,6 @@ class KPIReport:
     first_rank: float
     """average First Rank position (lower is better; k-independent)."""
 
-    def as_row(self) -> dict[str, float]:
-        """The KPI values keyed like the paper's Table 1 header."""
-        return {
-            "URR": self.urr,
-            "NRR": self.nrr,
-            "P": self.precision,
-            "R": self.recall,
-            "FR": self.first_rank,
-        }
-
 
 def compute_kpis(
     hits: np.ndarray,
@@ -74,38 +64,3 @@ def compute_kpis(
         first_rank=float(first_ranks.mean()),
     )
 
-
-def hits_at_k(rank_of_items: np.ndarray, k: int) -> int:
-    """Count of held-out items ranked within the top ``k`` (ranks 1-based)."""
-    return int((rank_of_items <= k).sum())
-
-
-def first_rank(rank_of_items: np.ndarray) -> int:
-    """The best (lowest) rank among the held-out items, 1-based."""
-    if len(rank_of_items) == 0:
-        raise EvaluationError("first_rank of an empty holdout is undefined")
-    return int(rank_of_items.min())
-
-
-# ----------------------------------------------------------------------
-# extensions beyond the paper (used by the extended example / diagnostics)
-# ----------------------------------------------------------------------
-
-def average_precision(rank_of_items: np.ndarray, k: int) -> float:
-    """AP@k for one user, given the 1-based ranks of the held-out items."""
-    ranks = np.sort(rank_of_items[rank_of_items <= k])
-    if len(ranks) == 0:
-        return 0.0
-    precisions = np.arange(1, len(ranks) + 1) / ranks
-    return float(precisions.sum() / min(len(rank_of_items), k))
-
-
-def ndcg(rank_of_items: np.ndarray, k: int) -> float:
-    """NDCG@k for one user with binary relevance."""
-    ranks = rank_of_items[rank_of_items <= k]
-    if len(ranks) == 0:
-        return 0.0
-    dcg = float((1.0 / np.log2(ranks + 1)).sum())
-    ideal_count = min(len(rank_of_items), k)
-    ideal = float((1.0 / np.log2(np.arange(1, ideal_count + 1) + 1)).sum())
-    return dcg / ideal

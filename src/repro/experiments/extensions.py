@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.bpr import BPR
-from repro.core.closest_items import ClosestItems
 from repro.core.hybrid import HybridRecommender
 from repro.core.sequential import SequentialMarkov
 from repro.eval.beyond_accuracy import BeyondAccuracyReport, evaluate_beyond_accuracy

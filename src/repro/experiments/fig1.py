@@ -37,11 +37,6 @@ class Fig1Result:
             )
         return rows
 
-    def cdf(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        """The full ECDF series ("per_user" or "per_book") for plotting."""
-        values = self.per_user if which == "per_user" else self.per_book
-        return stats.ecdf(values)
-
     def render(self) -> str:
         header = (
             "Fig. 1: readings per user / per book (CDF quantiles)\n"

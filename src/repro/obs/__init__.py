@@ -1,4 +1,4 @@
-"""Observability: metrics registry, structured tracing, JSON logging.
+"""Observability: metrics registry and structured tracing.
 
 The subsystem is dependency-free and fully deterministic under a fixed
 seed: span/trace ids come from :func:`repro.rng.derive_rng`, clocks are
@@ -12,14 +12,11 @@ Entry points:
 - :class:`Tracer` / :func:`start_span` — nested spans (wall + CPU time,
   exception status); ``start_span(None, ...)`` is an allocation-free
   no-op so hot paths stay cold when untraced;
-- :func:`configure_logging` — JSON log records carrying the active
-  span's trace/span ids;
 - :func:`run_instrumented_demo` — the instrumented synthetic
   pipeline → fit → evaluate → serve run behind ``python -m repro metrics``
   and the golden trace tests.
 """
 
-from repro.obs.logging import JsonFormatter, configure_logging, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -38,7 +35,6 @@ from repro.obs.trace import (
     Span,
     TickingClock,
     Tracer,
-    active_ids,
     start_span,
 )
 
@@ -47,16 +43,12 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JsonFormatter",
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",
     "StageProfile",
     "TickingClock",
     "Tracer",
-    "active_ids",
-    "configure_logging",
-    "get_logger",
     "load_trace_jsonl",
     "render_stage_table",
     "run_instrumented_demo",

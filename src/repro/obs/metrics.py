@@ -167,11 +167,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Move the gauge down by ``amount`` (thread-safe)."""
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         """The current gauge value."""

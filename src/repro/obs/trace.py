@@ -39,16 +39,6 @@ from repro.rng import derive_rng
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
-#: (trace_id, span_id) of the innermost active span of the most recently
-#: entered tracer, for log correlation; ``(None, None)`` outside any span.
-_active_ids: tuple[str | None, str | None] = (None, None)
-
-
-def active_ids() -> tuple[str | None, str | None]:
-    """The (trace_id, span_id) pair of the currently active span."""
-    return _active_ids
-
-
 class Span:
     """One traced operation; used as a context manager.
 
@@ -62,7 +52,7 @@ class Span:
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id", "attrs",
         "start", "end", "cpu_seconds", "status", "error", "_tracer",
-        "_cpu_start", "_previous_ids",
+        "_cpu_start",
     )
 
     def __init__(
@@ -86,7 +76,6 @@ class Span:
         self.error: str | None = None
         self._tracer = tracer
         self._cpu_start: float | None = None
-        self._previous_ids: tuple[str | None, str | None] = (None, None)
 
     @property
     def seconds(self) -> float:
@@ -95,32 +84,23 @@ class Span:
             return 0.0
         return self.end - self.start
 
-    def set_attr(self, key: str, value) -> None:
-        """Attach one attribute to the span."""
-        self.attrs[key] = value
-
     def set_attrs(self, **attrs) -> None:
         """Attach several attributes to the span at once."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        global _active_ids
-        self._previous_ids = _active_ids
-        _active_ids = (self.trace_id, self.span_id)
         self._tracer._stack.append(self)
         self._cpu_start = self._tracer._cpu_clock()
         self.start = self._tracer._clock()
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        global _active_ids
         self.end = self._tracer._clock()
         cpu_start = self._cpu_start if self._cpu_start is not None else 0.0
         self.cpu_seconds = self._tracer._cpu_clock() - cpu_start
         if exc is not None:
             self.status = STATUS_ERROR
             self.error = f"{type(exc).__name__}: {exc}"
-        _active_ids = self._previous_ids
         stack = self._tracer._stack
         if stack and stack[-1] is self:
             stack.pop()
@@ -157,9 +137,6 @@ class _NullSpan:
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        return None
-
-    def set_attr(self, key: str, value) -> None:
         return None
 
     def set_attrs(self, **attrs) -> None:

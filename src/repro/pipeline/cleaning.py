@@ -35,14 +35,6 @@ class CleaningReport:
     events_before: int
     events_after: int
 
-    @property
-    def catalogue_removed(self) -> int:
-        return self.catalogue_before - self.catalogue_after
-
-    @property
-    def events_removed(self) -> int:
-        return self.events_before - self.events_after
-
     def __str__(self) -> str:
         return (
             f"{self.step}: catalogue {self.catalogue_before} -> "

@@ -96,14 +96,6 @@ def entropy(counts: Counter | dict[str, int]) -> float:
     return result
 
 
-def normalized_entropy(counts: Counter | dict[str, int]) -> float:
-    """Entropy divided by its maximum ``ln(K)``: 1 means perfectly balanced."""
-    k = sum(1 for count in counts.values() if count > 0)
-    if k <= 1:
-        return 0.0
-    return entropy(counts) / math.log(k)
-
-
 def extract_genre_votes(items: Table) -> dict[int, dict[str, int]]:
     """Parse the ``genre_votes`` column into ``{item_id: {genre: votes}}``."""
     return {

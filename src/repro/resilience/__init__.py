@@ -1,22 +1,17 @@
 """Resilience layer: keep the serving stack answering when parts fail.
 
-Four building blocks, wired through the app/persistence/pipeline layers:
+Three building blocks, wired through the app/persistence/pipeline layers:
 
-- :mod:`~repro.resilience.retry` — deterministic exponential backoff with
-  jitter (:func:`retry_call`) and per-request :class:`Deadline` budgets;
 - :mod:`~repro.resilience.breaker` — a :class:`CircuitBreaker`
   (closed/open/half-open) guarding the primary model in
   :class:`~repro.app.service.RecommendationService`;
 - :mod:`~repro.resilience.artefacts` — crash-safe writes
   (:func:`atomic_write`) and SHA-256 checksum manifests
   (:func:`write_manifest` / :func:`verify_manifest`);
-- :mod:`~repro.resilience.faults` — the :class:`FaultInjector` chaos
-  harness (probabilistic or scripted failures at named sites).
-
-``faults`` wraps recommenders and therefore imports :mod:`repro.core`,
-which depends on :mod:`repro.tables` — the very module that needs
-``artefacts`` for atomic writes. To keep that import chain acyclic the
-fault classes are exported lazily (PEP 562) below.
+- :func:`fault_check` — the crash-point hook persistence code calls at
+  each write, rename and read; a no-op unless a chaos test armed a fault
+  injector (``tests/resilience/faults.py``) through
+  :func:`~repro.resilience._ambient.set_ambient`.
 """
 
 from repro.resilience._ambient import fault_check
@@ -35,23 +30,9 @@ from repro.resilience.breaker import (
     STATE_OPEN,
     CircuitBreaker,
 )
-from repro.resilience.retry import BackoffPolicy, Deadline, retry_call
-
-_LAZY_FAULT_EXPORTS = (
-    "FaultInjector",
-    "FaultyEmbedder",
-    "FaultyModel",
-    "SITE_EMBEDDER_ENCODE",
-    "SITE_IO_READ",
-    "SITE_IO_RENAME",
-    "SITE_IO_WRITE",
-    "SITE_MODEL_SCORE",
-)
 
 __all__ = [
-    "BackoffPolicy",
     "CircuitBreaker",
-    "Deadline",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "STATE_CLOSED",
@@ -60,18 +41,7 @@ __all__ = [
     "atomic_write",
     "fault_check",
     "manifest_path_for",
-    "retry_call",
     "sha256_file",
     "verify_manifest",
     "write_manifest",
-    *_LAZY_FAULT_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    if name in _LAZY_FAULT_EXPORTS:
-        # repro: allow[layering] — lazy re-export; faults wraps core models
-        from repro.resilience import faults
-
-        return getattr(faults, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

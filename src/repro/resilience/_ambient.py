@@ -1,20 +1,14 @@
 """The ambient fault-injection hook.
 
-Lives in its own dependency-free module so low-level code (``tables/io``,
-``app/persistence``) can call :func:`fault_check` without importing the
-full fault-injection machinery — :mod:`repro.resilience.faults` pulls in
-:mod:`repro.core`, which itself depends on :mod:`repro.tables`, and a
-module-level import from there would be circular.
+Persistence code (``resilience/artefacts``, ``app/persistence``) calls
+:func:`fault_check` at its crash points. Chaos tests arm it with a fault
+injector (``tests/resilience/faults.py``) through :func:`set_ambient`;
+otherwise every check is a no-op.
 """
 
 from __future__ import annotations
 
 _active = None
-
-
-def get_ambient():
-    """The currently active :class:`FaultInjector`, or ``None``."""
-    return _active
 
 
 def set_ambient(injector):
@@ -28,10 +22,9 @@ def set_ambient(injector):
 def fault_check(site: str) -> None:
     """Crash-point hook for code without an injectable seam (file I/O).
 
-    No-op in production; raises
-    :class:`~repro.errors.InjectedFaultError` when a chaos test activated
-    an injector (``with injector.injecting(): ...``) and the injector
-    decides this call fails.
+    No-op in production; when a chaos test armed an injector, calls its
+    ``check(site)``, which raises when the injector decides this call
+    fails.
     """
     if _active is not None:
         _active.check(site)

@@ -4,8 +4,8 @@ The preprocessing pipeline of the paper is a data-integration task: filter
 two catalogues, join them, aggregate crowd-sourced genre votes, and build a
 unified readings table. This subpackage provides the relational substrate
 those steps run on — a typed, immutable, numpy-backed columnar
-:class:`Table` with filter/select/join/group-by/sort operations and
-CSV/JSONL/columnar-npz round-trips.
+:class:`Table` with filter/take/group-by/sort operations and CSV and
+columnar-npz round-trips.
 
 Example:
     >>> from repro.tables import Table
@@ -18,10 +18,8 @@ from repro.tables.schema import Column, Schema
 from repro.tables.table import Table, concat_tables
 from repro.tables.io import (
     read_csv,
-    read_jsonl,
     read_npz_columns,
     write_csv,
-    write_jsonl,
     write_npz_columns,
 )
 from repro.tables import ops
@@ -32,10 +30,8 @@ __all__ = [
     "Table",
     "concat_tables",
     "read_csv",
-    "read_jsonl",
     "read_npz_columns",
     "write_csv",
-    "write_jsonl",
     "write_npz_columns",
     "ops",
 ]

@@ -1,8 +1,7 @@
-"""CSV, JSONL and columnar npz round-trips for :class:`repro.tables.Table`.
+"""CSV and columnar npz round-trips for :class:`repro.tables.Table`.
 
-Both formats store a typed header so a table reloads with its exact schema:
-CSV uses a ``name:dtype`` header convention, JSONL writes a leading schema
-record. These files are how synthetic dataset dumps are persisted and how
+CSV stores a typed ``name:dtype`` header so a table reloads with its exact
+schema. These files are how synthetic dataset dumps are persisted and how
 the example applications exchange data.
 
 Writes are crash-safe: both writers go through
@@ -14,7 +13,6 @@ under the destination name, never a half-written table.
 from __future__ import annotations
 
 import csv
-import json
 import zipfile
 from pathlib import Path
 from typing import Sequence
@@ -68,60 +66,6 @@ def read_csv(path: str | Path) -> Table:
     columns = {
         column.name: _from_cells(values, column)
         for column, values in zip(schema, buffers)
-    }
-    return Table(schema, columns)
-
-
-def write_jsonl(table: Table, path: str | Path) -> None:
-    """Write ``table`` to ``path`` as JSONL with a leading schema record."""
-    path = Path(path)
-    try:
-        with atomic_write(path, "w", encoding="utf-8") as handle:
-            schema_record = {
-                "__schema__": [[c.name, c.dtype] for c in table.schema]
-            }
-            handle.write(json.dumps(schema_record) + "\n")
-            for row in table.iter_rows():
-                handle.write(json.dumps(_jsonable(row)) + "\n")
-    except OSError as exc:
-        raise TableIOError(f"cannot write JSONL to {path}: {exc}") from exc
-
-
-def read_jsonl(path: str | Path) -> Table:
-    """Read a table previously written by :func:`write_jsonl`."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            first = handle.readline()
-            if not first:
-                raise TableIOError(f"{path} is empty; expected a schema record")
-            try:
-                schema_record = json.loads(first)
-                pairs = schema_record["__schema__"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise TableIOError(
-                    f"{path}: first line is not a schema record: {exc}"
-                ) from exc
-            schema = Schema([Column(name, dtype) for name, dtype in pairs])
-            buffers: dict[str, list] = {name: [] for name in schema.names}
-            for line_no, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TableIOError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-                for name in schema.names:
-                    if name not in record:
-                        raise TableIOError(
-                            f"{path}:{line_no}: missing field {name!r}"
-                        )
-                    buffers[name].append(record[name])
-    except OSError as exc:
-        raise TableIOError(f"cannot read JSONL from {path}: {exc}") from exc
-    columns = {
-        column.name: schema.coerce_column(column.name, buffers[column.name])
-        for column in schema
     }
     return Table(schema, columns)
 
@@ -207,19 +151,3 @@ def _from_cells(values: list[str], column: Column) -> np.ndarray:
     for i, value in enumerate(values):
         array[i] = value
     return array
-
-
-def _jsonable(row: dict[str, object]) -> dict[str, object]:
-    import datetime
-
-    out = {}
-    for name, value in row.items():
-        if isinstance(value, np.datetime64):
-            out[name] = str(value)
-        elif isinstance(value, datetime.date):
-            out[name] = value.isoformat()
-        elif isinstance(value, np.generic):
-            out[name] = value.item()
-        else:
-            out[name] = value
-    return out

@@ -5,9 +5,9 @@ Each function reduces a numpy column slice to a scalar, so they compose with
 
     >>> from repro.tables import Table, ops
     >>> t = Table.from_columns({"user": ["a", "a", "b"], "n": [1, 2, 10]})
-    >>> agg = t.group_by("user").aggregate({"total": ("n", ops.sum_)})
-    >>> sorted(zip(agg["user"], agg["total"].tolist()))
-    [('a', 3), ('b', 10)]
+    >>> agg = t.group_by("user").aggregate({"n_rows": ("n", ops.count)})
+    >>> sorted(zip(agg["user"], agg["n_rows"].tolist()))
+    [('a', 2), ('b', 1)]
 """
 
 from __future__ import annotations
@@ -18,64 +18,3 @@ import numpy as np
 def count(values: np.ndarray) -> int:
     """Number of values in the group."""
     return int(len(values))
-
-
-def count_distinct(values: np.ndarray) -> int:
-    """Number of distinct values in the group."""
-    return int(len(set(values.tolist())))
-
-
-def sum_(values: np.ndarray) -> float:
-    """Sum of the values (named with a trailing underscore to avoid the builtin)."""
-    return values.sum().item()
-
-
-def mean(values: np.ndarray) -> float:
-    """Arithmetic mean of the values."""
-    return float(np.mean(values))
-
-
-def median(values: np.ndarray) -> float:
-    """Median of the values."""
-    return float(np.median(values))
-
-
-def min_(values: np.ndarray) -> object:
-    """Minimum value in the group."""
-    result = values.min()
-    return result.item() if isinstance(result, np.generic) else result
-
-
-def max_(values: np.ndarray) -> object:
-    """Maximum value in the group."""
-    result = values.max()
-    return result.item() if isinstance(result, np.generic) else result
-
-
-def first(values: np.ndarray) -> object:
-    """First value in the group (tables preserve input order)."""
-    if len(values) == 0:
-        raise ValueError("first() on an empty group")
-    value = values[0]
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def quantile(q: float):
-    """Return an aggregation computing the ``q``-quantile (0 <= q <= 1)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be within [0, 1], got {q}")
-
-    def _quantile(values: np.ndarray) -> float:
-        return float(np.quantile(values, q))
-
-    _quantile.__name__ = f"quantile_{q}"
-    return _quantile
-
-
-def collect_list(values: np.ndarray) -> list:
-    """Materialise the group's values as a python list (stored as str column).
-
-    Useful for debugging; the result column is inferred as ``str`` unless the
-    caller coerces it, so prefer scalar aggregations in pipelines.
-    """
-    return values.tolist()

@@ -108,19 +108,6 @@ class Schema:
         fields = ", ".join(f"{c.name}:{c.dtype}" for c in self._columns)
         return f"Schema({fields})"
 
-    def select(self, names: Sequence[str]) -> "Schema":
-        """Return a new schema restricted to ``names``, in the given order."""
-        return Schema([self[name] for name in names])
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Return a new schema with columns renamed per ``mapping``."""
-        for old in mapping:
-            if old not in self:
-                raise ColumnNotFoundError(old, self.names)
-        return Schema(
-            [Column(mapping.get(c.name, c.name), c.dtype) for c in self._columns]
-        )
-
     def coerce_column(self, name: str, values: Sequence) -> np.ndarray:
         """Coerce ``values`` into the numpy array storage for column ``name``.
 

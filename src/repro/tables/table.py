@@ -8,12 +8,12 @@ granularity). Columns are numpy arrays, so predicates are vectorised masks
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ColumnNotFoundError, SchemaError
-from repro.tables.schema import Column, Schema, infer_schema
+from repro.tables.schema import Schema, infer_schema
 
 
 class Table:
@@ -51,20 +51,6 @@ class Table:
         return cls(schema, coerced)
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[Mapping[str, object]], schema: Schema
-    ) -> "Table":
-        """Build a table from an iterable of row dicts, validated by ``schema``."""
-        buffers: dict[str, list] = {name: [] for name in schema.names}
-        for i, row in enumerate(rows):
-            missing = set(schema.names) - set(row)
-            if missing:
-                raise SchemaError(f"row {i} is missing columns {sorted(missing)}")
-            for name in schema.names:
-                buffers[name].append(row[name])
-        return cls.from_columns(buffers, schema=schema)
-
-    @classmethod
     def empty(cls, schema: Schema) -> "Table":
         """Return a zero-row table with the given schema."""
         return cls.from_columns({name: [] for name in schema.names}, schema=schema)
@@ -94,10 +80,6 @@ class Table:
         except KeyError:
             raise ColumnNotFoundError(name, self.column_names) from None
 
-    def column(self, name: str) -> np.ndarray:
-        """Alias of ``table[name]`` for readability in pipelines."""
-        return self[name]
-
     def row(self, index: int) -> dict[str, object]:
         """Return row ``index`` as a plain dict (scalars unwrapped)."""
         if not -self._num_rows <= index < self._num_rows:
@@ -108,10 +90,6 @@ class Table:
         """Iterate over rows as dicts. Convenient but slow; prefer columns."""
         for i in range(self._num_rows):
             yield self.row(i)
-
-    def to_pylist(self) -> list[dict[str, object]]:
-        """Materialise the table as a list of row dicts."""
-        return list(self.iter_rows())
 
     def __repr__(self) -> str:
         return f"Table({self._num_rows} rows, schema={self._schema!r})"
@@ -133,27 +111,6 @@ class Table:
     # ------------------------------------------------------------------
     # relational operations
     # ------------------------------------------------------------------
-
-    def select(self, names: Sequence[str]) -> "Table":
-        """Project the table onto ``names`` (order preserved as given)."""
-        schema = self._schema.select(names)
-        return Table(schema, {name: self._columns[name] for name in names})
-
-    def drop(self, names: Sequence[str]) -> "Table":
-        """Return the table without the given columns."""
-        for name in names:
-            if name not in self._schema:
-                raise ColumnNotFoundError(name, self.column_names)
-        keep = [name for name in self.column_names if name not in set(names)]
-        return self.select(keep)
-
-    def rename(self, mapping: dict[str, str]) -> "Table":
-        """Rename columns per ``mapping`` (old name -> new name)."""
-        schema = self._schema.rename(mapping)
-        columns = {
-            mapping.get(name, name): array for name, array in self._columns.items()
-        }
-        return Table(schema, columns)
 
     def filter(self, mask: np.ndarray | Callable[["Table"], np.ndarray]) -> "Table":
         """Keep rows where ``mask`` is True.
@@ -198,40 +155,6 @@ class Table:
             return np.asarray([value if value is not None else "" for value in array])
         return array
 
-    def with_column(self, name: str, values: Sequence, dtype: str | None = None) -> "Table":
-        """Return a table with ``name`` added (or replaced) by ``values``."""
-        if dtype is None:
-            dtype = infer_schema({name: values})[name].dtype
-        new_column = Column(name, dtype)
-        columns = dict(self._columns)
-        if name in self._schema:
-            schema = Schema(
-                [new_column if c.name == name else c for c in self._schema]
-            )
-        else:
-            schema = Schema(list(self._schema) + [new_column])
-        columns[name] = schema.coerce_column(name, values)
-        if len(columns[name]) != self._num_rows:
-            raise SchemaError(
-                f"new column {name!r} has {len(columns[name])} values, "
-                f"expected {self._num_rows}"
-            )
-        return Table(schema, columns)
-
-    def unique(self, name: str) -> np.ndarray:
-        """Return the sorted unique values of a column."""
-        array = self[name]
-        if array.dtype == object:
-            return np.asarray(sorted({value for value in array}))
-        return np.unique(array)
-
-    def value_counts(self, name: str) -> dict[object, int]:
-        """Return ``{value: occurrence count}`` for a column."""
-        values, counts = np.unique(self._sortable(name), return_counts=True)
-        return {
-            _unwrap(value): int(count) for value, count in zip(values, counts)
-        }
-
     def group_by(self, by: str | Sequence[str]) -> "GroupedTable":
         """Group rows by one or more key columns."""
         names = [by] if isinstance(by, str) else list(by)
@@ -241,89 +164,10 @@ class Table:
             self[name]  # raises ColumnNotFoundError early
         return GroupedTable(self, names)
 
-    def join(
-        self,
-        other: "Table",
-        on: str | Sequence[str],
-        how: str = "inner",
-        suffix: str = "_right",
-    ) -> "Table":
-        """Hash join with ``other`` on the given key column(s).
-
-        Supports ``how`` in {"inner", "left"}. Non-key columns of ``other``
-        that collide with columns of ``self`` are renamed with ``suffix``.
-        For left joins, unmatched right-side values are NaN for floats,
-        ``None`` for strings, and raise for int/bool/date columns (those
-        dtypes have no missing-value representation; select or filter first).
-        """
-        keys = [on] if isinstance(on, str) else list(on)
-        if how not in ("inner", "left"):
-            raise SchemaError(f"unsupported join type {how!r}; use 'inner' or 'left'")
-        for key in keys:
-            if self._schema[key].dtype != other._schema[key].dtype:
-                raise SchemaError(
-                    f"join key {key!r} has dtype {self._schema[key].dtype} on the "
-                    f"left and {other._schema[key].dtype} on the right"
-                )
-
-        right_index: dict[tuple, list[int]] = {}
-        right_keys = _key_rows(other, keys)
-        for i, key in enumerate(right_keys):
-            right_index.setdefault(key, []).append(i)
-
-        left_rows: list[int] = []
-        right_rows: list[int] = []  # -1 marks "no match" (left join only)
-        for i, key in enumerate(_key_rows(self, keys)):
-            matches = right_index.get(key)
-            if matches:
-                left_rows.extend([i] * len(matches))
-                right_rows.extend(matches)
-            elif how == "left":
-                left_rows.append(i)
-                right_rows.append(-1)
-
-        left_part = self.take(np.asarray(left_rows, dtype=np.int64))
-        result_columns = dict(left_part._columns)
-        result_schema = list(left_part._schema)
-
-        right_rows_arr = np.asarray(right_rows, dtype=np.int64)
-        unmatched = right_rows_arr < 0
-        for column in other._schema:
-            if column.name in keys:
-                continue
-            out_name = column.name
-            if out_name in self._schema:
-                out_name = out_name + suffix
-                if out_name in self._schema:
-                    raise SchemaError(
-                        f"column {column.name!r} collides even after suffixing"
-                    )
-            gathered = other._columns[column.name][np.where(unmatched, 0, right_rows_arr)]
-            if unmatched.any():
-                gathered = _mask_missing(gathered, unmatched, column)
-            result_columns[out_name] = gathered
-            result_schema.append(Column(out_name, column.dtype))
-        return Table(Schema(result_schema), result_columns)
-
 
 def _key_rows(table: Table, keys: Sequence[str]) -> list[tuple]:
     columns = [table[key] for key in keys]
     return [tuple(_unwrap(col[i]) for col in columns) for i in range(table.num_rows)]
-
-
-def _mask_missing(array: np.ndarray, unmatched: np.ndarray, column: Column) -> np.ndarray:
-    if column.dtype == "float":
-        out = array.astype(np.float64, copy=True)
-        out[unmatched] = np.nan
-        return out
-    if column.dtype == "str":
-        out = array.copy()
-        out[unmatched] = None
-        return out
-    raise SchemaError(
-        f"left join produced missing values for column {column.name!r} of dtype "
-        f"{column.dtype}, which has no missing-value representation"
-    )
 
 
 def _unwrap(value: object) -> object:
@@ -351,10 +195,6 @@ class GroupedTable:
         """Iterate ``(key_tuple, sub_table)`` pairs in first-seen order."""
         for key, rows in self._groups.items():
             yield key, self._table.take(np.asarray(rows, dtype=np.int64))
-
-    def sizes(self) -> dict[tuple, int]:
-        """Return ``{key_tuple: group size}``."""
-        return {key: len(rows) for key, rows in self._groups.items()}
 
     def aggregate(
         self, spec: Mapping[str, tuple[str, Callable[[np.ndarray], object]]]

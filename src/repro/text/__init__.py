@@ -16,7 +16,7 @@ about *which fields* enter the summary.
 """
 
 from repro.text.tokenize import TokenizerConfig, normalize_text, tokenize
-from repro.text.hashing import hash_feature, hashed_vector
+from repro.text.hashing import hash_feature
 from repro.text.tfidf import TfidfModel
 from repro.text.embedder import HashedTfidfEmbedder, SentenceEmbedder
 from repro.text.similarity import (
@@ -26,7 +26,6 @@ from repro.text.similarity import (
 from repro.text.summary import (
     METADATA_FIELDS,
     MetadataSummaryBuilder,
-    field_combinations,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "normalize_text",
     "tokenize",
     "hash_feature",
-    "hashed_vector",
     "TfidfModel",
     "HashedTfidfEmbedder",
     "SentenceEmbedder",
@@ -42,5 +40,4 @@ __all__ = [
     "truncated_similarity_matrix",
     "METADATA_FIELDS",
     "MetadataSummaryBuilder",
-    "field_combinations",
 ]

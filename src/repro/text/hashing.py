@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 _SIGN_SALT = b"sign:"
@@ -27,17 +25,8 @@ def hash_feature(feature: str, dim: int) -> tuple[int, float]:
     return bucket, sign
 
 
-def hashed_vector(features: list[str], dim: int) -> np.ndarray:
-    """Accumulate signed feature counts into a dense ``dim`` vector."""
-    vector = np.zeros(dim, dtype=np.float64)
-    for feature in features:
-        bucket, sign = hash_feature(feature, dim)
-        vector[bucket] += sign
-    return vector
-
-
 def hashed_counts(features: list[str], dim: int) -> dict[int, float]:
-    """Sparse variant of :func:`hashed_vector` (bucket -> signed count)."""
+    """Accumulate signed feature counts per bucket (bucket -> signed count)."""
     counts: dict[int, float] = {}
     for feature in features:
         bucket, sign = hash_feature(feature, dim)

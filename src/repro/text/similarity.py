@@ -133,22 +133,6 @@ def truncated_similarity_matrix(
     )
 
 
-def average_similarity_to_history(
-    similarity: np.ndarray, history: np.ndarray
-) -> np.ndarray:
-    """Mean similarity of every catalogue item to a set of history items.
-
-    Implements Equation (1) of the paper: given the full item-item
-    similarity matrix and the indices of the books a user has read, return
-    ``s_b`` for every book ``b`` (including read ones — the caller masks
-    them out).
-    """
-    history = np.asarray(history, dtype=np.int64)
-    if history.size == 0:
-        return np.zeros(similarity.shape[0], dtype=np.float64)
-    return similarity[:, history].mean(axis=1)
-
-
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)

@@ -13,8 +13,6 @@ differently, mirroring the vote-weighted genre model of Section 3.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from repro.datasets.merged import MergedDataset
 from repro.errors import ConfigurationError
 
@@ -23,22 +21,6 @@ METADATA_FIELDS = ("title", "author", "plot", "genres", "keywords")
 
 #: How many repetitions a probability-1 genre receives in the summary.
 GENRE_REPEATS = 4
-
-
-def field_combinations(min_size: int = 1) -> list[tuple[str, ...]]:
-    """All non-empty combinations of metadata fields, smallest first.
-
-    This is the search space of the paper's Section 6.2 ablation (2^5 - 1 =
-    31 combinations).
-    """
-    if not 1 <= min_size <= len(METADATA_FIELDS):
-        raise ConfigurationError(
-            f"min_size must be in [1, {len(METADATA_FIELDS)}], got {min_size}"
-        )
-    result: list[tuple[str, ...]] = []
-    for size in range(min_size, len(METADATA_FIELDS) + 1):
-        result.extend(combinations(METADATA_FIELDS, size))
-    return result
 
 
 class MetadataSummaryBuilder:

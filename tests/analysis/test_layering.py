@@ -173,9 +173,8 @@ class TestDefaultSpec:
         assert DEFAULT_SPEC.layer_of("repro.app.service")[0] == "app"
         assert DEFAULT_SPEC.layer_of("repro.cli")[0] == "drivers"
 
-    def test_overrides_rehome_demo_and_faults(self):
+    def test_override_rehomes_the_demo(self):
         assert DEFAULT_SPEC.layer_of("repro.obs.demo")[0] == "drivers"
-        assert DEFAULT_SPEC.layer_of("repro.resilience.faults")[0] == "core"
 
     def test_foreign_modules_are_unmapped(self):
         assert DEFAULT_SPEC.layer_of("numpy.random") is None

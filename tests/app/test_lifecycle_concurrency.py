@@ -95,7 +95,7 @@ class TestConcurrentHotSwap:
         assert service.stats.requests == total
         assert service.stats.errors == 0
         assert service.stats.histogram.count == total
-        snapshot = service.metrics_snapshot()
+        snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["service.requests"]["value"] == total
         refreshes = snapshot["counters"]["service.refreshes"]
         assert refreshes["labels"]["outcome=ok"] == 1 + len(swaps)

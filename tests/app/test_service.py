@@ -13,12 +13,12 @@ from repro.app.service import (
     ServedBook,
 )
 from repro.core.bpr import BPR
-from repro.core.interactions import InteractionMatrix
 from repro.core.most_read import MostReadItems
 from repro.errors import ConfigurationError, UnknownUserError
 from repro.obs.trace import Tracer
 
 from tests.conftest import TINY_BPR
+from tests.factories import matrix_from_pairs
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,6 @@ class TestRequests:
     def test_unknown_user(self, service):
         with pytest.raises(UnknownUserError):
             service.recommend(RecommendationRequest(user_id="stranger"))
-        assert not service.known_user("stranger")
 
     def test_history_unknown_user(self, service):
         with pytest.raises(UnknownUserError):
@@ -146,7 +145,7 @@ class TestStats:
         assert service.stats.requests == 3
         assert service.stats.mean_seconds > 0
         assert service.stats.percentile(0.5) > 0
-        assert len(service.stats.latencies) == 3
+        assert len(service.stats.histogram.window) == 3
 
     def test_empty_stats(self, service):
         from repro.app.service import ServiceStats
@@ -157,12 +156,13 @@ class TestStats:
 
     def test_latency_window_is_bounded(self):
         from repro.app.service import ServiceStats
+        from repro.obs.metrics import Histogram
 
-        stats = ServiceStats(latency_window=5)
+        stats = ServiceStats(histogram=Histogram("latency", window=5))
         for i in range(8):
             stats.record(float(i + 1))
         assert stats.requests == 8
-        assert list(stats.latencies) == [4.0, 5.0, 6.0, 7.0, 8.0]
+        assert list(stats.histogram.window) == [4.0, 5.0, 6.0, 7.0, 8.0]
         # The window bounds the percentile buffer, not the running mean.
         assert stats.mean_seconds == pytest.approx(36.0 / 8)
         assert stats.percentile(1.0) == pytest.approx(8.0)
@@ -243,16 +243,6 @@ class TestCache:
     def test_negative_cache_size_rejected(self, tiny_bpr, tiny_split, tiny_merged):
         with pytest.raises(ConfigurationError, match="cache_size"):
             self._service(tiny_bpr, tiny_split, tiny_merged, cache_size=-1)
-
-    def test_invalidate_cache(self, tiny_bpr, tiny_split, tiny_merged, a_user):
-        service = self._service(tiny_bpr, tiny_split, tiny_merged)
-        request = RecommendationRequest(user_id=a_user, k=5)
-        service.recommend(request)
-        service.invalidate_cache()
-        assert service.cached_entries == 0
-        service.recommend(request)
-        assert service.stats.cache_hits == 0
-        assert service.stats.cache_misses == 2
 
     def test_refresh_model_invalidates(
         self, tiny_bpr, tiny_split, tiny_merged, a_user
@@ -358,7 +348,7 @@ class TestResilience:
     """
 
     def _failing_service(self, tiny_bpr, tiny_split, tiny_merged, **kwargs):
-        from repro.resilience.faults import SITE_MODEL_SCORE, FaultInjector, FaultyModel
+        from tests.resilience.faults import SITE_MODEL_SCORE, FaultInjector, FaultyModel
 
         injector = kwargs.pop(
             "injector", FaultInjector(rates={SITE_MODEL_SCORE: 1.0}, seed=0)
@@ -412,10 +402,12 @@ class TestResilience:
         self, tiny_bpr, tiny_split, tiny_merged, a_user
     ):
         from repro.app.service import SERVED_BY_PRIMARY
-        from repro.resilience.faults import SITE_MODEL_SCORE
+        from tests.resilience.faults import SITE_MODEL_SCORE, FaultInjector
 
-        service, injector = self._failing_service(
-            tiny_bpr, tiny_split, tiny_merged
+        # The first scoring fails; calls beyond the script succeed.
+        service, _ = self._failing_service(
+            tiny_bpr, tiny_split, tiny_merged,
+            injector=FaultInjector(script={SITE_MODEL_SCORE: [True]}),
         )
         request = RecommendationRequest(user_id=a_user, k=5)
         degraded = service.recommend_response(request)
@@ -423,41 +415,16 @@ class TestResilience:
         assert service.cached_entries == 0
         # Once the model recovers, the same request is served primary —
         # the cache was never poisoned with the fallback list.
-        injector.set_rate(SITE_MODEL_SCORE, 0.0)
         healed = service.recommend_response(request)
         assert healed.served_by == SERVED_BY_PRIMARY
         assert not healed.from_cache
         assert service.recommend_response(request).from_cache
 
-    def test_retry_policy_recovers_transient_fault(
-        self, tiny_bpr, tiny_split, tiny_merged, a_user
-    ):
-        from repro.app.service import SERVED_BY_PRIMARY
-        from repro.resilience.faults import SITE_MODEL_SCORE, FaultInjector
-        from repro.resilience.retry import BackoffPolicy
-
-        injector = FaultInjector(script={SITE_MODEL_SCORE: [True, False]})
-        slept = []
-        service, _ = self._failing_service(
-            tiny_bpr, tiny_split, tiny_merged,
-            injector=injector,
-            retry_policy=BackoffPolicy(max_attempts=2, base_delay=0.01),
-            seed=7,
-            retry_sleep=slept.append,
-        )
-        response = service.recommend_response(
-            RecommendationRequest(user_id=a_user, k=5)
-        )
-        assert response.served_by == SERVED_BY_PRIMARY
-        assert not response.degraded
-        assert len(slept) == 1
-        assert injector.checked[SITE_MODEL_SCORE] == 2
-
     def test_expired_deadline_degrades_before_scoring(
         self, tiny_bpr, tiny_split, tiny_merged, a_user
     ):
         from repro.app.service import SERVED_BY_MOST_READ
-        from repro.resilience.faults import FaultInjector
+        from tests.resilience.faults import FaultInjector
 
         # Every clock() call advances a full second, so a sub-second
         # budget is already spent when the service checks the deadline.
@@ -480,7 +447,7 @@ class TestResilience:
         self, tiny_bpr, tiny_split, tiny_merged, a_user
     ):
         from repro.app.service import SERVED_BY_MOST_READ, SERVED_BY_PRIMARY
-        from repro.resilience.faults import SITE_MODEL_SCORE, FaultInjector
+        from tests.resilience.faults import SITE_MODEL_SCORE, FaultInjector
 
         # As above: every clock() call advances a full second.
         ticks = iter(range(10_000))
@@ -501,6 +468,53 @@ class TestResilience:
         # Only the request without a deadline reached the primary model.
         assert patient.served_by == SERVED_BY_PRIMARY
         assert injector.checked == {SITE_MODEL_SCORE: 1}
+
+    @staticmethod
+    def _spent_on_arrival_clock():
+        """Reads 0.0 when the service is built and when it takes the
+        request (or batch), and 0.6 on every later read: a 0.5 s budget
+        is spent before resolution begins, for example waiting for the
+        service lock."""
+        reads = iter([0.0, 0.0])
+        return lambda: next(reads, 0.6)
+
+    def test_deadline_counts_from_arrival(
+        self, tiny_bpr, tiny_split, tiny_merged, a_user
+    ):
+        from repro.app.service import SERVED_BY_MOST_READ
+        from tests.resilience.faults import FaultInjector
+
+        injector = FaultInjector(seed=0)  # never fires
+        service, _ = self._failing_service(
+            tiny_bpr, tiny_split, tiny_merged,
+            injector=injector, clock=self._spent_on_arrival_clock(),
+        )
+        response = service.recommend_response(
+            RecommendationRequest(user_id=a_user, k=5, timeout_seconds=0.5)
+        )
+        assert response.degraded
+        assert response.served_by == SERVED_BY_MOST_READ
+        assert response.error == "deadline expired before primary scoring"
+        assert injector.checked == {}
+
+    def test_deadline_counts_from_batch_arrival(
+        self, tiny_bpr, tiny_split, tiny_merged, a_user
+    ):
+        from repro.app.service import SERVED_BY_MOST_READ
+        from tests.resilience.faults import FaultInjector
+
+        injector = FaultInjector(seed=0)  # never fires
+        service, _ = self._failing_service(
+            tiny_bpr, tiny_split, tiny_merged,
+            injector=injector, clock=self._spent_on_arrival_clock(),
+        )
+        [response] = service.recommend_many_responses([
+            RecommendationRequest(user_id=a_user, k=5, timeout_seconds=0.5),
+        ])
+        assert response.degraded
+        assert response.served_by == SERVED_BY_MOST_READ
+        assert response.error == "deadline expired before primary scoring"
+        assert injector.checked == {}
 
     def test_request_validates_timeout(self):
         with pytest.raises(ConfigurationError, match="timeout"):
@@ -619,7 +633,7 @@ def _grown_train(train):
         for _ in range(int(count))
     ]
     pairs.append((train.users.ids[0], min(train.items.ids) - 1))
-    return InteractionMatrix.from_pairs(pairs)
+    return matrix_from_pairs(pairs)
 
 
 def _book_lists(model, train, k):

@@ -77,7 +77,7 @@ class TestConcurrentServing:
         assert stats.cache_hits + stats.cache_misses == total
         assert stats.histogram.count == total
         assert stats.errors == 0
-        snapshot = service.metrics_snapshot()
+        snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["service.requests"]["value"] == total
 
     def test_cache_stays_bounded_under_contention(self, service, tiny_split):
@@ -152,7 +152,7 @@ class TestServiceStatsConcurrency:
         def worker(index):
             for shot in range(per_thread):
                 stats.record(0.001)
-                stats.note_cache(hit=shot % 2 == 0)
+                stats.note_lookups(int(shot % 2 == 0), int(shot % 2 != 0))
                 stats.note_error("err")
                 stats.note_degraded("static", error="why")
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.base import EXCLUDED_SCORE, Recommender
-from repro.core.interactions import InteractionMatrix
 from repro.errors import ConfigurationError, NotFittedError
+from tests.factories import matrix_from_pairs
 
 
 class FixedScores(Recommender):
@@ -26,7 +26,7 @@ class FixedScores(Recommender):
 @pytest.fixture
 def train():
     # u0 read items 0 and 2; u1 read item 1.
-    return InteractionMatrix.from_pairs([("u0", 0), ("u0", 2), ("u1", 1)])
+    return matrix_from_pairs([("u0", 0), ("u0", 2), ("u1", 1)])
 
 
 class TestFitContract:
@@ -92,10 +92,3 @@ class TestRecommend:
         batch = model.recommend_batch(np.asarray([0, 1]), 2)
         assert batch[0].tolist() == model.recommend(0, 2).tolist()
         assert batch[1].tolist() == model.recommend(1, 2).tolist()
-
-    def test_rank_items_is_full_permutation(self, train):
-        model = FixedScores([5.0, 1.0, 3.0]).fit(train)
-        ranking = model.rank_items(0)
-        assert sorted(ranking.tolist()) == [0, 1, 2]
-        # Masked (seen) items sort last.
-        assert set(ranking[-2:].tolist()) == {0, 2}

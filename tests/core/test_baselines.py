@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.interactions import InteractionMatrix
 from repro.core.most_read import MostReadItems
 from repro.core.random_items import RandomItems
+from tests.factories import matrix_from_pairs
 
 
 @pytest.fixture
 def train():
     # item 0 read 3x (twice by u0), item 1 read once, item 2 unread.
-    return InteractionMatrix.from_pairs(
+    return matrix_from_pairs(
         [("u0", 0), ("u0", 0), ("u1", 0), ("u1", 1), ("u2", 2)]
     )
 
@@ -68,7 +68,7 @@ class TestMostReadItems:
         assert counts[0] == 3.0  # u0 borrowed twice + u1 once
 
     def test_deterministic_tiebreak(self):
-        train = InteractionMatrix.from_pairs([("u", 0), ("v", 1)])
+        train = matrix_from_pairs([("u", 0), ("v", 1)])
         model = MostReadItems().fit(train)
         assert model.top_items(2).tolist() == [0, 1]
 
@@ -76,7 +76,7 @@ class TestMostReadItems:
         """Counts with ties: every prefix of the ranking is the stable
         argsort of the counts, ties in index order."""
         counts = np.random.default_rng(5).integers(1, 4, size=40)
-        train = InteractionMatrix.from_pairs(
+        train = matrix_from_pairs(
             (f"u{copy}", item)
             for item, count in enumerate(counts.tolist())
             for copy in range(count)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.bpr import BPR, BPRConfig
-from repro.core.interactions import InteractionMatrix
 from repro.errors import ConfigurationError, NotFittedError
 from repro.rng import make_rng
+from tests.factories import matrix_from_pairs
 
 
 def block_world(n_users=40, n_items=30, seed=3):
@@ -18,7 +18,7 @@ def block_world(n_users=40, n_items=30, seed=3):
         items = np.arange(block * n_items // 2, (block + 1) * n_items // 2)
         chosen = rng.choice(items, size=8, replace=False)
         pairs.extend((f"u{u:03d}", int(i)) for i in chosen)
-    return InteractionMatrix.from_pairs(pairs)
+    return matrix_from_pairs(pairs)
 
 
 class TestConfigValidation:
@@ -85,7 +85,7 @@ class TestTraining:
         assert not np.array_equal(first.user_factors, second.user_factors)
 
     def test_needs_two_items(self):
-        train = InteractionMatrix.from_pairs([("u", 1)])
+        train = matrix_from_pairs([("u", 1)])
         with pytest.raises(ConfigurationError, match="two items"):
             BPR(BPRConfig(epochs=1)).fit(train)
 

@@ -28,11 +28,11 @@ from repro.core.bpr_kernel import (
     seen_bitset,
     stable_neg_sigmoid,
 )
-from repro.core.interactions import InteractionMatrix
 from repro.rng import derive_rng, make_rng
 
 from tests.core import bpr_kernel_oracle
 from tests.core.test_bpr import block_world
+from tests.factories import matrix_from_pairs
 
 
 def bitset_of(train):
@@ -264,7 +264,7 @@ def all_but_one_reader_world():
         for user, item in zip(users, items)
     ]
     pairs += [("u999", item) for item in base.items.ids[1:]]
-    return InteractionMatrix.from_pairs(pairs)
+    return matrix_from_pairs(pairs)
 
 
 class TestFrozenKernelBitIdentity:
@@ -334,8 +334,8 @@ class TestSeenBitset:
     def test_last_key_of_the_last_user(self):
         """The key the sorted-key search had to clamp: the last user's
         last item, the final bit of the bitset, both set and unset."""
-        read = InteractionMatrix.from_pairs([("u0", 0), ("u0", 1), ("u1", 2)])
-        unread = InteractionMatrix.from_pairs([("u0", 2), ("u1", 0), ("u1", 1)])
+        read = matrix_from_pairs([("u0", 0), ("u0", 1), ("u1", 2)])
+        unread = matrix_from_pairs([("u0", 2), ("u1", 0), ("u1", 1)])
         last_key = np.asarray([2 * 3 - 1])
         assert is_seen(bitset_of(read), last_key)[0]
         assert not is_seen(bitset_of(unread), last_key)[0]
@@ -360,7 +360,7 @@ class TestSeenBitset:
         # Half the time the highest user id reads the highest item id,
         # which sets the bitset's final bit.
         pairs += [(n_users - 1, n_items - 1)] if data.draw(st.booleans()) else []
-        train = InteractionMatrix.from_pairs(
+        train = matrix_from_pairs(
             [(f"u{user}", item) for user, item in pairs]
         )
         self._assert_same_membership(train)
@@ -419,7 +419,7 @@ class TestSampleUnseen:
         sorted-key search had to clamp at ``len(seen_keys)`` — are plain
         lookups in the bitset's last bytes, and unseen ones are kept."""
         # User 9 reads only item 2, so its other keys exceed every seen key.
-        train = InteractionMatrix.from_pairs(
+        train = matrix_from_pairs(
             [("u0", 0), ("u0", 1)] + [(f"u{u}", 2) for u in range(1, 10)]
         )
         users = np.full(64, train.n_users - 1, dtype=np.int64)
@@ -442,7 +442,7 @@ class TestSampleUnseen:
         unseen_item = 7
         pairs = [("u0", i) for i in range(n_items) if i != unseen_item]
         pairs += [("u1", unseen_item)]  # so the item exists in the matrix
-        train = InteractionMatrix.from_pairs(pairs)
+        train = matrix_from_pairs(pairs)
         users = np.zeros(256, dtype=np.int64)
         candidates = sample_unseen(
             users, bitset_of(train), train.n_items, make_rng(3)
@@ -455,7 +455,7 @@ class TestSampleUnseen:
         the pinned no-op semantics (positive vs itself trains down to
         the regularisation pull) rather than a loop or an error."""
         # One user, two items, both read: every draw collides forever.
-        train = InteractionMatrix.from_pairs([("u0", 0), ("u0", 1)])
+        train = matrix_from_pairs([("u0", 0), ("u0", 1)])
         users = np.zeros(32, dtype=np.int64)
         rng = make_rng(1)
         candidates = sample_unseen(users, bitset_of(train), train.n_items, rng)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.hybrid import HybridRecommender, _rank_normalize
-from repro.core.interactions import InteractionMatrix
 from repro.errors import ConfigurationError
 
 from tests.core.test_base import FixedScores
+from tests.factories import matrix_from_pairs
 
 
 @pytest.fixture
 def train():
-    return InteractionMatrix.from_pairs([("u", 0), ("v", 1), ("w", 2)])
+    return matrix_from_pairs([("u", 0), ("v", 1), ("w", 2)])
 
 
 class TestRankNormalize:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.interactions import Indexer, InteractionMatrix
 from repro.errors import DatasetError, UnknownUserError
+from tests.factories import matrix_from_ids, matrix_from_pairs
 
 
 class TestIndexer:
@@ -68,7 +69,7 @@ class TestIndexer:
 
 class TestInteractionMatrix:
     def test_from_pairs_counts_repeats(self):
-        matrix = InteractionMatrix.from_pairs(
+        matrix = matrix_from_pairs(
             [("u1", 1), ("u1", 1), ("u1", 2), ("u2", 1)]
         )
         assert matrix.n_users == 2 and matrix.n_items == 2
@@ -77,18 +78,18 @@ class TestInteractionMatrix:
         assert counts[matrix.items.index_of(1)] == 3.0  # with multiplicity
 
     def test_user_items_sorted_indices(self):
-        matrix = InteractionMatrix.from_pairs([("u", 5), ("u", 2), ("u", 9)])
+        matrix = matrix_from_pairs([("u", 5), ("u", 2), ("u", 9)])
         items = matrix.user_items(0)
         assert sorted(items.tolist()) == items.tolist()
         assert len(items) == 3
 
     def test_user_items_out_of_range(self):
-        matrix = InteractionMatrix.from_pairs([("u", 1)])
+        matrix = matrix_from_pairs([("u", 1)])
         with pytest.raises(UnknownUserError):
             matrix.user_items(5)
 
     def test_history_sizes(self):
-        matrix = InteractionMatrix.from_pairs(
+        matrix = matrix_from_pairs(
             [("a", 1), ("a", 2), ("b", 1), ("a", 1)]
         )
         sizes = matrix.user_history_sizes()
@@ -96,18 +97,18 @@ class TestInteractionMatrix:
         assert sizes[matrix.users.index_of("b")] == 1
 
     def test_binary_view(self):
-        matrix = InteractionMatrix.from_pairs([("u", 1), ("u", 1)])
+        matrix = matrix_from_pairs([("u", 1), ("u", 1)])
         assert matrix.binary().data.tolist() == [1.0]
 
     def test_positive_pairs_distinct(self):
-        matrix = InteractionMatrix.from_pairs(
+        matrix = matrix_from_pairs(
             [("u", 1), ("u", 1), ("v", 2)]
         )
         rows, cols = matrix.positive_pairs()
         assert len(rows) == 2
 
     def test_interaction_keys_sorted_and_complete(self):
-        matrix = InteractionMatrix.from_pairs(
+        matrix = matrix_from_pairs(
             [("u", 3), ("u", 1), ("v", 2)]
         )
         keys = matrix.interaction_keys()
@@ -117,8 +118,10 @@ class TestInteractionMatrix:
     def test_shared_indexers_align(self, tiny_merged):
         users = Indexer(tiny_merged.user_ids)
         items = Indexer(int(b) for b in tiny_merged.books["book_id"])
-        matrix = InteractionMatrix.from_readings_table(
-            tiny_merged.readings, users=users, items=items
+        readings = tiny_merged.readings
+        matrix = matrix_from_ids(
+            readings["user_id"].tolist(), readings["book_id"].tolist(),
+            users=users, items=items,
         )
         assert matrix.n_users == len(users)
         assert matrix.n_items == len(items)
@@ -131,17 +134,3 @@ class TestInteractionMatrix:
                 Indexer(["u"]), Indexer([1, 2]), sparse.csr_matrix((5, 5))
             )
 
-    def test_restrict_users(self):
-        matrix = InteractionMatrix.from_pairs(
-            [("a", 1), ("b", 2), ("c", 1), ("c", 2)]
-        )
-        sub = matrix.restrict_users(
-            np.asarray([matrix.users.index_of("c"), matrix.users.index_of("a")])
-        )
-        assert sub.n_users == 2
-        assert sub.items == matrix.items
-        # Row for "a" must still contain item 1 only.
-        a_items = sub.user_items(sub.users.index_of("a"))
-        assert a_items.tolist() == [matrix.items.index_of(1)]
-        c_items = sub.user_items(sub.users.index_of("c"))
-        assert len(c_items) == 2

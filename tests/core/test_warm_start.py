@@ -16,9 +16,9 @@ import pytest
 
 from repro.core import BPR, BPRConfig
 from repro.core.bpr import _seed_from_model
-from repro.core.interactions import InteractionMatrix
 from repro.errors import ConfigurationError, NotFittedError
 from repro.eval.evaluator import evaluate_model
+from tests.factories import matrix_from_pairs
 
 #: Documented quality tolerance for a warm retrain vs. a cold fit: on the
 #: tiny world the measured val-URR gap is ~0.05 (one user in twenty-one),
@@ -41,7 +41,7 @@ def first_half_model(tiny_merged):
         )
         if date <= cutoff
     ]
-    train = InteractionMatrix.from_pairs(pairs)
+    train = matrix_from_pairs(pairs)
     return BPR(TINY_CFG).fit(train)
 
 
@@ -85,7 +85,7 @@ class TestWarmStart:
         item_ids = list(old_train.items.ids)
         pairs = [(user_ids[1], item_ids[0]), (user_ids[0], item_ids[1]),
                  ("brand-new-user", item_ids[0])]
-        new_train = InteractionMatrix.from_pairs(pairs)
+        new_train = matrix_from_pairs(pairs)
         n_factors = first_half_model.config.n_factors
         sentinel = 123.0
         V = np.full((new_train.n_users, n_factors), sentinel)

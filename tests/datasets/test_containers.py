@@ -17,6 +17,7 @@ from repro.datasets.models import (
 )
 from repro.errors import DatasetError
 from repro.tables import Table
+from tests.factories import replace_column
 
 
 class TestBCTDataset:
@@ -54,12 +55,6 @@ class TestBCTDataset:
         with pytest.raises(DatasetError, match="duplicate"):
             dataset.validate()
 
-    def test_activity_tables(self, tiny_sources):
-        per_user = tiny_sources.bct.loans_per_user()
-        assert per_user["n_loans"].sum() == tiny_sources.bct.n_loans
-        per_book = tiny_sources.bct.loans_per_book()
-        assert per_book["n_loans"].sum() == tiny_sources.bct.n_loans
-
 
 class TestAnobiiDataset:
     def test_filter_italian_books(self, tiny_sources):
@@ -76,8 +71,9 @@ class TestAnobiiDataset:
         anobii = tiny_sources.anobii
 
         def ratings_kept(stars):
-            ratings = anobii.ratings.with_column(
-                "rating", np.full(anobii.n_ratings, stars, dtype=np.int64)
+            ratings = replace_column(
+                anobii.ratings, "rating",
+                np.full(anobii.n_ratings, stars, dtype=np.int64),
             )
             _, report = build_merged_dataset(
                 tiny_sources.bct,
@@ -90,21 +86,10 @@ class TestAnobiiDataset:
         assert ratings_kept(2) == 0
 
     def test_validate_catches_out_of_range_rating(self, tiny_sources):
-        ratings = tiny_sources.anobii.ratings.head(1).with_column(
-            "rating", [7]
-        )
+        ratings = replace_column(tiny_sources.anobii.ratings.head(1), "rating", [7])
         dataset = AnobiiDataset(items=tiny_sources.anobii.items, ratings=ratings)
         with pytest.raises(DatasetError, match="outside"):
             dataset.validate()
-
-    def test_genre_votes_of_unknown_item(self, tiny_sources):
-        with pytest.raises(DatasetError, match="unknown item"):
-            tiny_sources.anobii.genre_votes_of(-1)
-
-    def test_genre_votes_of_known_item(self, tiny_sources):
-        item_id = int(tiny_sources.anobii.items["item_id"][0])
-        votes = tiny_sources.anobii.genre_votes_of(item_id)
-        assert isinstance(votes, dict)
 
 
 class TestMergedDataset:
@@ -123,16 +108,6 @@ class TestMergedDataset:
     def test_genre_probabilities_sum_to_one(self, tiny_merged):
         for probs in tiny_merged.genre_probabilities.values():
             assert sum(probs.values()) == pytest.approx(1.0)
-
-    def test_book_metadata_includes_genres(self, tiny_merged):
-        book_id = int(tiny_merged.books["book_id"][0])
-        metadata = tiny_merged.book_metadata(book_id)
-        assert metadata["book_id"] == book_id
-        assert "genres" in metadata and "plot" in metadata
-
-    def test_book_metadata_unknown(self, tiny_merged):
-        with pytest.raises(DatasetError, match="unknown book"):
-            tiny_merged.book_metadata(-5)
 
     def test_restrict_to_sources_bct(self, tiny_merged):
         bct_only = tiny_merged.restrict_to_sources({"bct"})
@@ -162,7 +137,7 @@ class TestMergedDataset:
             dataset.validate()
 
     def test_validate_catches_unknown_reading_book(self, tiny_merged):
-        readings = tiny_merged.readings.head(1).with_column("book_id", [-1])
+        readings = replace_column(tiny_merged.readings.head(1), "book_id", [-1])
         dataset = MergedDataset(
             books=tiny_merged.books, readings=readings, genres=tiny_merged.genres
         )

@@ -3,39 +3,39 @@
 import numpy as np
 import pytest
 
-from repro.datasets.models import LoanRecord
+from repro.datasets.bct import BCTDataset
+from repro.errors import DatasetError
 from repro.pipeline.merge import MergeConfig, build_merged_dataset
+from tests.factories import replace_column
+
+
+def loan_durations(bct) -> np.ndarray:
+    """Days each loan lasted: return date minus loan date."""
+    deltas = bct.loans["return_date"] - bct.loans["loan_date"]
+    return deltas.astype("timedelta64[D]").astype(np.int64)
 
 
 class TestLoanRecord:
-    def test_duration_days(self):
-        from datetime import date
-
-        loan = LoanRecord(
-            loan_id=1, user_id="u", book_id=1,
-            loan_date=date(2020, 1, 1), return_date=date(2020, 1, 22),
+    def test_return_before_loan_rejected(self, tiny_sources):
+        loans = tiny_sources.bct.loans.head(1)
+        early = loans["loan_date"] - np.timedelta64(1, "D")
+        dataset = BCTDataset(
+            books=tiny_sources.bct.books,
+            loans=replace_column(loans, "return_date", early),
         )
-        assert loan.duration_days == 21
-
-    def test_return_before_loan_rejected(self):
-        from datetime import date
-
-        with pytest.raises(ValueError, match="returned before"):
-            LoanRecord(
-                loan_id=1, user_id="u", book_id=1,
-                loan_date=date(2020, 1, 10), return_date=date(2020, 1, 1),
-            )
+        with pytest.raises(DatasetError, match="returned before"):
+            dataset.validate()
 
 
 class TestSyntheticDurations:
     def test_all_loans_have_valid_durations(self, tiny_sources):
-        durations = tiny_sources.bct.loan_durations()
+        durations = loan_durations(tiny_sources.bct)
         assert (durations >= 1).all()
         assert (durations <= 90).all()
 
     def test_bimodal_engagement(self, tiny_sources):
         """Both abandoned (short) and engaged (long) loans must exist."""
-        durations = tiny_sources.bct.loan_durations()
+        durations = loan_durations(tiny_sources.bct)
         assert (durations <= 6).sum() > 0
         assert (durations > 6).sum() > 0
         # Most loans are genuine reads.

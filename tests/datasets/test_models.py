@@ -1,17 +1,12 @@
-"""Tests for repro.datasets.models (records, schemas, natural keys)."""
+"""Tests for repro.datasets.models (schemas, natural keys)."""
 
 import json
-from datetime import date
-
-import pytest
 
 from repro.datasets.models import (
     ANOBII_ITEMS_SCHEMA,
     ANOBII_RATINGS_SCHEMA,
     BCT_BOOKS_SCHEMA,
     BCT_LOANS_SCHEMA,
-    AnobiiItemRecord,
-    RatingRecord,
     match_key,
     parse_genre_votes,
 )
@@ -32,31 +27,6 @@ class TestSchemas:
 
     def test_anobii_ratings_columns(self):
         assert ANOBII_RATINGS_SCHEMA["rating"].dtype == "int"
-
-
-class TestRecords:
-    def test_rating_bounds_enforced(self):
-        with pytest.raises(ValueError, match="rating must be"):
-            RatingRecord(
-                rating_id=1, user_id="u", item_id=1, rating=6,
-                rating_date=date(2020, 1, 1),
-            )
-
-    def test_rating_valid(self):
-        record = RatingRecord(
-            rating_id=1, user_id="u", item_id=1, rating=5,
-            rating_date=date(2020, 1, 1),
-        )
-        assert record.rating == 5
-
-    def test_item_genre_votes_json_sorted(self):
-        item = AnobiiItemRecord(
-            item_id=1, author="a", title="t",
-            genre_votes={"Zeta": 1, "Alpha": 2},
-        )
-        assert item.genre_votes_json() == json.dumps(
-            {"Alpha": 2, "Zeta": 1}, sort_keys=True
-        )
 
 
 class TestParseGenreVotes:

@@ -55,9 +55,6 @@ class TestGenreStructure:
             assert name in RAW_SUBGENRES
             assert len(RAW_SUBGENRES[name]) >= 2
 
-    def test_genre_of(self, world):
-        assert world.genre_of(0) in {name for name, _ in COARSE_GENRES}
-
 
 class TestBooks:
     def test_sizes(self, world):
@@ -150,11 +147,6 @@ class TestReadings:
                 repeats += len(books) - len(set(books))
         assert repeats > 0
 
-    def test_total_readings_counts_events(self, world):
-        assert world.total_readings() == sum(
-            len(user.readings) for user in world.users
-        )
-
 
 class TestDeterminism:
     def test_same_seed_same_world(self):
@@ -182,7 +174,7 @@ class TestRawGenreVotes:
         rng = make_rng(0)
         book = 0
         votes = world.raw_genre_votes(book, rng)
-        primary_subs = set(RAW_SUBGENRES[world.genre_of(book)])
+        primary_subs = set(RAW_SUBGENRES[world.genre_names[world.book_genre[book]]])
         assert primary_subs & set(votes)
 
     def test_votes_are_positive_ints(self, world):

@@ -38,9 +38,6 @@ class TestMetrics:
         assert bpr_report.novelty > 0.0
         assert -1.0 <= bpr_report.diversity <= 2.0
 
-    def test_as_row(self, bpr_report):
-        assert set(bpr_report.as_row()) == {"Div", "Nov", "Ser", "Cov"}
-
     def test_most_read_has_minimal_coverage(
         self, tiny_split, tiny_merged, similarity, tiny_bpr
     ):

@@ -1,14 +1,11 @@
-"""Tests for bootstrap confidence intervals."""
+"""Tests for the paired bootstrap of a KPI difference."""
 
 import numpy as np
 import pytest
 
 from repro.core.random_items import RandomItems
 from repro.errors import EvaluationError
-from repro.eval.bootstrap import (
-    bootstrap_metric,
-    paired_bootstrap_difference,
-)
+from repro.eval.bootstrap import SUPPORTED_METRICS, paired_bootstrap_difference
 from repro.eval.evaluator import evaluate_model, fit_and_evaluate
 
 
@@ -25,46 +22,22 @@ def random_eval(tiny_split, tiny_merged):
 
 
 class TestBootstrapMetric:
-    def test_estimate_matches_kpi(self, bpr_eval):
-        ci = bootstrap_metric(bpr_eval, "urr", 20, seed=1)
-        assert ci.estimate == pytest.approx(bpr_eval.report(20).urr)
+    """What every metric shares: its per-user values and their checks."""
 
-    def test_interval_brackets_estimate(self, bpr_eval):
-        for metric in ("urr", "nrr", "precision", "recall", "first_rank"):
-            ci = bootstrap_metric(bpr_eval, metric, 20, seed=1)
-            assert ci.low <= ci.estimate <= ci.high, metric
-
-    def test_wider_confidence_wider_interval(self, bpr_eval):
-        narrow = bootstrap_metric(bpr_eval, "urr", 20, confidence=0.5, seed=1)
-        wide = bootstrap_metric(bpr_eval, "urr", 20, confidence=0.99, seed=1)
-        assert (wide.high - wide.low) >= (narrow.high - narrow.low)
-
-    def test_deterministic_given_seed(self, bpr_eval):
-        a = bootstrap_metric(bpr_eval, "urr", 20, seed=5)
-        b = bootstrap_metric(bpr_eval, "urr", 20, seed=5)
-        assert (a.low, a.high) == (b.low, b.high)
-
-    def test_contains(self, bpr_eval):
-        ci = bootstrap_metric(bpr_eval, "urr", 20, seed=1)
-        assert ci.contains(ci.estimate)
-        assert not ci.contains(ci.high + 1.0)
-
-    def test_str(self, bpr_eval):
-        assert "urr=" in str(bootstrap_metric(bpr_eval, "urr", 20, seed=1))
+    def test_interval_brackets_estimate(self, bpr_eval, random_eval):
+        for metric in SUPPORTED_METRICS:
+            comparison = paired_bootstrap_difference(
+                bpr_eval, random_eval, metric, 20, seed=1
+            )
+            assert comparison.low <= comparison.difference <= comparison.high, metric
 
     def test_unknown_metric(self, bpr_eval):
         with pytest.raises(EvaluationError, match="unsupported metric"):
-            bootstrap_metric(bpr_eval, "ndcg", 20)
+            paired_bootstrap_difference(bpr_eval, bpr_eval, "ndcg", 20)
 
     def test_missing_k(self, bpr_eval):
         with pytest.raises(EvaluationError, match="no hits"):
-            bootstrap_metric(bpr_eval, "urr", 7)
-
-    def test_parameter_validation(self, bpr_eval):
-        with pytest.raises(EvaluationError):
-            bootstrap_metric(bpr_eval, "urr", 20, confidence=1.5)
-        with pytest.raises(EvaluationError):
-            bootstrap_metric(bpr_eval, "urr", 20, n_resamples=2)
+            paired_bootstrap_difference(bpr_eval, bpr_eval, "urr", 7)
 
 
 class TestPairedBootstrap:

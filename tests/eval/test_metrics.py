@@ -1,18 +1,11 @@
-"""Tests for the KPI formulas (Equations 4-7 + FR) and extensions."""
+"""Tests for the KPI formulas (Equations 4-7 + FR)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EvaluationError
-from repro.eval.metrics import (
-    KPIReport,
-    average_precision,
-    compute_kpis,
-    first_rank,
-    hits_at_k,
-    ndcg,
-)
+from repro.eval.metrics import compute_kpis
 
 
 class TestComputeKpis:
@@ -55,11 +48,6 @@ class TestComputeKpis:
         with pytest.raises(EvaluationError, match="non-empty"):
             compute_kpis(np.asarray([0]), np.asarray([0]), np.asarray([1]), k=5)
 
-    def test_as_row_keys(self):
-        report = KPIReport(k=20, urr=0.1, nrr=0.2, precision=0.3, recall=0.4,
-                           first_rank=5.0)
-        assert set(report.as_row()) == {"URR", "NRR", "P", "R", "FR"}
-
     @settings(deadline=None, max_examples=50)
     @given(
         st.lists(
@@ -82,38 +70,3 @@ class TestComputeKpis:
         assert 0 <= report.precision <= 1
         assert 0 <= report.recall <= 1
         assert report.nrr >= report.urr or report.nrr == pytest.approx(report.urr)
-
-
-class TestPerUserHelpers:
-    def test_hits_at_k(self):
-        ranks = np.asarray([1, 7, 30])
-        assert hits_at_k(ranks, 10) == 2
-        assert hits_at_k(ranks, 1) == 1
-        assert hits_at_k(ranks, 50) == 3
-
-    def test_first_rank(self):
-        assert first_rank(np.asarray([12, 3, 99])) == 3
-
-    def test_first_rank_empty(self):
-        with pytest.raises(EvaluationError):
-            first_rank(np.asarray([]))
-
-
-class TestExtensions:
-    def test_average_precision_perfect_prefix(self):
-        # Held-out items at ranks 1 and 2 of a k=5 list.
-        assert average_precision(np.asarray([1, 2]), 5) == pytest.approx(1.0)
-
-    def test_average_precision_no_hits(self):
-        assert average_precision(np.asarray([99]), 5) == 0.0
-
-    def test_ndcg_perfect(self):
-        assert ndcg(np.asarray([1, 2]), 5) == pytest.approx(1.0)
-
-    def test_ndcg_worse_when_later(self):
-        early = ndcg(np.asarray([1]), 10)
-        late = ndcg(np.asarray([9]), 10)
-        assert early > late > 0
-
-    def test_ndcg_no_hits(self):
-        assert ndcg(np.asarray([99]), 5) == 0.0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interactions import Indexer, InteractionMatrix
+from repro.core.interactions import Indexer
 from repro.datasets.merged import MergedDataset
 from repro.datasets.models import (
     BOOK_GENRES_SCHEMA,
@@ -25,6 +25,7 @@ from repro.datasets.models import (
 from repro.eval.split import DatasetSplit, SplitConfig, _cut_sizes, split_readings
 from repro.rng import derive_rng
 from repro.tables import Table
+from tests.factories import matrix_from_pairs
 
 
 def _loop_split(merged, config=None):
@@ -73,7 +74,7 @@ def _loop_split(merged, config=None):
         if test_part:
             test_items[user_index] = np.asarray(sorted(test_part), dtype=np.int64)
 
-    train = InteractionMatrix.from_pairs(train_pairs, users=users, items=items)
+    train = matrix_from_pairs(train_pairs, users=users, items=items)
     bct_indices = np.asarray(
         sorted(users.index_of(u) for u in bct_users), dtype=np.int64
     )

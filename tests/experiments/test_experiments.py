@@ -68,11 +68,6 @@ class TestFig1:
         assert result.per_book.max() >= 2 * float(
             sorted(result.per_book)[len(result.per_book) // 2]
         )
-
-    def test_cdf_accessor(self, tiny_context):
-        result = fig1.run(tiny_context)
-        values, probs = result.cdf("per_user")
-        assert probs[-1] == 1.0
         assert "p50" in result.render()
 
 

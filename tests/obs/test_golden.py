@@ -6,7 +6,7 @@ ids come from the seeded id stream, every tracer/service timestamp from
 :class:`~repro.obs.trace.TickingClock`. The committed goldens pin the
 normalised trace (all spans, ids, nesting, deterministic timings) and
 metrics snapshot (all counters, KPI gauges, histogram counts; real
-wall-clock fields zeroed by :mod:`repro.obs.golden`).
+wall-clock fields zeroed by :mod:`tests.obs.golden`).
 
 Regenerate after an intentional instrumentation change with::
 
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.demo import DEMO_KS, run_instrumented_demo
-from repro.obs.golden import (
+from tests.obs.golden import (
     assert_golden_equal,
     normalize_snapshot,
     normalize_trace,

@@ -172,7 +172,7 @@ class TestCounterAndGauge:
         gauge = Gauge("g")
         gauge.set(5.0)
         gauge.inc(2.0)
-        gauge.dec(3.0)
+        gauge.inc(-3.0)
         assert gauge.value == 4.0
 
     def test_labelled_children_are_cached_and_order_independent(self):

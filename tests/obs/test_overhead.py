@@ -30,7 +30,7 @@ class TestNoOpOverhead:
         def run(n: int) -> None:
             for index in range(n):
                 with start_span(None, "hot.loop", index=index) as span:
-                    span.set_attr("x", index)
+                    span.set_attrs(x=index)
 
         run(100)  # warm up allocator caches and bytecode specialisation
         tracemalloc.start()

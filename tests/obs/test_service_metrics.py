@@ -21,11 +21,7 @@ from repro.core.most_read import MostReadItems
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TickingClock, Tracer
 from repro.resilience.breaker import STATE_OPEN, CircuitBreaker
-from repro.resilience.faults import (
-    SITE_MODEL_SCORE,
-    FaultInjector,
-    FaultyModel,
-)
+from tests.resilience.faults import SITE_MODEL_SCORE, FaultInjector, FaultyModel
 
 
 class FakeClock:
@@ -140,7 +136,8 @@ class TestDegradationSourcesVisibleInMetrics:
     def test_breaker_transitions_land_in_gauge_and_counter(
         self, tiny_bpr, tiny_split, tiny_merged, users
     ):
-        injector = FaultInjector(rates={SITE_MODEL_SCORE: 1.0}, seed=0)
+        # Four scorings fail; calls beyond the script succeed.
+        injector = FaultInjector(script={SITE_MODEL_SCORE: [True] * 4})
         service, clock, metrics = make_service(
             tiny_bpr, tiny_split, tiny_merged, injector
         )
@@ -154,7 +151,6 @@ class TestDegradationSourcesVisibleInMetrics:
 
         # Heal: cool down, half-open probe succeeds, breaker closes.
         clock.advance(10.0)
-        injector.set_rate(SITE_MODEL_SCORE, 0.0)
         service.recommend(RecommendationRequest(user_id=users[5], k=5))
         assert metrics.gauge("service.breaker_state").value == 0.0
         assert transitions.labels(to="half-open").value == 1.0
@@ -195,7 +191,7 @@ class TestHealthAndSnapshotAgree:
             assert health["latency"][key] == service.stats.percentile(q)
             assert health["latency"][key] == histogram.percentile(q)
         assert health["latency"]["mean_seconds"] == histogram.mean
-        snap = service.metrics_snapshot()
+        snap = service.metrics.snapshot()
         assert (
             snap["histograms"]["service.latency_seconds"]["count"]
             == service.stats.requests

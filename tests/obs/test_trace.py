@@ -21,7 +21,6 @@ from repro.obs.trace import (
     STATUS_OK,
     TickingClock,
     Tracer,
-    active_ids,
     start_span,
 )
 
@@ -148,16 +147,6 @@ class TestStatusAndErrors:
         assert tracer.spans[0].status == STATUS_OK
         assert tracer.spans[0].error is None
 
-    def test_active_ids_follow_the_span_stack(self):
-        tracer = make_tracer()
-        assert active_ids() == (None, None)
-        with tracer.span("outer") as outer:
-            assert active_ids() == (outer.trace_id, outer.span_id)
-            with tracer.span("inner") as inner:
-                assert active_ids() == (inner.trace_id, inner.span_id)
-            assert active_ids() == (outer.trace_id, outer.span_id)
-        assert active_ids() == (None, None)
-
 
 class TestNullSpan:
     def test_start_span_without_tracer_returns_shared_instance(self):
@@ -166,8 +155,7 @@ class TestNullSpan:
 
     def test_null_span_accepts_the_full_span_protocol(self):
         with start_span(None, "noop") as span:
-            span.set_attr("a", 1)
-            span.set_attrs(b=2)
+            span.set_attrs(a=1, b=2)
 
     def test_traced_call_site_uses_real_span_when_tracer_given(self):
         tracer = make_tracer()

@@ -13,7 +13,6 @@ from repro.pipeline.genres import (
     build_genre_model,
     drop_extreme_genres,
     entropy,
-    normalized_entropy,
     top_genres,
 )
 
@@ -31,12 +30,6 @@ class TestEntropy:
 
     def test_zero_counts_ignored(self):
         assert entropy({"a": 5, "b": 0}) == 0.0
-
-    def test_normalized_uniform_is_one(self):
-        assert normalized_entropy({"a": 3, "b": 3}) == pytest.approx(1.0)
-
-    def test_normalized_single_category(self):
-        assert normalized_entropy({"a": 3}) == 0.0
 
 
 class TestDropExtremeGenres:

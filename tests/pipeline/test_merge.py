@@ -12,6 +12,7 @@ from repro.errors import PipelineError
 from repro.experiments.config import config_for_scale
 from repro.pipeline.merge import MergeConfig, build_merged_dataset
 
+from tests.factories import replace_column
 from tests.conftest import TINY_MERGE
 from tests.pipeline.merge_oracle import assert_matches_oracle
 
@@ -136,7 +137,7 @@ class TestOracleEquivalence:
         user_ids[0] = bct_user
         anobii = AnobiiDataset(
             items=tiny_sources.anobii.items,
-            ratings=ratings.with_column("user_id", user_ids),
+            ratings=replace_column(ratings, "user_id", user_ids),
         )
         with pytest.raises(PipelineError, match="both BCT and Anobii"):
             build_merged_dataset(tiny_sources.bct, anobii, TINY_MERGE)

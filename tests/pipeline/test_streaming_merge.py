@@ -147,7 +147,10 @@ class TestStreamingRss:
             seed=77,
         )
         corpus = ShardedCorpusWriter(tmp_path / "corpus", config).write()
-        largest = corpus.largest_shard_bytes()
+        largest = max(
+            path.stat().st_size
+            for path in corpus.loan_shard_paths + corpus.rating_shard_paths
+        )
         assert largest > 1_000_000  # the budget unit is a real shard
         _, rss = measure_phase_rss(
             lambda: merge_sharded_corpus(

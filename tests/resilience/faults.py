@@ -10,11 +10,10 @@ fail. Two modes compose freely:
 - **scripted** — ``script={"io.rename": [False, True]}`` fails exactly the
   second call, then never again (precise crash-point placement).
 
-Model/embedder faults are injected by wrapping the object
-(:class:`FaultyModel`, :class:`FaultyEmbedder`). File-I/O faults use the
-*ambient* injector: persistence code calls :func:`fault_check` at its
-crash points, which is a no-op unless a test activated an injector via
-``with injector.injecting(): ...``.
+Model faults are injected by wrapping the model (:class:`FaultyModel`).
+File-I/O faults use the *ambient* injector: persistence code calls
+:func:`repro.resilience.fault_check` at its crash points, which is a no-op
+unless a test activated an injector via ``with injector.injecting(): ...``.
 """
 
 from __future__ import annotations
@@ -28,25 +27,23 @@ import numpy as np
 from repro.core.base import Recommender
 from repro.core.interactions import InteractionMatrix
 from repro.datasets.merged import MergedDataset
-from repro.errors import ConfigurationError, InjectedFaultError
-from repro.resilience._ambient import fault_check, get_ambient, set_ambient
+from repro.errors import ConfigurationError, ReproError
+from repro.resilience._ambient import set_ambient
 from repro.rng import derive_rng
 
-__all__ = [
-    "FaultInjector",
-    "FaultyEmbedder",
-    "FaultyModel",
-    "SITE_EMBEDDER_ENCODE",
-    "SITE_IO_READ",
-    "SITE_IO_RENAME",
-    "SITE_IO_WRITE",
-    "SITE_MODEL_SCORE",
-    "fault_check",
-]
 
-#: Canonical injection sites wired through the library.
+class InjectedFaultError(ReproError):
+    """A failure deliberately raised by a :class:`FaultInjector`."""
+
+    def __init__(self, site: str) -> None:
+        self.site = site
+        super().__init__(f"injected fault at {site!r}")
+
+
+#: The injection site every :class:`FaultyModel` scoring call passes.
 SITE_MODEL_SCORE = "model.score"
-SITE_EMBEDDER_ENCODE = "embedder.encode"
+
+#: The injection sites that persistence code passes through.
 SITE_IO_WRITE = "io.write"
 SITE_IO_RENAME = "io.rename"
 SITE_IO_READ = "io.read"
@@ -84,14 +81,6 @@ class FaultInjector:
         """Calls per site that consulted the injector."""
         self.fired: Counter = Counter()
         """Calls per site that were made to fail."""
-
-    def set_rate(self, site: str, rate: float) -> None:
-        """(Re)configure a probabilistic site; 0 disables it."""
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(
-                f"fault rate for {site!r} must be in [0, 1], got {rate}"
-            )
-        self._rates[site] = rate
 
     def should_fire(self, site: str) -> bool:
         """Consume one decision for ``site`` (advances schedules/streams)."""
@@ -133,17 +122,12 @@ class FaultInjector:
         finally:
             set_ambient(previous)
 
-    @staticmethod
-    def ambient() -> "FaultInjector | None":
-        """The injector currently active for ambient sites, if any."""
-        return get_ambient()
-
 
 class FaultyModel(Recommender):
     """A recommender wrapper that injects faults into every scoring call.
 
-    All scoring paths (``recommend``, ``recommend_batch``, ``rank_items``)
-    funnel through :meth:`score_users`, so one check covers them all.
+    Both scoring paths (``recommend``, ``recommend_batch``) funnel through
+    :meth:`score_users`, so one check covers them.
     """
 
     def __init__(
@@ -171,38 +155,3 @@ class FaultyModel(Recommender):
         """Score via the wrapped model, after the injector's fault check."""
         self._injector.check(self._site)
         return self._model.score_users(user_indices)
-
-
-class FaultyEmbedder:
-    """A :class:`~repro.text.embedder.SentenceEmbedder` wrapper injecting
-    faults into ``encode`` (``fit`` is passed through untouched)."""
-
-    def __init__(
-        self,
-        embedder,
-        injector: FaultInjector,
-        site: str = SITE_EMBEDDER_ENCODE,
-    ) -> None:
-        self._embedder = embedder
-        self._injector = injector
-        self._site = site
-
-    @property
-    def dim(self) -> int:
-        """Embedding dimensionality of the wrapped embedder."""
-        return self._embedder.dim
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether the wrapped embedder has been fitted."""
-        return self._embedder.is_fitted
-
-    def fit(self, corpus: Sequence[str]) -> "FaultyEmbedder":
-        """Fit the wrapped embedder (never fault-injected) and return self."""
-        self._embedder.fit(corpus)
-        return self
-
-    def encode(self, texts: Sequence[str]) -> np.ndarray:
-        """Encode via the wrapped embedder, after the fault check."""
-        self._injector.check(self._site)
-        return self._embedder.encode(texts)

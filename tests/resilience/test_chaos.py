@@ -12,7 +12,7 @@ either the previous artefact fully loadable or a typed
 stray temp file.
 
 Everything here is deterministic: faults come from a seeded or scripted
-:class:`~repro.resilience.faults.FaultInjector` and time from a fake clock.
+:class:`~tests.resilience.faults.FaultInjector` and time from a fake clock.
 """
 
 import copy
@@ -30,18 +30,19 @@ from repro.app.service import (
     RecommendationService,
 )
 from repro.core.most_read import MostReadItems
-from repro.errors import InjectedFaultError, PersistenceError
+from repro.errors import PersistenceError
 from repro.resilience.breaker import (
     STATE_CLOSED,
     STATE_OPEN,
     CircuitBreaker,
 )
-from repro.resilience.faults import (
+from tests.resilience.faults import (
     SITE_IO_RENAME,
     SITE_IO_WRITE,
     SITE_MODEL_SCORE,
     FaultInjector,
     FaultyModel,
+    InjectedFaultError,
 )
 
 pytestmark = pytest.mark.chaos
@@ -112,7 +113,8 @@ class TestServiceChaos:
     def test_breaker_opens_half_opens_and_heals(
         self, tiny_bpr, tiny_split, tiny_merged, users
     ):
-        injector = FaultInjector(rates={SITE_MODEL_SCORE: 1.0}, seed=0)
+        # Four scorings fail; calls beyond the script succeed.
+        injector = FaultInjector(script={SITE_MODEL_SCORE: [True] * 4})
         service, clock = make_chaos_service(
             tiny_bpr, tiny_split, tiny_merged, injector
         )
@@ -133,7 +135,6 @@ class TestServiceChaos:
         # After the cool-down the breaker half-opens; a healed model's
         # success closes it and primary serving resumes.
         clock.advance(10.0)
-        injector.set_rate(SITE_MODEL_SCORE, 0.0)
         healed = service.recommend_response(
             RecommendationRequest(user_id=users[5], k=5)
         )

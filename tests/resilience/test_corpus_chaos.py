@@ -4,7 +4,7 @@
 gives each artefact its own SHA-256 manifest immediately, with the
 corpus-level ``MANIFEST.json`` written last. These tests enumerate the
 writer's crash points with a dry-run
-:class:`~repro.resilience.faults.FaultInjector` (counting ``fault_check``
+:class:`~tests.resilience.faults.FaultInjector` (counting ``fault_check``
 calls without firing), then crash a fresh write at every (site,
 call-index) pair and assert the wreckage is honest:
 
@@ -27,12 +27,13 @@ from repro.datasets.corpus import (
     ShardedCorpusWriter,
     shard_plan,
 )
-from repro.errors import InjectedFaultError, ManifestMissingError
-from repro.resilience.faults import (
+from repro.errors import ManifestMissingError
+from tests.resilience.faults import (
     SITE_IO_READ,
     SITE_IO_RENAME,
     SITE_IO_WRITE,
     FaultInjector,
+    InjectedFaultError,
 )
 
 pytestmark = pytest.mark.chaos

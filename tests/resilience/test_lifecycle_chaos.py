@@ -4,7 +4,7 @@
 re-verifies its own manifest, so its crash points are exactly the
 ``fault_check`` sites of the resilience layer. Rather than hard-coding
 the crash-point list, these tests *enumerate* it with a dry-run
-:class:`~repro.resilience.faults.FaultInjector` (no rates: it counts
+:class:`~tests.resilience.faults.FaultInjector` (no rates: it counts
 ``fault_check`` calls without firing) and then crash a fresh publish at
 every (site, call-index) pair. After each crash the previously published
 version must verify, ``CURRENT`` must still resolve to it, and a service
@@ -21,12 +21,13 @@ import pytest
 from repro.app.lifecycle import ModelStore
 from repro.app.persistence import load_bpr
 from repro.app.service import RecommendationRequest, RecommendationService
-from repro.errors import InjectedFaultError, PersistenceError
-from repro.resilience.faults import (
+from repro.errors import PersistenceError
+from tests.resilience.faults import (
     SITE_IO_READ,
     SITE_IO_RENAME,
     SITE_IO_WRITE,
     FaultInjector,
+    InjectedFaultError,
 )
 
 pytestmark = pytest.mark.chaos
@@ -201,7 +202,7 @@ class TestRefreshDegradation:
         )
         assert len(response.books) == 5
         assert response.model_version == first.name
-        snapshot = service.metrics_snapshot()
+        snapshot = service.metrics.snapshot()
         refreshes = snapshot["counters"]["service.refreshes"]
         assert refreshes["labels"]["outcome=failed"] == 1
 

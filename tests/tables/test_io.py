@@ -1,11 +1,11 @@
-"""Tests for CSV/JSONL table round-trips."""
+"""Tests for CSV table round-trips."""
 
 from datetime import date
 
 import pytest
 
 from repro.errors import TableIOError
-from repro.tables import Table, read_csv, read_jsonl, write_csv, write_jsonl
+from repro.tables import Table, read_csv, write_csv
 from repro.tables.schema import Schema
 
 
@@ -75,45 +75,3 @@ class TestCSV:
         path.write_text("a:int,b:int\n1,2\n3\n")
         with pytest.raises(TableIOError, match="expected 2 cells"):
             read_csv(path)
-
-
-class TestJSONL:
-    def test_roundtrip(self, tmp_path, table):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(table, path)
-        assert read_jsonl(path) == table
-
-    def test_first_line_is_schema(self, tmp_path, table):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(table, path)
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert "__schema__" in first
-
-    def test_missing_schema_record(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": 1}\n')
-        with pytest.raises(TableIOError, match="schema record"):
-            read_jsonl(path)
-
-    def test_invalid_json_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"__schema__": [["a", "int"]]}\nnot-json\n')
-        with pytest.raises(TableIOError, match="invalid JSON"):
-            read_jsonl(path)
-
-    def test_missing_field(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"__schema__": [["a", "int"]]}\n{"b": 2}\n')
-        with pytest.raises(TableIOError, match="missing field"):
-            read_jsonl(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"__schema__": [["a", "int"]]}\n{"a": 1}\n\n{"a": 2}\n')
-        assert read_jsonl(path).num_rows == 2
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(TableIOError, match="empty"):
-            read_jsonl(path)

@@ -1,7 +1,6 @@
 """Tests for the aggregation functions in repro.tables.ops."""
 
 import numpy as np
-import pytest
 
 from repro.tables import ops
 
@@ -10,54 +9,3 @@ class TestScalarAggregations:
     def test_count(self):
         assert ops.count(np.asarray([5, 5, 5])) == 3
         assert ops.count(np.asarray([])) == 0
-
-    def test_count_distinct(self):
-        assert ops.count_distinct(np.asarray([1, 1, 2])) == 2
-
-    def test_count_distinct_strings(self):
-        values = np.asarray(["a", "a", "b"], dtype=object)
-        assert ops.count_distinct(values) == 2
-
-    def test_sum(self):
-        assert ops.sum_(np.asarray([1, 2, 3])) == 6
-
-    def test_mean(self):
-        assert ops.mean(np.asarray([1.0, 3.0])) == pytest.approx(2.0)
-
-    def test_median(self):
-        assert ops.median(np.asarray([1, 2, 100])) == 2
-
-    def test_min_max_return_python_types(self):
-        values = np.asarray([3, 1, 2])
-        assert ops.min_(values) == 1
-        assert ops.max_(values) == 3
-        assert isinstance(ops.min_(values), int)
-
-    def test_first(self):
-        assert ops.first(np.asarray([7, 8])) == 7
-
-    def test_first_empty_raises(self):
-        with pytest.raises(ValueError):
-            ops.first(np.asarray([]))
-
-
-class TestQuantile:
-    def test_median_quantile(self):
-        q50 = ops.quantile(0.5)
-        assert q50(np.asarray([1.0, 2.0, 3.0])) == pytest.approx(2.0)
-
-    def test_extreme_quantiles(self):
-        values = np.asarray([1.0, 2.0, 3.0])
-        assert ops.quantile(0.0)(values) == 1.0
-        assert ops.quantile(1.0)(values) == 3.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ops.quantile(1.5)
-
-    def test_name_carries_q(self):
-        assert "0.9" in ops.quantile(0.9).__name__
-
-
-def test_collect_list():
-    assert ops.collect_list(np.asarray([1, 2])) == [1, 2]

@@ -48,20 +48,6 @@ class TestSchema:
             schema["zzz"]
         assert "a" in str(excinfo.value)
 
-    def test_select_preserves_order(self):
-        schema = Schema([("a", "int"), ("b", "str"), ("c", "float")])
-        assert schema.select(["c", "a"]).names == ("c", "a")
-
-    def test_rename(self):
-        schema = Schema([("a", "int"), ("b", "str")])
-        renamed = schema.rename({"a": "x"})
-        assert renamed.names == ("x", "b")
-        assert renamed["x"].dtype == "int"
-
-    def test_rename_unknown_column(self):
-        with pytest.raises(ColumnNotFoundError):
-            Schema([("a", "int")]).rename({"zzz": "x"})
-
     def test_equality_and_hash(self):
         left = Schema([("a", "int")])
         right = Schema([Column("a", "int")])

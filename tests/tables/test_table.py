@@ -26,16 +26,6 @@ class TestConstruction:
         assert books.schema["title"].dtype == "str"
         assert books.num_rows == 4
 
-    def test_from_rows_requires_all_columns(self):
-        schema = Schema([("a", "int"), ("b", "str")])
-        with pytest.raises(SchemaError, match="missing columns"):
-            Table.from_rows([{"a": 1}], schema)
-
-    def test_from_rows_roundtrip(self):
-        schema = Schema([("a", "int"), ("b", "str")])
-        table = Table.from_rows([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}], schema)
-        assert table.to_pylist() == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-
     def test_empty(self):
         schema = Schema([("a", "int")])
         table = Table.empty(schema)
@@ -77,22 +67,6 @@ class TestAccess:
 
 
 class TestOperations:
-    def test_select_projects_and_orders(self, books):
-        sel = books.select(["title", "book_id"])
-        assert sel.column_names == ("title", "book_id")
-
-    def test_drop(self, books):
-        assert books.drop(["price"]).column_names == ("book_id", "title", "loans")
-
-    def test_drop_unknown(self, books):
-        with pytest.raises(ColumnNotFoundError):
-            books.drop(["nope"])
-
-    def test_rename(self, books):
-        renamed = books.rename({"loans": "n"})
-        assert "n" in renamed.schema
-        assert renamed["n"].tolist() == [10, 5, 5, 0]
-
     def test_filter_with_mask(self, books):
         filtered = books.filter(books["loans"] > 4)
         assert filtered.num_rows == 3
@@ -131,28 +105,6 @@ class TestOperations:
     def test_sort_requires_column(self, books):
         with pytest.raises(SchemaError):
             books.sort([])
-
-    def test_with_column_adds(self, books):
-        extended = books.with_column("half", books["price"] / 2)
-        assert extended["half"].tolist() == [4.75, 0.5, 1.25, 1.5]
-        assert books.num_rows == 4  # original untouched
-
-    def test_with_column_replaces(self, books):
-        replaced = books.with_column("loans", [0, 0, 0, 0])
-        assert replaced["loans"].tolist() == [0, 0, 0, 0]
-
-    def test_with_column_length_checked(self, books):
-        with pytest.raises(SchemaError):
-            books.with_column("x", [1])
-
-    def test_unique_sorted(self, books):
-        assert books.unique("loans").tolist() == [0, 5, 10]
-
-    def test_unique_strings(self, books):
-        assert books.unique("title").tolist() == ["a", "b", "c", "d"]
-
-    def test_value_counts(self, books):
-        assert books.value_counts("loans") == {0: 1, 5: 2, 10: 1}
 
 
 class TestEquality:

@@ -262,7 +262,7 @@ class TestMetricsCommand:
         second = tmp_path / "b.json"
         assert main(["metrics", str(first), "--deterministic"]) == 0
         assert main(["metrics", str(second), "--deterministic"]) == 0
-        from repro.obs.golden import assert_golden_equal, normalize_snapshot
+        from tests.obs.golden import assert_golden_equal, normalize_snapshot
         import json
 
         assert_golden_equal(

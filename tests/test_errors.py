@@ -29,9 +29,6 @@ class TestHierarchy:
     def test_unknown_user_is_evaluation_error(self):
         assert issubclass(errors.UnknownUserError, errors.EvaluationError)
 
-    def test_unknown_model_is_configuration_error(self):
-        assert issubclass(errors.UnknownModelError, errors.ConfigurationError)
-
 
 class TestMessages:
     def test_column_not_found_lists_available(self):
@@ -46,10 +43,6 @@ class TestMessages:
     def test_unknown_user_carries_id(self):
         error = errors.UnknownUserError("u42")
         assert error.user_id == "u42"
-
-    def test_unknown_model_lists_registry(self):
-        error = errors.UnknownModelError("svd", ("bpr", "closest"))
-        assert "bpr" in str(error)
 
     def test_catch_all_boundary(self):
         """Applications can catch ReproError at their boundary."""

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.app.service import RecommendationRequest, RecommendationService
 from repro.core.base import EXCLUDED_SCORE, Recommender
 from repro.core.closest_items import ClosestItems
-from repro.core.interactions import InteractionMatrix
 from repro.errors import EvaluationError
 from repro.eval.evaluator import (
     EvaluationResult,
@@ -27,6 +26,7 @@ from repro.eval.evaluator import (
 )
 from repro.eval.metrics import compute_kpis
 from repro.eval.split import DatasetSplit
+from tests.factories import matrix_from_pairs
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _train_matrix(seed, n_users=25, n_items=160):
     for user in range(n_users):
         history = rng.choice(n_items, size=int(rng.integers(1, 30)), replace=False)
         pairs.extend((f"u{user:03d}", int(item)) for item in history)
-    return InteractionMatrix.from_pairs(pairs)
+    return matrix_from_pairs(pairs)
 
 
 def _fake_split(train, seed):
@@ -201,7 +201,7 @@ class TestBatchTopKEquivalence:
     def test_catalogue_exhaustion(self):
         # One user read every item but two: top-k must come back short.
         pairs = [("u", i) for i in range(8)] + [("v", 0)]
-        train = InteractionMatrix.from_pairs(pairs + [("u", 8), ("v", 9)])
+        train = matrix_from_pairs(pairs + [("u", 8), ("v", 9)])
         scores = np.ones((2, train.n_items))
         model = FixedScores(scores).fit(train)
         batched = model.recommend_batch(np.asarray([0, 1]), k=5)
@@ -400,8 +400,9 @@ class TestKpiProperties:
         )
         # Mean-of-floats is permutation-invariant only up to summation
         # order, so compare to a tight relative tolerance.
-        assert permuted.as_row() == pytest.approx(
-            original.as_row(), rel=1e-12
+        fields = ("urr", "nrr", "precision", "recall", "first_rank")
+        assert [getattr(permuted, f) for f in fields] == pytest.approx(
+            [getattr(original, f) for f in fields], rel=1e-12
         )
 
     @settings(deadline=None, max_examples=50)

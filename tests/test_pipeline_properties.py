@@ -10,10 +10,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BPR, BPRConfig
-from repro.core.interactions import InteractionMatrix
 from repro.datasets import WorldConfig, generate_sources
 from repro.eval import split_readings
 from repro.pipeline import MergeConfig, build_merged_dataset
+from tests.factories import matrix_from_pairs
 
 settings.register_profile("worlds", deadline=None, max_examples=6)
 
@@ -67,7 +67,7 @@ def test_bpr_training_is_always_finite(n_users, n_items, seed):
         (f"u{rng.integers(n_users)}", int(rng.integers(n_items)))
         for _ in range(n_users * 3)
     ]
-    train = InteractionMatrix.from_pairs(pairs)
+    train = matrix_from_pairs(pairs)
     if train.n_items < 2:
         return
     model = BPR(BPRConfig(epochs=3, n_factors=4, seed=0)).fit(train)

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigurationError
 from repro.text.similarity import (
-    average_similarity_to_history,
     cosine_similarity_matrix,
     truncated_similarity_matrix,
 )
@@ -141,18 +140,3 @@ class TestTruncatedSimilarity:
     def test_invalid_top_n(self):
         with pytest.raises(ConfigurationError, match="top_n"):
             truncated_similarity_matrix(np.ones((2, 2)), 0)
-
-
-class TestAverageSimilarity:
-    def test_matches_equation_one(self):
-        sim = np.asarray(
-            [[1.0, 0.2, 0.8], [0.2, 1.0, 0.4], [0.8, 0.4, 1.0]]
-        )
-        history = np.asarray([1, 2])
-        scores = average_similarity_to_history(sim, history)
-        assert scores[0] == pytest.approx((0.2 + 0.8) / 2)
-
-    def test_empty_history_is_zero(self):
-        sim = np.eye(3)
-        scores = average_similarity_to_history(sim, np.asarray([], dtype=int))
-        assert (scores == 0).all()

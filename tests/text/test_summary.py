@@ -4,30 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.text.summary import (
-    METADATA_FIELDS,
     MetadataSummaryBuilder,
-    field_combinations,
     render_genres,
 )
-
-
-class TestFieldCombinations:
-    def test_all_31_combinations(self):
-        assert len(field_combinations()) == 31
-
-    def test_smallest_first(self):
-        combos = field_combinations()
-        assert combos[0] == ("title",)
-        assert combos[-1] == METADATA_FIELDS
-
-    def test_min_size(self):
-        pairs_up = field_combinations(min_size=2)
-        assert all(len(c) >= 2 for c in pairs_up)
-        assert len(pairs_up) == 31 - 5
-
-    def test_invalid_min_size(self):
-        with pytest.raises(ConfigurationError):
-            field_combinations(min_size=0)
 
 
 class TestRenderGenres:
