@@ -92,3 +92,8 @@ class TestRecommend:
         batch = model.recommend_batch(np.asarray([0, 1]), 2)
         assert batch[0].tolist() == model.recommend(0, 2).tolist()
         assert batch[1].tolist() == model.recommend(1, 2).tolist()
+
+    def test_rank_items_is_full_permutation(self, train):
+        model = FixedScores([5.0, 1.0, 3.0], exclude_seen=False).fit(train)
+        # Every item once, in decreasing score order.
+        assert model.recommend(0, train.n_items).tolist() == [0, 2, 1]

@@ -16,6 +16,28 @@ def loan_durations(bct) -> np.ndarray:
 
 
 class TestLoanRecord:
+    def test_duration_days(self, tiny_sources):
+        """The merge counts a loan returned three weeks later as 21 days."""
+        loans = tiny_sources.bct.loans
+        three_weeks = BCTDataset(
+            books=tiny_sources.bct.books,
+            loans=replace_column(
+                loans, "return_date",
+                loans["loan_date"] + np.timedelta64(21, "D"),
+            ),
+        )
+
+        def bct_readings(min_loan_days):
+            merged, _ = build_merged_dataset(
+                three_weeks, tiny_sources.anobii,
+                MergeConfig(min_user_readings=10, min_book_readings=5,
+                            min_loan_days=min_loan_days),
+            )
+            return (merged.readings["source"] == "bct").sum()
+
+        assert bct_readings(21) == bct_readings(0) > 0
+        assert bct_readings(22) == 0
+
     def test_return_before_loan_rejected(self, tiny_sources):
         loans = tiny_sources.bct.loans.head(1)
         early = loans["loan_date"] - np.timedelta64(1, "D")

@@ -1,7 +1,10 @@
-"""Tests for repro.datasets.models (schemas, natural keys)."""
+"""Tests for repro.datasets.models (schemas, natural keys, rating bounds)."""
 
 import json
 
+import pytest
+
+from repro.datasets.anobii import AnobiiDataset
 from repro.datasets.models import (
     ANOBII_ITEMS_SCHEMA,
     ANOBII_RATINGS_SCHEMA,
@@ -10,6 +13,8 @@ from repro.datasets.models import (
     match_key,
     parse_genre_votes,
 )
+from repro.errors import DatasetError
+from tests.factories import replace_column
 
 
 class TestSchemas:
@@ -27,6 +32,23 @@ class TestSchemas:
 
     def test_anobii_ratings_columns(self):
         assert ANOBII_RATINGS_SCHEMA["rating"].dtype == "int"
+
+
+def one_rating(anobii, stars):
+    """The Anobii dump cut to one rating of ``stars`` stars."""
+    ratings = replace_column(anobii.ratings.head(1), "rating", [stars])
+    return AnobiiDataset(items=anobii.items, ratings=ratings)
+
+
+class TestRecords:
+    def test_rating_bounds_enforced(self, tiny_sources):
+        for stars in (0, 6):
+            with pytest.raises(DatasetError, match="ratings outside"):
+                one_rating(tiny_sources.anobii, stars).validate()
+
+    def test_rating_valid(self, tiny_sources):
+        for stars in (1, 5):
+            one_rating(tiny_sources.anobii, stars).validate()
 
 
 class TestParseGenreVotes:

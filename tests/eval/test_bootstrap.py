@@ -24,12 +24,42 @@ def random_eval(tiny_split, tiny_merged):
 class TestBootstrapMetric:
     """What every metric shares: its per-user values and their checks."""
 
+    def test_estimate_matches_kpi(self, bpr_eval, random_eval):
+        first, second = bpr_eval.report(20), random_eval.report(20)
+        for metric in SUPPORTED_METRICS:
+            comparison = paired_bootstrap_difference(
+                bpr_eval, random_eval, metric, 20, seed=1
+            )
+            expected = getattr(first, metric) - getattr(second, metric)
+            assert comparison.difference == pytest.approx(expected), metric
+
     def test_interval_brackets_estimate(self, bpr_eval, random_eval):
         for metric in SUPPORTED_METRICS:
             comparison = paired_bootstrap_difference(
                 bpr_eval, random_eval, metric, 20, seed=1
             )
             assert comparison.low <= comparison.difference <= comparison.high, metric
+
+    def test_wider_confidence_wider_interval(self, bpr_eval, random_eval):
+        narrow = paired_bootstrap_difference(
+            bpr_eval, random_eval, "urr", 20, confidence=0.5, seed=1
+        )
+        wide = paired_bootstrap_difference(
+            bpr_eval, random_eval, "urr", 20, confidence=0.99, seed=1
+        )
+        assert (wide.high - wide.low) >= (narrow.high - narrow.low)
+
+    def test_deterministic_given_seed(self, bpr_eval, random_eval):
+        a = paired_bootstrap_difference(bpr_eval, random_eval, "urr", 20, seed=5)
+        b = paired_bootstrap_difference(bpr_eval, random_eval, "urr", 20, seed=5)
+        assert (a.low, a.high) == (b.low, b.high)
+
+    def test_str(self, bpr_eval, random_eval):
+        text = str(
+            paired_bootstrap_difference(bpr_eval, random_eval, "urr", 20, seed=1)
+        )
+        assert f"{bpr_eval.model_name} - {random_eval.model_name} on urr" in text
+        assert "@95%" in text
 
     def test_unknown_metric(self, bpr_eval):
         with pytest.raises(EvaluationError, match="unsupported metric"):

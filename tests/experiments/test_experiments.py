@@ -68,6 +68,15 @@ class TestFig1:
         assert result.per_book.max() >= 2 * float(
             sorted(result.per_book)[len(result.per_book) // 2]
         )
+
+    def test_cdf_accessor(self, tiny_context):
+        result = fig1.run(tiny_context)
+        rows = result.quantile_rows()
+        # CDF quantiles never fall, and the last one (p100) is the maximum.
+        for column, values in ((1, result.per_user), (2, result.per_book)):
+            series = [row[column] for row in rows]
+            assert series == sorted(series)
+            assert series[-1] == float(values.max())
         assert "p50" in result.render()
 
 

@@ -147,6 +147,17 @@ class TestStatusAndErrors:
         assert tracer.spans[0].status == STATUS_OK
         assert tracer.spans[0].error is None
 
+    def test_active_ids_follow_the_span_stack(self):
+        tracer = make_tracer()
+        assert tracer.active_span is None
+        with tracer.span("outer") as outer:
+            assert tracer.active_span is outer
+            with tracer.span("inner") as inner:
+                assert tracer.active_span is inner
+                assert inner.trace_id == outer.trace_id
+            assert tracer.active_span is outer
+        assert tracer.active_span is None
+
 
 class TestNullSpan:
     def test_start_span_without_tracer_returns_shared_instance(self):

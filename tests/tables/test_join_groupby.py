@@ -1,5 +1,6 @@
 """Tests for Table.group_by."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchemaError
@@ -38,6 +39,14 @@ class TestGroupBy:
         by_user = {row["user"]: row for row in agg.iter_rows()}
         assert by_user["u1"]["n"] == 2
         assert by_user["u1"]["total_days"] == 21
+
+    def test_aggregate_mean_median(self, loans):
+        agg = loans.group_by("user").aggregate(
+            {"mean_days": ("days", np.mean), "median_days": ("days", np.median)}
+        )
+        row = agg.filter(agg["user"] == "u1").row(0)
+        assert row["mean_days"] == pytest.approx(10.5)
+        assert row["median_days"] == pytest.approx(10.5)
 
     def test_aggregate_output_collision_rejected(self, loans):
         with pytest.raises(SchemaError, match="collides"):

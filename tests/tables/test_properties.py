@@ -74,3 +74,16 @@ def test_group_sizes_partition_rows(ints, strs):
         return
     sizes = table.group_by("a").aggregate({"n": ("b", ops.count)})
     assert sum(sizes["n"].tolist()) == table.num_rows
+
+
+@given(ids, names)
+def test_value_counts_total(ints, strs):
+    table = make_table(ints, strs)
+    if table.num_rows == 0:
+        return
+    counts = table.group_by("a").aggregate({"n": ("a", ops.count)})
+    keys, expected = np.unique(table["a"], return_counts=True)
+    assert dict(zip(counts["a"].tolist(), counts["n"].tolist())) == dict(
+        zip(keys.tolist(), expected.tolist())
+    )
+    assert sum(counts["n"].tolist()) == table.num_rows

@@ -1,5 +1,6 @@
 """Tests for signed feature hashing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,3 +41,15 @@ class TestHashedVector:
 
     def test_empty_features(self):
         assert hashed_counts([], 8) == {}
+
+    def test_sparse_matches_dense(self):
+        features = ["x", "y", "x", "z"]
+        dense = np.zeros(64)
+        for feature in features:
+            bucket, sign = hash_feature(feature, 64)
+            dense[bucket] += sign
+        rebuilt = np.zeros(64)
+        for bucket, value in hashed_counts(features, 64).items():
+            rebuilt[bucket] = value
+        # Collisions may stack features in one bucket; both paths must agree.
+        assert np.allclose(dense, rebuilt)
