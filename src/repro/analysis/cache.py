@@ -16,8 +16,9 @@ A hit restores the findings (witness trails included) without touching
 measurably faster and byte-identical. Baseline filtering happens after
 the cache layer, so editing the baseline file never needs ``--no-cache``.
 Entries are JSON files under ``.cache/repro-check/`` written through
-the stdlib-only :func:`~repro.analysis._io.atomic_write`; stale entries
-are pruned oldest-first past :data:`MAX_ENTRIES`.
+:func:`repro.resilience.artefacts.atomic_write` (standard library only,
+like the rest of the analyzer); stale entries are pruned oldest-first
+past :data:`MAX_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis._io import atomic_write
 from repro.analysis.dataflow import WitnessStep
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule
+from repro.resilience.artefacts import atomic_write
 
 #: Bumped when the cache payload layout or engine semantics change.
 CACHE_VERSION = 1

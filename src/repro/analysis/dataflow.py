@@ -46,6 +46,9 @@ MAX_TRAIL = 8
 #: Upper bound on interprocedural parameter tracing depth.
 MAX_TRACE_DEPTH = 6
 
+#: A ``# repro: tier[value]`` comment; group 1 is the value.
+_TIER_ANNOTATION = re.compile(r"#\s*repro:\s*tier\[([^\]]+)\]")
+
 
 @dataclass(frozen=True)
 class WitnessStep:
@@ -769,22 +772,17 @@ def parent_map(root: ast.AST) -> dict[int, ast.AST]:
     return parents
 
 
-def tier_annotation(
-    source: SourceFile, node: ast.stmt, tag: str = "tier"
-) -> str | None:
+def tier_annotation(source: SourceFile, node: ast.stmt) -> str | None:
     """The ``# repro: tier[...]`` annotation on a statement header.
 
     Scans the header span (decorators through the ``def`` line) plus the
-    line directly above for ``# repro: <tag>[value]`` and returns the
+    line directly above for ``# repro: tier[value]`` and returns the
     bracketed value, or ``None``.
     """
-    pattern = re.compile(
-        rf"#\s*repro:\s*{re.escape(tag)}\[([^\]]+)\]"
-    )
     start, end = header_span(node)
     for line_number in range(max(1, start - 1), end + 1):
         if line_number <= len(source.lines):
-            match = pattern.search(source.lines[line_number - 1])
+            match = _TIER_ANNOTATION.search(source.lines[line_number - 1])
             if match is not None:
                 return match.group(1).strip()
     return None

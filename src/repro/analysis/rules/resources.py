@@ -40,13 +40,9 @@ from repro.analysis.findings import Finding
 from repro.analysis.model import ProjectModel, SourceFile
 from repro.analysis.rules.base import Rule
 
-#: The module implementing the sanctioned write path.
+#: The module implementing the sanctioned write path (exempt from the
+#: write checks).
 ARTEFACTS_MODULE = "repro.resilience.artefacts"
-
-#: Modules that ARE the sanctioned write implementations — exempt from
-#: the write checks (the stdlib-only clone exists so the analyzer stays
-#: importable without numpy; see ``repro.analysis._io``).
-SANCTIONED_WRITE_MODULES = {ARTEFACTS_MODULE, "repro.analysis._io"}
 
 #: Canonical calls producing handles that need a lifetime owner.
 HANDLE_PRODUCERS = {
@@ -61,10 +57,8 @@ HANDLE_PRODUCERS = {
 #: Canonical savers whose destination must be an atomic_write handle.
 RAW_SAVERS = {"numpy.save", "numpy.savez", "numpy.savez_compressed"}
 
-#: The atomic write context managers' canonical names.
-ATOMIC_WRITES = {
-    f"{module}.atomic_write" for module in SANCTIONED_WRITE_MODULES
-}
+#: The atomic write context manager's canonical name.
+ATOMIC_WRITE = f"{ARTEFACTS_MODULE}.atomic_write"
 
 
 class ResourceLifetimeRule(Rule):
@@ -100,7 +94,7 @@ class ResourceLifetimeRule(Rule):
                 df, source, fi, call, targets, parts, parents,
                 closed, returned, passed,
             )
-            if fi.module not in SANCTIONED_WRITE_MODULES:
+            if fi.module != ARTEFACTS_MODULE:
                 yield from self._check_write(
                     df, source, fi, call, targets, parts, env
                 )
@@ -272,7 +266,7 @@ class ResourceLifetimeRule(Rule):
                 return
             destination = call.args[0]
             prov = df.expr_prov(fi, destination, env)
-            if prov.origin in {f"call:{name}" for name in ATOMIC_WRITES}:
+            if prov.origin == f"call:{ATOMIC_WRITE}":
                 return
             if prov.origin.startswith(("param:", "attr:")):
                 return  # could be a managed handle: degrade

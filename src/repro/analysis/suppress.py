@@ -28,9 +28,9 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.analysis._io import atomic_write
 from repro.analysis.dataflow import header_span, iter_statements
 from repro.analysis.findings import Finding
+from repro.resilience.artefacts import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.analysis.model import SourceFile

@@ -70,12 +70,12 @@ def save_dataset(dataset: MergedDataset, directory: str | Path) -> None:
     )
 
 
-def load_dataset(directory: str | Path, verify: bool = True) -> MergedDataset:
+def load_dataset(directory: str | Path) -> MergedDataset:
     """Load a dataset previously written by :func:`save_dataset`.
 
-    With ``verify=True`` (the default) the checksum manifest is checked
-    first, so truncated or corrupted tables fail with a precise
-    :class:`~repro.errors.PersistenceError` subclass before any parsing.
+    The checksum manifest is checked first, so truncated or corrupted
+    tables fail with a precise :class:`~repro.errors.PersistenceError`
+    subclass before any parsing.
     """
     directory = Path(directory)
     for name in DATASET_FILES:
@@ -83,8 +83,7 @@ def load_dataset(directory: str | Path, verify: bool = True) -> MergedDataset:
             raise PersistenceError(
                 f"{directory} is not a saved dataset: missing {name}"
             )
-    if verify:
-        verify_manifest(directory, kind=DATASET_KIND)
+    verify_manifest(directory, kind=DATASET_KIND)
     dataset = MergedDataset(
         books=read_csv(directory / "books.csv"),
         readings=read_csv(directory / "readings.csv"),
@@ -126,12 +125,10 @@ def save_bpr(model: BPR, train: InteractionMatrix, path: str | Path) -> None:
     )
 
 
-def load_bpr(
-    path: str | Path, verify: bool = True
-) -> tuple[BPR, InteractionMatrix]:
+def load_bpr(path: str | Path) -> tuple[BPR, InteractionMatrix]:
     """Load a model saved by :func:`save_bpr`, ready to serve.
 
-    The checksum manifest is verified first (``verify=True``), the archive
+    The checksum manifest is verified first, the archive
     is read with ``allow_pickle=False``, and every array is validated —
     both factor matrices' shapes and the CSR triplet's consistency with
     the saved indexers — before a model is constructed.
@@ -143,8 +140,7 @@ def load_bpr(
         if not candidate.exists():
             raise PersistenceError(f"no saved model at {path}")
         path = candidate
-    if verify:
-        verify_manifest(path, kind=BPR_KIND)
+    verify_manifest(path, kind=BPR_KIND)
     # Read-side crash point: chaos tests inject IO faults here to prove a
     # failed load (not just a failed save) degrades cleanly — e.g. a hot
     # swap that cannot read its candidate keeps serving the old model.

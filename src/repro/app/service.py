@@ -425,56 +425,40 @@ class RecommendationService:
     def refresh_model(
         self,
         model: Recommender,
-        train: InteractionMatrix | None = None,
-        cold_start_fallback: "MostReadItems | None" = None,
+        train: InteractionMatrix,
         model_version: str | None = None,
     ) -> None:
         """Swap in a newly fitted model and invalidate the served cache.
 
-        The new :class:`ServingState` (keeping the current train and
-        cold-start fallback where none is given) is built outside the
-        lock and replaces the current one by a single reference
-        assignment, in the critical section that clears the cache and
-        resets the breaker. A request in flight finishes on the state it
-        took; its cache insert is dropped. One writer swaps at a time.
-        A kept fallback is refitted on ``train`` when the catalogue
-        changed, since its item indices belong to the old one.
+        The new :class:`ServingState` (keeping the current cold-start
+        fallback) is built outside the lock and replaces the current one
+        by a single reference assignment, in the critical section that
+        clears the cache and resets the breaker. A request in flight
+        finishes on the state it took; its cache insert is dropped. One
+        writer swaps at a time. The fallback is refitted on ``train``
+        when the catalogue changed, since its item indices belong to the
+        old one.
         """
-        _require_fitted(model, cold_start_fallback)
+        _require_fitted(model, None)
         current = self._state
-        train = train if train is not None else current.train
-        if cold_start_fallback is None:
-            cold_start_fallback = current.cold_start_fallback
-            if (
-                cold_start_fallback is not None
-                and train.items != current.train.items
-            ):
-                cold_start_fallback = MostReadItems(
-                    personalized=cold_start_fallback.exclude_seen
-                ).fit(train)
-        state = self._build_state(
-            model, train, cold_start_fallback, model_version
-        )
+        fallback = current.cold_start_fallback
+        if fallback is not None and train.items != current.train.items:
+            fallback = MostReadItems(personalized=fallback.exclude_seen).fit(train)
+        state = self._build_state(model, train, fallback, model_version)
         with self._lock:
             self._state = state
             self._cache.clear()
             self.breaker.reset()
 
-    def refresh_from_store(
-        self,
-        store,
-        version: "str | int | None" = None,
-        probe_user: str | None = None,
-    ) -> bool:
+    def refresh_from_store(self, store, version: "str | int | None" = None) -> bool:
         """Zero-downtime hot swap from a :class:`~repro.app.lifecycle.ModelStore`.
 
         Resolving ``version`` (default ``CURRENT``), the checksum-verified
-        load, validation (:meth:`_validate_candidate`, smoke-scoring
-        ``probe_user`` or the first user) and building the new state all
-        run outside the service lock; only a validated candidate is
-        swapped in. Never raises: any failure keeps the current model
-        serving, counts one :attr:`ServiceStats.refresh_failed` and
-        returns False.
+        load, validation (:meth:`_validate_candidate`, smoke-scoring the
+        first user) and building the new state all run outside the service
+        lock; only a validated candidate is swapped in. Never raises: any
+        failure keeps the current model serving, counts one
+        :attr:`ServiceStats.refresh_failed` and returns False.
         """
         with start_span(
             self.tracer, "service.refresh", version=str(version)
@@ -482,11 +466,10 @@ class RecommendationService:
             try:
                 resolved = store.resolve(version)
                 candidate, train = store.load(resolved)
-                self._validate_candidate(candidate, train, probe_user)
+                self._validate_candidate(candidate, train)
             except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
                 self.stats.note_refresh(ok=False, error=exc)
                 self._m_refreshes.labels(outcome="failed").inc()
-                self._m_errors.inc()
                 span.set_attrs(outcome="failed", error=type(exc).__name__)
                 return False
             self.refresh_model(candidate, train, model_version=resolved.name)
@@ -496,14 +479,11 @@ class RecommendationService:
             return True
 
     def _validate_candidate(
-        self,
-        model: Recommender,
-        train: InteractionMatrix,
-        probe_user: str | None,
+        self, model: Recommender, train: InteractionMatrix
     ) -> None:
         """Raise :class:`~repro.errors.ConfigurationError` unless the
-        candidate is fitted, its factors are finite and a probe user gets
-        a non-empty, in-catalogue list."""
+        candidate is fitted, its factors are finite and its first user
+        gets a non-empty, in-catalogue list."""
         if not model.is_fitted:
             raise ConfigurationError("hot-swap candidate is not fitted")
         for attr in ("user_factors", "item_factors"):
@@ -512,12 +492,7 @@ class RecommendationService:
                 raise ConfigurationError(f"hot-swap candidate has non-finite {attr}")
         if train.n_users < 1 or train.n_items < 1:
             raise ConfigurationError("hot-swap candidate has an empty catalogue")
-        if probe_user is not None and probe_user not in train.users:
-            raise ConfigurationError(
-                f"probe user {probe_user!r} is unknown to the candidate"
-            )
-        probe = 0 if probe_user is None else train.users.index_of(probe_user)
-        items = np.asarray(model.recommend(probe, min(DEFAULT_K, train.n_items)))
+        items = np.asarray(model.recommend(0, min(DEFAULT_K, train.n_items)))
         if len(items) == 0:
             raise ConfigurationError(
                 "hot-swap candidate served an empty list for the probe user"

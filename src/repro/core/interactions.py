@@ -2,7 +2,7 @@
 
 The paper's matrix ``I`` (Section 4, BPR): ``i[u, b] = 1`` when user ``u``
 read book ``b``. We additionally keep the multiplicity (times read), which
-the Most Read Items baseline needs; binary views are derived on demand.
+the Most Read Items baseline needs; ``I`` is its nonzero pattern.
 
 Indexers map external ids (user id strings, book id ints) to contiguous
 matrix indices, and are shared between the train/validation/test splits so
@@ -153,12 +153,6 @@ class InteractionMatrix:
     def item_counts(self) -> np.ndarray:
         """Total readings per item (with multiplicity) — popularity."""
         return np.asarray(self.csr.sum(axis=0)).ravel()
-
-    def binary(self) -> sparse.csr_matrix:
-        """A 0/1 copy of the matrix (the paper's ``I``)."""
-        out = self.csr.copy()
-        out.data = np.ones_like(out.data)
-        return out
 
     def positive_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All distinct (user index, item index) interactions as two arrays."""

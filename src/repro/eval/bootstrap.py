@@ -20,7 +20,8 @@ from repro.rng import derive_rng
 
 SUPPORTED_METRICS = ("urr", "nrr", "precision", "recall", "first_rank")
 
-DEFAULT_RESAMPLES = 1000
+#: Resamples behind each interval.
+RESAMPLES = 1000
 
 
 def _per_user_values(
@@ -79,7 +80,6 @@ def paired_bootstrap_difference(
     second: EvaluationResult,
     metric: str,
     k: int,
-    n_resamples: int = DEFAULT_RESAMPLES,
     confidence: float = 0.95,
     seed: int | None = None,
 ) -> PairedComparison:
@@ -96,7 +96,7 @@ def paired_bootstrap_difference(
     deltas = first_values - second_values
     rng = derive_rng(seed, "bootstrap", "paired", metric)
     n = len(deltas)
-    samples = rng.integers(0, n, size=(n_resamples, n))
+    samples = rng.integers(0, n, size=(RESAMPLES, n))
     means = deltas[samples].mean(axis=1)
     alpha = (1.0 - confidence) / 2
     return PairedComparison(

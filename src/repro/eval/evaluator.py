@@ -239,10 +239,10 @@ def measure_recommendation_latency(
     model: Recommender,
     user_indices: np.ndarray,
     k: int,
-    sample: int = LATENCY_SAMPLE_USERS,
 ) -> float:
-    """Average seconds per single-user recommendation request (Table 2)."""
-    targets = np.asarray(user_indices, dtype=np.int64)[:sample]
+    """Average seconds per single-user recommendation request (Table 2),
+    over the first :data:`LATENCY_SAMPLE_USERS` users."""
+    targets = np.asarray(user_indices, dtype=np.int64)[:LATENCY_SAMPLE_USERS]
     if len(targets) == 0:
         raise EvaluationError("latency measurement needs at least one user")
     started = time.perf_counter()

@@ -27,7 +27,7 @@ from repro.pipeline.merge import build_merged_dataset
 
 #: Loans shorter than this many days count as "abandoned" in the filtered
 #: variant (just above the synthetic abandonment band).
-DEFAULT_MIN_LOAN_DAYS = 7
+MIN_LOAN_DAYS = 7
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,7 @@ class DurationAblationResult:
         )
 
 
-def run(
-    context: ExperimentContext,
-    min_loan_days: int = DEFAULT_MIN_LOAN_DAYS,
-) -> DurationAblationResult:
+def run(context: ExperimentContext) -> DurationAblationResult:
     k = context.config.k
     unfiltered = {
         "Closest Items": context.evaluation("closest").report(k),
@@ -72,7 +69,7 @@ def run(
     sources = context.sources
     filtered_merged, _ = build_merged_dataset(
         sources.bct, sources.anobii,
-        replace(context.config.merge, min_loan_days=min_loan_days),
+        replace(context.config.merge, min_loan_days=MIN_LOAN_DAYS),
     )
     filtered_split = split_readings(filtered_merged)
     filtered: dict[str, KPIReport] = {}
@@ -91,7 +88,7 @@ def run(
     removed_share = 1.0 - after / before if before else 0.0
     return DurationAblationResult(
         k=k,
-        min_loan_days=min_loan_days,
+        min_loan_days=MIN_LOAN_DAYS,
         unfiltered=unfiltered,
         filtered=filtered,
         loans_removed_share=removed_share,

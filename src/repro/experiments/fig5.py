@@ -60,13 +60,10 @@ class Fig5Result:
         )
 
 
-def run(
-    context: ExperimentContext,
-    compositions: tuple[tuple[str, ...], ...] = COMPOSITIONS,
-) -> Fig5Result:
+def run(context: ExperimentContext) -> Fig5Result:
     k = context.config.k
     rows = {}
-    for fields in compositions:
+    for fields in COMPOSITIONS:
         key = "closest:" + ",".join(fields)
         rows[fields] = context.evaluation(key).report(k)
     return Fig5Result(k=k, rows=rows)

@@ -33,11 +33,10 @@ def ascii_table(
     return "\n".join(out)
 
 
-def series_block(name: str, xs: Sequence[object], ys: Sequence[float],
-                 precision: int = 3) -> str:
-    """Render one figure series as an ``x -> y`` listing."""
+def series_block(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
+    """Render one figure series as an ``x -> y`` listing (y to 3 decimals)."""
     pairs = "  ".join(
-        f"{format_value(x, 0)}:{format_value(float(y), precision)}"
+        f"{format_value(x, 0)}:{format_value(float(y), 3)}"
         for x, y in zip(xs, ys)
     )
     return f"{name}: {pairs}"

@@ -257,18 +257,12 @@ def top_genres(
     return result
 
 
-def build_genre_model(
-    items: Table,
-    max_book_share: float = DEFAULT_MAX_BOOK_SHARE,
-    min_books: int = DEFAULT_MIN_BOOKS,
-    min_affinity: float = DEFAULT_MIN_AFFINITY,
-    top_k: int = TOP_GENRES_PER_BOOK,
-) -> GenreModel:
+def build_genre_model(items: Table) -> GenreModel:
     """Run the full genre pipeline on an Anobii items table."""
     raw_votes = extract_genre_votes(items)
-    cleaned, dropped = drop_extreme_genres(raw_votes, max_book_share, min_books)
-    canonical, trace = aggregate_genres(cleaned, min_affinity)
-    book_genres = top_genres(cleaned, canonical, top_k)
+    cleaned, dropped = drop_extreme_genres(raw_votes)
+    canonical, trace = aggregate_genres(cleaned)
+    book_genres = top_genres(cleaned, canonical)
     return GenreModel(
         canonical_of=canonical,
         book_genres=book_genres,

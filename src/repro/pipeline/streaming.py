@@ -47,7 +47,6 @@ def merge_sharded_corpus(
     *,
     materialise: bool = True,
     output_dir: str | Path | None = None,
-    strict: bool = False,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> StreamingMergeResult:
@@ -75,7 +74,7 @@ def merge_sharded_corpus(
         write = partial(_write_merged_corpus, Path(output_dir), config)
     return run_merge(
         corpus, config, materialise=materialise, write=write,
-        strict=strict, tracer=tracer, metrics=metrics,
+        tracer=tracer, metrics=metrics,
     )
 
 

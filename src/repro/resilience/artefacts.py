@@ -53,11 +53,13 @@ def atomic_write(
     """Open a temp file that replaces ``path`` only on successful exit.
 
     The temp file lives in the destination directory (same filesystem, so
-    the final rename is atomic) under a dotted name invisible to loaders.
-    On any exception the temp file is removed and ``path`` is untouched.
+    the final rename is atomic) under a dotted name invisible to loaders,
+    tagged with the process id so two processes writing one path never
+    share a temp file. On any exception the temp file is removed and
+    ``path`` is untouched.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     fault_check("io.write")
     handle = tmp.open(mode, **open_kwargs)
     try:

@@ -15,21 +15,17 @@ semantics; the CB conclusions (author+genre best, title-only ≈ random) are
 about *which fields* enter the summary.
 """
 
-from repro.text.tokenize import TokenizerConfig, normalize_text, tokenize
+from repro.text.tokenize import normalize_text, tokenize
 from repro.text.hashing import hash_feature
 from repro.text.tfidf import TfidfModel
 from repro.text.embedder import HashedTfidfEmbedder, SentenceEmbedder
-from repro.text.similarity import (
-    cosine_similarity_matrix,
-    truncated_similarity_matrix,
-)
+from repro.text.similarity import cosine_similarity_matrix
 from repro.text.summary import (
     METADATA_FIELDS,
     MetadataSummaryBuilder,
 )
 
 __all__ = [
-    "TokenizerConfig",
     "normalize_text",
     "tokenize",
     "hash_feature",
@@ -37,7 +33,6 @@ __all__ = [
     "HashedTfidfEmbedder",
     "SentenceEmbedder",
     "cosine_similarity_matrix",
-    "truncated_similarity_matrix",
     "METADATA_FIELDS",
     "MetadataSummaryBuilder",
 ]

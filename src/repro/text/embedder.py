@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import NotFittedError
 from repro.text.hashing import hashed_counts
 from repro.text.tfidf import TfidfModel
-from repro.text.tokenize import TokenizerConfig, tokenize
+from repro.text.tokenize import tokenize
 
 
 @runtime_checkable
@@ -49,19 +49,12 @@ class HashedTfidfEmbedder:
     Args:
         dim: width of the hashed feature space. 512 keeps collision noise
             below ~2 % cosine error for catalogue-sized vocabularies.
-        tokenizer: feature extraction configuration.
         sublinear_tf: dampen repeated tokens (recommended; long plots stop
             dominating the author tokens).
     """
 
-    def __init__(
-        self,
-        dim: int = 512,
-        tokenizer: TokenizerConfig | None = None,
-        sublinear_tf: bool = True,
-    ) -> None:
+    def __init__(self, dim: int = 512, sublinear_tf: bool = True) -> None:
         self.dim = dim
-        self.tokenizer = tokenizer or TokenizerConfig()
         self._tfidf = TfidfModel(dim=dim, sublinear_tf=sublinear_tf)
 
     @property
@@ -83,7 +76,7 @@ class HashedTfidfEmbedder:
         )
 
     def _hash(self, text: str) -> dict[int, float]:
-        return hashed_counts(tokenize(text, self.tokenizer), self.dim)
+        return hashed_counts(tokenize(text), self.dim)
 
 
 class HashedCountEmbedder(HashedTfidfEmbedder):
@@ -93,12 +86,8 @@ class HashedCountEmbedder(HashedTfidfEmbedder):
     weighting contributes to the Closest Items recommender.
     """
 
-    def __init__(
-        self,
-        dim: int = 512,
-        tokenizer: TokenizerConfig | None = None,
-    ) -> None:
-        super().__init__(dim=dim, tokenizer=tokenizer, sublinear_tf=False)
+    def __init__(self, dim: int = 512) -> None:
+        super().__init__(dim=dim, sublinear_tf=False)
 
     def fit(self, corpus: Sequence[str]) -> "HashedCountEmbedder":
         """Record the corpus size; IDF stays flat so counts pass through."""

@@ -1,139 +1,25 @@
-"""Cosine-similarity kernels over embedding matrices.
-
-Two serving-scale controls were added for large catalogues:
-
-- ``block_size`` computes the similarity matrix in row blocks, so the
-  intermediate work stays cache-sized and progress is interruptible; the
-  output is still the full matrix unless truncated.
-- :func:`truncated_similarity_matrix` keeps only each row's top-``n``
-  neighbours in a CSR matrix, dropping memory from O(B²) dense float64 to
-  O(B·n) — the Lib-SibGMU-scale representation used by
-  :class:`~repro.core.closest_items.ClosestItems` in sparse mode.
-"""
+"""Cosine similarity between the rows of an embedding matrix."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import ConfigurationError
 
 
-def cosine_similarity_matrix(
-    left: np.ndarray,
-    right: np.ndarray | None = None,
-    *,
-    block_size: int | None = None,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Pairwise cosine similarity between the rows of two matrices.
+def cosine_similarity_matrix(embeddings: np.ndarray) -> np.ndarray:
+    """Pairwise float64 cosine similarity between the rows of ``embeddings``.
 
     Rows do not need to be pre-normalised; zero rows yield zero similarity
-    rather than NaN. Returns an ``(n_left, n_right)`` matrix.
-
-    ``block_size`` bounds how many left rows are multiplied at once (the
-    default multiplies everything in one GEMM call); ``dtype`` selects the
-    accumulation precision — ``np.float32`` halves memory and roughly
-    doubles throughput at ~1e-7 similarity error.
+    rather than NaN. Returns an ``(n, n)`` matrix from one matrix product.
     """
-    if block_size is not None and block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigurationError(
-            f"dtype must be float32 or float64, got {dtype}"
-        )
-    left = np.asarray(left, dtype=dtype)
-    right = left if right is None else np.asarray(right, dtype=dtype)
-    if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
-        raise ConfigurationError(
-            f"incompatible shapes for cosine similarity: "
-            f"{left.shape} vs {right.shape}"
-        )
-    left_normed = _normalize_rows(left)
-    right_normed = left_normed if right is left else _normalize_rows(right)
-    if block_size is None or block_size >= left_normed.shape[0]:
-        # Rounding at extreme magnitudes can push a product epsilon past
-        # the mathematical bounds; clip so downstream code can rely on
-        # [-1, 1].
-        return np.clip(left_normed @ right_normed.T, -1.0, 1.0)
-    out = np.empty((left_normed.shape[0], right_normed.shape[0]), dtype=dtype)
-    right_t = right_normed.T
-    for start in range(0, left_normed.shape[0], block_size):
-        stop = start + block_size
-        np.clip(
-            left_normed[start:stop] @ right_t, -1.0, 1.0,
-            out=out[start:stop],
-        )
-    return out
-
-
-def truncated_similarity_matrix(
-    embeddings: np.ndarray,
-    top_n: int,
-    *,
-    block_size: int | None = None,
-    dtype: np.dtype | type = np.float64,
-    zero_diagonal: bool = True,
-) -> sparse.csr_matrix:
-    """Item-item cosine similarity keeping only the top-``n`` per row.
-
-    Builds the similarity blockwise (never materialising more than
-    ``block_size × n_items`` dense values at once) and stores each row's
-    ``n`` largest entries in a CSR matrix, so peak memory is O(B·n)
-    instead of the O(B²) dense matrix. ``zero_diagonal`` excludes
-    self-similarity before selection, matching
-    :class:`~repro.core.closest_items.ClosestItems`' Eq. (1) convention.
-    """
-    if top_n < 1:
-        raise ConfigurationError(f"top_n must be >= 1, got {top_n}")
-    if block_size is not None and block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    embeddings = np.asarray(embeddings)
+    embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2:
         raise ConfigurationError(
             f"embeddings must be 2-D, got shape {embeddings.shape}"
         )
-    n_items = embeddings.shape[0]
-    normed = _normalize_rows(np.asarray(embeddings, dtype=np.dtype(dtype)))
-    keep = min(top_n, max(n_items - 1, 1))
-    block = block_size or max(1, min(n_items, 4096))
-    data_blocks: list[np.ndarray] = []
-    col_blocks: list[np.ndarray] = []
-    indptr = np.zeros(n_items + 1, dtype=np.int64)
-    right_t = normed.T
-    for start in range(0, n_items, block):
-        stop = min(start + block, n_items)
-        rows = np.clip(normed[start:stop] @ right_t, -1.0, 1.0)
-        if zero_diagonal:
-            rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        kth = min(keep, rows.shape[1])
-        top_cols = np.argpartition(-rows, kth=kth - 1, axis=1)[:, :kth]
-        top_vals = np.take_along_axis(rows, top_cols, axis=1)
-        # CSR wants column-sorted rows; order within the kept set is
-        # irrelevant to the scores, so sort by column index.
-        order = np.argsort(top_cols, axis=1)
-        top_cols = np.take_along_axis(top_cols, order, axis=1)
-        top_vals = np.take_along_axis(top_vals, order, axis=1)
-        nonzero = top_vals != 0.0
-        indptr[start + 1:stop + 1] = np.count_nonzero(nonzero, axis=1)
-        data_blocks.append(top_vals[nonzero])
-        col_blocks.append(top_cols[nonzero])
-    np.cumsum(indptr, out=indptr)
-    data = (
-        np.concatenate(data_blocks)
-        if data_blocks else np.empty(0, dtype=np.dtype(dtype))
-    )
-    cols = (
-        np.concatenate(col_blocks)
-        if col_blocks else np.empty(0, dtype=np.int64)
-    )
-    return sparse.csr_matrix(
-        (data, cols, indptr), shape=(n_items, n_items)
-    )
-
-
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return (matrix / safe).astype(matrix.dtype, copy=False)
+    norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
+    normed = embeddings / np.where(norms > 0, norms, 1.0)
+    # Rounding at extreme magnitudes can push a product epsilon past the
+    # mathematical bounds; clip so downstream code can rely on [-1, 1].
+    return np.clip(normed @ normed.T, -1.0, 1.0)

@@ -3,37 +3,6 @@
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """What features :func:`tokenize` extracts from a normalised string.
-
-    Word tokens capture exact shared vocabulary (author names, genre
-    labels); character n-grams capture partial matches (inflected forms,
-    multi-word names split differently across sources).
-    """
-
-    use_words: bool = True
-    char_ngram_min: int = 3
-    char_ngram_max: int = 4
-    use_char_ngrams: bool = True
-
-    def __post_init__(self) -> None:
-        if self.use_char_ngrams and not (
-            1 <= self.char_ngram_min <= self.char_ngram_max
-        ):
-            raise ConfigurationError(
-                f"invalid char n-gram range "
-                f"[{self.char_ngram_min}, {self.char_ngram_max}]"
-            )
-        if not self.use_words and not self.use_char_ngrams:
-            raise ConfigurationError(
-                "tokenizer must extract at least one feature family"
-            )
 
 
 def normalize_text(text: str) -> str:
@@ -64,20 +33,17 @@ def char_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
     return grams
 
 
-def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
-    """Extract the configured feature tokens from raw text.
+def tokenize(text: str) -> list[str]:
+    """Word tokens and their character 3- and 4-grams from raw text.
 
-    Word features are prefixed ``w=`` and n-grams ``c=`` so the two families
-    never collide in the hashing space by carrying identical strings.
+    Word tokens capture exact shared vocabulary (author names, genre
+    labels); character n-grams capture partial matches (inflected forms,
+    multi-word names split differently across sources). Word features are
+    prefixed ``w=`` and n-grams ``c=`` so the two families never collide in
+    the hashing space by carrying identical strings.
     """
-    config = config or TokenizerConfig()
     features: list[str] = []
     for token in word_tokens(normalize_text(text)):
-        if config.use_words:
-            features.append(f"w={token}")
-        if config.use_char_ngrams:
-            features.extend(
-                f"c={gram}"
-                for gram in char_ngrams(token, config.char_ngram_min, config.char_ngram_max)
-            )
+        features.append(f"w={token}")
+        features.extend(f"c={gram}" for gram in char_ngrams(token, 3, 4))
     return features

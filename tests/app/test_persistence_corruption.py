@@ -75,11 +75,6 @@ class TestModelCorruption:
         with pytest.raises(ManifestMissingError, match="manifest"):
             load_bpr(saved_model)
 
-    def test_verify_false_escape_hatch(self, saved_model, tiny_bpr):
-        manifest_path_for(saved_model).unlink()
-        model, _ = load_bpr(saved_model, verify=False)
-        assert np.array_equal(model.item_factors, tiny_bpr.item_factors)
-
     def test_future_manifest_version(self, saved_model):
         manifest_path = manifest_path_for(saved_model)
         manifest = json.loads(manifest_path.read_text())
@@ -172,11 +167,6 @@ class TestDatasetCorruption:
         (saved_dataset / MANIFEST_NAME).unlink()
         with pytest.raises(ManifestMissingError):
             load_dataset(saved_dataset)
-
-    def test_verify_false_escape_hatch(self, saved_dataset, tiny_merged):
-        (saved_dataset / MANIFEST_NAME).unlink()
-        loaded = load_dataset(saved_dataset, verify=False)
-        assert loaded.books.num_rows == tiny_merged.books.num_rows
 
     def test_missing_table(self, saved_dataset):
         (saved_dataset / "genres.csv").unlink()

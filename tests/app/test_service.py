@@ -251,7 +251,7 @@ class TestCache:
         request = RecommendationRequest(user_id=a_user, k=5)
         service.recommend(request)
         fallback = MostReadItems().fit(tiny_split.train, tiny_merged)
-        service.refresh_model(fallback)
+        service.refresh_model(fallback, service.train)
         assert service.cached_entries == 0
         refreshed = service.recommend(request)
         assert service.model is fallback
@@ -262,7 +262,7 @@ class TestCache:
     ):
         service = self._service(tiny_bpr, tiny_split, tiny_merged)
         with pytest.raises(ConfigurationError, match="fitted"):
-            service.refresh_model(MostReadItems())
+            service.refresh_model(MostReadItems(), service.train)
 
 
 class TestRecommendMany:
@@ -584,7 +584,9 @@ def _racing_service(racer, replacement, train, merged, replacement_train=None):
     )
     SwapDuringScore.service = service
     SwapDuringScore.replacement = replacement
-    SwapDuringScore.replacement_train = replacement_train
+    SwapDuringScore.replacement_train = (
+        train if replacement_train is None else replacement_train
+    )
     SwapDuringScore.fired = False
     return service
 

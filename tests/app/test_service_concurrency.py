@@ -101,7 +101,7 @@ class TestConcurrentServing:
 
         def refresher():
             while not stop.is_set():
-                service.refresh_model(tiny_bpr)
+                service.refresh_model(tiny_bpr, service.train)
 
         churn = threading.Thread(target=refresher)
         churn.start()

@@ -97,8 +97,12 @@ class TestInteractionMatrix:
         assert sizes[matrix.users.index_of("b")] == 1
 
     def test_binary_view(self):
+        # The paper's binary I is the CSR's nonzero pattern; the data keep
+        # the multiplicity Most Read counts.
         matrix = matrix_from_pairs([("u", 1), ("u", 1)])
-        assert matrix.binary().data.tolist() == [1.0]
+        assert matrix.csr.data.tolist() == [2.0]
+        users, items = matrix.positive_pairs()
+        assert (users.tolist(), items.tolist()) == ([0], [0])
 
     def test_positive_pairs_distinct(self):
         matrix = matrix_from_pairs(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.app.lifecycle import ModelStore
 from repro.app.service import (
     SERVED_BY_MOST_READ,
     SERVED_BY_PRIMARY,
@@ -197,6 +198,20 @@ class TestHealthAndSnapshotAgree:
             == service.stats.requests
             == len(users[:6])
         )
+
+    def test_failed_refresh_counts_as_a_refresh_not_an_error(
+        self, tiny_bpr, tiny_split, tiny_merged, tmp_path
+    ):
+        service, _, metrics = make_service(
+            tiny_bpr, tiny_split, tiny_merged
+        )
+        assert service.refresh_from_store(ModelStore(tmp_path / "empty")) is False
+        health = service.health()
+        assert health["refreshes"]["failed"] == 1
+        assert health["errors"] == 0
+        assert metrics.counter("service.errors").value == 0.0
+        refreshes = metrics.counter("service.refreshes")
+        assert refreshes.labels(outcome="failed").value == 1.0
 
     def test_pinned_percentiles_over_known_latency_sequence(
         self, tiny_bpr, tiny_split, tiny_merged

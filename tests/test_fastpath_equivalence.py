@@ -2,10 +2,10 @@
 reference implementation exactly.
 
 The reproduced Table 1 / Fig. 3 numbers must not move, so the CSR-scatter
-masking, batched top-k, rank-only (counting) evaluation, blockwise /
-truncated similarity, and batched serving are each pinned against the
-original per-user/argsort code paths — on fitted models over the tiny
-synthetic world and on adversarial random score matrices with heavy ties.
+masking, batched top-k, rank-only (counting) evaluation and batched
+serving are each pinned against the original per-user/argsort code paths
+— on fitted models over the tiny synthetic world and on adversarial
+random score matrices with heavy ties.
 Those original paths live here, as oracles: ``src/`` keeps one
 implementation of each job.
 """
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.app.service import RecommendationRequest, RecommendationService
 from repro.core.base import EXCLUDED_SCORE, Recommender
-from repro.core.closest_items import ClosestItems
 from repro.errors import EvaluationError
 from repro.eval.evaluator import (
     EvaluationResult,
@@ -262,56 +261,6 @@ class TestRankOnlyEvaluation:
             [ranks[row, items] for row, items in enumerate(held)]
         )
         assert np.array_equal(_ranks_by_counting(scores, held), expected)
-
-
-class TestSimilarityEquivalence:
-    def test_closest_items_sparse_scoring_matches_dense_truncated(
-        self, tiny_split, tiny_merged
-    ):
-        sparse_model = ClosestItems(
-            fields=("author", "genres"), top_n_neighbors=15, block_size=64
-        ).fit(tiny_split.train, tiny_merged)
-        users = np.asarray(sorted(tiny_split.test_items), dtype=np.int64)[:30]
-        fast = sparse_model.score_users(users)
-        # Reference: Eq. (1) per-user loop over the densified truncated
-        # similarity — same ranking required.
-        dense = sparse_model.similarity
-        train = tiny_split.train
-        reference = np.zeros_like(fast)
-        for row, user in enumerate(users):
-            history = train.user_items(int(user))
-            if history.size:
-                reference[row] = dense[:, history].mean(axis=1)
-        assert np.allclose(fast, reference, atol=1e-12)
-        assert np.array_equal(
-            np.argsort(-fast, axis=1, kind="stable"),
-            np.argsort(-reference, axis=1, kind="stable"),
-        )
-
-    def test_sparse_mode_kpis_match_densified_reference(
-        self, tiny_split, tiny_merged
-    ):
-        sparse_model = ClosestItems(
-            fields=("author", "genres"), top_n_neighbors=15
-        ).fit(tiny_split.train, tiny_merged)
-        dense_model = FixedScores(
-            sparse_model.score_users(np.arange(tiny_split.train.n_users))
-        ).fit(tiny_split.train)
-        fast = evaluate_model(sparse_model, tiny_split, ks=(20,))
-        reference = evaluate_by_argsort(dense_model, tiny_split, ks=(20,))
-        assert fast.kpis == reference.kpis
-
-    def test_dense_mode_unchanged_by_block_size(self, tiny_split, tiny_merged):
-        whole = ClosestItems(fields=("author",)).fit(tiny_split.train, tiny_merged)
-        blocked = ClosestItems(fields=("author",), block_size=37).fit(
-            tiny_split.train, tiny_merged
-        )
-        assert np.allclose(whole.similarity, blocked.similarity)
-        users = np.asarray(sorted(tiny_split.test_items), dtype=np.int64)[:10]
-        assert np.array_equal(
-            np.argsort(-whole.masked_scores(users), axis=1, kind="stable"),
-            np.argsort(-blocked.masked_scores(users), axis=1, kind="stable"),
-        )
 
 
 class TestServingEquivalence:

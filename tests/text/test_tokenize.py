@@ -1,10 +1,6 @@
 """Tests for text normalisation and tokenisation."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.text.tokenize import (
-    TokenizerConfig,
     char_ngrams,
     normalize_text,
     tokenize,
@@ -56,18 +52,10 @@ class TestTokenize:
         assert "w=eco" in features
         assert any(f.startswith("c=") for f in features)
 
-    def test_words_only_config(self):
-        config = TokenizerConfig(use_char_ngrams=False)
-        features = tokenize("due parole", config)
-        assert features == ["w=due", "w=parole"]
+    def test_words_then_their_three_and_four_grams(self):
+        assert tokenize("Eco") == [
+            "w=eco", "c=#ec", "c=eco", "c=co#", "c=#eco", "c=eco#",
+        ]
 
     def test_same_text_same_features(self):
         assert tokenize("Umberto Eco") == tokenize("Umberto Eco")
-
-    def test_config_requires_some_family(self):
-        with pytest.raises(ConfigurationError):
-            TokenizerConfig(use_words=False, use_char_ngrams=False)
-
-    def test_config_validates_range(self):
-        with pytest.raises(ConfigurationError):
-            TokenizerConfig(char_ngram_min=5, char_ngram_max=3)
