@@ -60,8 +60,9 @@ def serve_phase(workdir: Path) -> None:
         print(f"\n[serve] reader {user_id} — shelf has {len(shelf)} books, "
               f"e.g. '{shelf[0].title}' by {shelf[0].author}")
         print("        recommendations:")
-        for book in service.recommend(RecommendationRequest(user_id, k=5)):
-            print(f"          {book.rank}. {book.title} — {book.author}")
+        books = service.recommend(RecommendationRequest(user_id, k=5))
+        for rank, book in enumerate(books, 1):
+            print(f"          {rank}. {book.title} — {book.author}")
 
     stats = service.stats
     print(

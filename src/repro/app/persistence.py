@@ -175,21 +175,20 @@ def load_bpr(path: str | Path) -> tuple[BPR, InteractionMatrix]:
                 (data, indices, indptr), shape=(len(users), len(items))
             )
             train = InteractionMatrix(users, items, csr)
-            model._train = train
-            model._user_factors = archive["user_factors"]
-            model._item_factors = archive["item_factors"]
+            user_factors = archive["user_factors"]
+            item_factors = archive["item_factors"]
     except (KeyError, ValueError, OSError) as exc:
         raise PersistenceError(f"cannot load BPR model from {path}: {exc}") from exc
-    if model._user_factors.shape != (len(users), config.n_factors):
-        raise PersistenceError(
-            f"saved user factors have shape {model._user_factors.shape}, "
-            f"expected ({len(users)}, {config.n_factors})"
-        )
-    if model._item_factors.shape != (len(items), config.n_factors):
-        raise PersistenceError(
-            f"saved item factors have shape {model._item_factors.shape}, "
-            f"expected ({len(items)}, {config.n_factors})"
-        )
+    for side, factors, rows in (
+        ("user", user_factors, len(users)), ("item", item_factors, len(items))
+    ):
+        if factors.shape != (rows, config.n_factors):
+            raise PersistenceError(
+                f"saved {side} factors have shape {factors.shape}, "
+                f"expected ({rows}, {config.n_factors})"
+            )
+    model._train = train
+    model._set_factors(user_factors, item_factors)
     return model, train
 
 

@@ -7,12 +7,12 @@ path over any fitted :class:`~repro.core.base.Recommender`: user id in,
 book cards out, with latency accounting matching Table 2's methodology.
 
 Every request reads one immutable :class:`ServingState` (model, training
-matrix, version, cold-start fallback, card arrays, static popularity
-order), so its books and its ``model_version`` come from the same model.
-A single request is a batch of one: cache misses are grouped by k and
-scored exactly, one ``model.recommend_batch`` call per group, behind a
-circuit breaker and per-request deadlines, above a degradation chain
-(primary → fitted most-read → static popularity). An LRU cache of
+matrix, version, cold-start fallback, cards by item index, static
+popularity order), so its books and its ``model_version`` come from the
+same model. A single request is a batch of one: cache misses are grouped
+by k and scored exactly, one ``model.recommend_batch`` call per group,
+behind a circuit breaker and per-request deadlines, above a degradation
+chain (primary → fitted most-read → static popularity). An LRU cache of
 primary responses answers repeat requests,
 :meth:`RecommendationService.refresh_from_store` hot-swaps the state
 from a model store, and every stats movement is mirrored into a metrics
@@ -60,7 +60,7 @@ SERVED_BY_NONE = "none"
 _BREAKER_STATE_VALUE = {STATE_CLOSED: 0.0, STATE_HALF_OPEN: 1.0, STATE_OPEN: 2.0}
 
 #: Title and author of a book the dataset has no card for.
-_UNKNOWN_CARD = ("(unknown)", "(unknown)")
+_UNKNOWN = "(unknown)"
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,14 @@ class RecommendationRequest:
 class ServedBook(NamedTuple):
     """One recommended book, as shown on a GUI card.
 
-    A named tuple, not a dataclass: every served list builds k of them,
-    and a tuple is built in about half the time.
+    The service builds one card per catalogue book and every response
+    naming the book shares it; a card's rank is its position in the
+    response's ``books``.
     """
 
     book_id: int
     title: str
     author: str
-    rank: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,30 +125,22 @@ class ServedResponse:
 class ServingState:
     """One immutable serving snapshot: everything a request reads.
 
-    ``book_ids``, ``titles`` and ``authors`` map this catalogue's item
-    indices to cards; ``static_order`` ranks its items by training count
-    (the chain's last link); ``loaded_at`` is the service clock at build.
+    ``cards`` holds this catalogue's card for each item index;
+    ``static_order`` ranks its items by training count (the chain's last
+    link); ``loaded_at`` is the service clock at build.
     """
 
     model: Recommender
     train: InteractionMatrix
     version: str | None
     cold_start_fallback: MostReadItems | None
-    book_ids: np.ndarray
-    titles: np.ndarray
-    authors: np.ndarray
+    cards: tuple[ServedBook, ...]
     static_order: np.ndarray
     loaded_at: float
 
     def books(self, items: np.ndarray) -> tuple[ServedBook, ...]:
-        """Ranked cards for item indices of this state's catalogue."""
-        return tuple(map(
-            ServedBook,
-            self.book_ids[items].tolist(),
-            self.titles[items].tolist(),
-            self.authors[items].tolist(),
-            range(1, len(items) + 1),
-        ))
+        """Cards for item indices of this state's catalogue, in order."""
+        return tuple(map(self.cards.__getitem__, items.tolist()))
 
     def seen(self, user_index: int | None) -> np.ndarray:
         """The user's training items (none for an unknown user)."""
@@ -360,8 +352,8 @@ class RecommendationService:
         self._lock = threading.RLock()
         self._cache: OrderedDict[tuple[str, int], ServedResponse] = OrderedDict()
         books = dataset.books
-        self._cards: dict[int, tuple[str, str]] = {
-            int(book_id): (str(title), str(author))
+        self._cards: dict[int, ServedBook] = {
+            int(book_id): ServedBook(int(book_id), str(title), str(author))
             for book_id, title, author in zip(
                 books["book_id"], books["title"], books["author"]
             )
@@ -395,19 +387,19 @@ class RecommendationService:
         cold_start_fallback: "MostReadItems | None",
         version: str | None,
     ) -> ServingState:
-        """Freeze one serving snapshot, outside the service lock; served
-        cards share the card arrays' id, title and author objects."""
-        book_ids = [int(book_id) for book_id in train.items.ids]
-        cards = [self._cards.get(book_id, _UNKNOWN_CARD) for book_id in book_ids]
+        """Freeze one serving snapshot, outside the service lock; its
+        cards are the service's, one per book, shared by every state."""
+        cards = tuple(
+            self._cards.get(book_id) or ServedBook(book_id, _UNKNOWN, _UNKNOWN)
+            for book_id in map(int, train.items.ids)
+        )
         counts = train.item_counts().astype(np.float64)
         return ServingState(
             model=model,
             train=train,
             version=version,
             cold_start_fallback=cold_start_fallback,
-            book_ids=np.asarray(book_ids, dtype=object),
-            titles=np.asarray([title for title, _ in cards], dtype=object),
-            authors=np.asarray([author for _, author in cards], dtype=object),
+            cards=cards,
             static_order=np.argsort(-counts, kind="stable"),
             loaded_at=self._clock(),
         )

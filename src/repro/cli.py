@@ -320,8 +320,8 @@ def _serve_demo(context: ExperimentContext) -> None:
     for user_id in users:
         books = service.recommend(RecommendationRequest(user_id=user_id, k=5))
         print(f"user {user_id}:")
-        for book in books:
-            print(f"  {book.rank:2d}. {book.title} — {book.author}")
+        for rank, book in enumerate(books, 1):
+            print(f"  {rank:2d}. {book.title} — {book.author}")
     print(
         f"served {service.stats.requests} requests, "
         f"mean latency {service.stats.mean_seconds * 1000:.1f} ms"

@@ -122,7 +122,7 @@ class Recommender(abc.ABC):
         sort of the k selected columns, instead of per-row partition/sort
         calls. Returns one array per user (lengths may differ near
         catalogue exhaustion, so the result is a list rather than a
-        matrix).
+        matrix); the rows are views of one array.
         """
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
@@ -157,7 +157,10 @@ def top_k_rows(scores: np.ndarray, k: int) -> list[np.ndarray]:
 
     One ``argpartition`` over the chunk, one vectorised stable sort of
     the selected columns; rows with fewer than ``k`` unmasked items come
-    back short. The cut kernel behind :meth:`Recommender.recommend_batch`.
+    back short. The sort puts a row's masked items after its unmasked
+    ones, so each row is a prefix slice of the sorted index matrix, cut
+    at the row's count of unmasked items. The cut kernel behind
+    :meth:`Recommender.recommend_batch`.
     """
     if scores.shape[0] == 0:
         return []
@@ -167,8 +170,5 @@ def top_k_rows(scores: np.ndarray, k: int) -> list[np.ndarray]:
     part_scores = scores[rows, partition]
     order = np.argsort(-part_scores, axis=1, kind="stable")
     top = partition[rows, order]
-    top_scores = part_scores[rows, order]
-    return [
-        items[row_scores > EXCLUDED_SCORE]
-        for items, row_scores in zip(top, top_scores)
-    ]
+    kept = (part_scores > EXCLUDED_SCORE).sum(axis=1).tolist()
+    return [top[row, :count] for row, count in enumerate(kept)]

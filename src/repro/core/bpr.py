@@ -149,6 +149,7 @@ class BPR(Recommender):
         self.metrics = metrics
         self._user_factors: np.ndarray | None = None
         self._item_factors: np.ndarray | None = None
+        self._scoring_factors: np.ndarray | None = None
         self._warm_start: "BPR | None" = None
         self.history: list[EpochStats] = []
 
@@ -226,8 +227,17 @@ class BPR(Recommender):
         seen = seen_bitset(train.interaction_keys(), n_users * n_items)
         self.history = []
         self._run_epochs(V, P, pos_users, pos_items, seen, n_items, rng)
-        self._user_factors = V
-        self._item_factors = P
+        self._set_factors(V, P)
+
+    def _set_factors(
+        self, user_factors: np.ndarray, item_factors: np.ndarray
+    ) -> None:
+        """Install fitted or loaded factors with their scoring copy: a
+        C-contiguous ``(L, n_items)`` transpose, against which a batch
+        product runs several times faster than against the ``.T`` view."""
+        self._user_factors = user_factors
+        self._item_factors = item_factors
+        self._scoring_factors = np.ascontiguousarray(item_factors.T)
 
     def _run_epochs(
         self,
@@ -317,9 +327,8 @@ class BPR(Recommender):
     # ------------------------------------------------------------------
 
     def score_users(self, user_indices: np.ndarray) -> np.ndarray:
-        return self.user_factors[np.asarray(user_indices, dtype=np.int64)] @ (
-            self.item_factors.T
-        )
+        indices = np.asarray(user_indices, dtype=np.int64)
+        return self.user_factors.take(indices, axis=0) @ self._scoring_factors
 
 
 def _seed_from_model(

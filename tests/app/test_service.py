@@ -48,8 +48,16 @@ class TestRequests:
     def test_recommend_returns_ranked_cards(self, service, a_user):
         books = service.recommend(RecommendationRequest(user_id=a_user, k=5))
         assert len(books) == 5
-        assert [b.rank for b in books] == [1, 2, 3, 4, 5]
         assert all(b.title and b.author for b in books)
+        # A card's rank is its position: the model's top-5, best first.
+        train, model = service.train, service.model
+        user = train.users.index_of(a_user)
+        top = model.recommend(user, 5)
+        assert [b.book_id for b in books] == [
+            int(train.items.id_of(int(item))) for item in top
+        ]
+        scores = model.score_users(np.asarray([user]))[0][top]
+        assert list(scores) == sorted(scores, reverse=True)
 
     def test_recommendations_exclude_history(self, service, a_user):
         history_ids = {b.book_id for b in service.history(a_user)}
@@ -58,13 +66,27 @@ class TestRequests:
         )
         assert not history_ids & {b.book_id for b in recommended}
 
-    def test_cards_are_small_immutable_values(self, service, a_user):
-        [card] = service.recommend(RecommendationRequest(user_id=a_user, k=1))
-        rebuilt = ServedBook(card.book_id, card.title, card.author, 1)
-        assert card == rebuilt and card.rank == 1
+    def test_cards_are_small_immutable_values(
+        self, tiny_bpr, tiny_split, tiny_merged
+    ):
+        service = RecommendationService(tiny_bpr, tiny_split.train, tiny_merged)
+        users = tiny_merged.bct_user_ids[:8]
+        responses = service.recommend_many_responses(
+            [RecommendationRequest(user_id=user, k=20) for user in users]
+        )
+        shelves = [service.history(user) for user in users]
+        named = [card for r in responses for card in r.books]
+        named += [card for shelf in shelves for card in shelf]
+        # One card per book: every response naming a book shares it.
+        cards = {}
+        for card in named:
+            assert cards.setdefault(card.book_id, card) is card
+        assert len(cards) < len(named)
+        card = named[0]
+        assert card == ServedBook(card.book_id, card.title, card.author)
         with pytest.raises(AttributeError):
-            card.rank = 2
-        assert sys.getsizeof(card) <= 72
+            card.title = "changed"
+        assert sys.getsizeof(card) <= 64
 
     def test_unknown_user(self, service):
         with pytest.raises(UnknownUserError):
@@ -250,12 +272,18 @@ class TestCache:
         service = self._service(tiny_bpr, tiny_split, tiny_merged)
         request = RecommendationRequest(user_id=a_user, k=5)
         service.recommend(request)
-        fallback = MostReadItems().fit(tiny_split.train, tiny_merged)
-        service.refresh_model(fallback, service.train)
+        # Every item index of the grown catalogue shifts by one, so a card
+        # looked up in the old state would name the wrong book.
+        grown = _grown_train(tiny_split.train)
+        fallback = MostReadItems().fit(grown, tiny_merged)
+        service.refresh_model(fallback, grown)
         assert service.cached_entries == 0
         refreshed = service.recommend(request)
         assert service.model is fallback
-        assert [b.rank for b in refreshed] == [1, 2, 3, 4, 5]
+        assert [b.book_id for b in refreshed] == [
+            int(grown.items.id_of(int(item))) for item in fallback.top_items(5)
+        ]
+        assert all(b.title != "(unknown)" for b in refreshed)
 
     def test_refresh_model_requires_fitted(
         self, tiny_bpr, tiny_split, tiny_merged

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.app.persistence import load_bpr, save_bpr
 from repro.core.bpr import BPR, BPRConfig
 from repro.errors import ConfigurationError, NotFittedError
 from repro.rng import make_rng
@@ -133,3 +134,50 @@ class TestScoring:
         model = BPR(BPRConfig(epochs=2, seed=0)).fit(train)
         seen = set(train.user_items(0).tolist())
         assert not seen & set(model.recommend(0, 10).tolist())
+
+
+#: A batch of several rows (one repeated), in no particular order.
+ROWS = np.asarray([5, 0, 17, 3, 3, 38])
+
+
+def assert_scores_follow_factors(model):
+    """``score_users`` against the factors' contiguous copy, bit for bit
+    the product with the factors' transposed view."""
+    expected = model.user_factors[ROWS] @ model.item_factors.T
+    assert np.array_equal(model.score_users(ROWS), expected)
+
+
+class TestScoringFactors:
+    """The scoring copy of the item factors follows every way a model's
+    factors are set: fit, warm-started fit, load and refit."""
+
+    def test_fitted(self):
+        assert_scores_follow_factors(
+            BPR(BPRConfig(epochs=2, seed=0)).fit(block_world())
+        )
+
+    def test_warm_started(self):
+        old = BPR(BPRConfig(epochs=2, seed=0)).fit(block_world())
+        model = BPR(BPRConfig(epochs=2, seed=1)).fit(
+            block_world(seed=4), warm_start=old
+        )
+        assert_scores_follow_factors(model)
+
+    def test_loaded(self, tmp_path):
+        train = block_world()
+        model = BPR(BPRConfig(epochs=2, seed=0)).fit(train)
+        save_bpr(model, train, tmp_path / "model.npz")
+        loaded, _ = load_bpr(tmp_path / "model.npz")
+        assert_scores_follow_factors(loaded)
+        assert np.array_equal(loaded.score_users(ROWS), model.score_users(ROWS))
+
+    def test_refit_scores_with_second_factors(self):
+        model = BPR(BPRConfig(epochs=2, seed=0)).fit(block_world())
+        first = model.score_users(ROWS)
+        model.fit(block_world(seed=4))
+        assert_scores_follow_factors(model)
+        assert not np.array_equal(model.score_users(ROWS), first)
+
+    def test_unfitted_raises(self):
+        with pytest.raises(NotFittedError):
+            BPR().score_users(ROWS)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.app.service import RecommendationRequest, RecommendationService
-from repro.core.base import EXCLUDED_SCORE, Recommender
+from repro.core.base import EXCLUDED_SCORE, Recommender, top_k_rows
+from repro.core.most_read import MostReadItems
 from repro.errors import EvaluationError
 from repro.eval.evaluator import (
     EvaluationResult,
@@ -52,6 +53,25 @@ def _top_k(scores, k):
     partition = np.argpartition(-scores, kth=k - 1)[:k]
     ordered = partition[np.argsort(-scores[partition], kind="stable")]
     return ordered[scores[ordered] > EXCLUDED_SCORE]
+
+
+def top_k_rows_reference(scores, k):
+    """The batched top-k cut with its original tail: one boolean-mask
+    copy per row drops the masked items, where :func:`top_k_rows` cuts a
+    prefix slice."""
+    if scores.shape[0] == 0:
+        return []
+    kth = min(k, scores.shape[1])
+    rows = np.arange(scores.shape[0])[:, None]
+    partition = np.argpartition(-scores, kth=kth - 1, axis=1)[:, :kth]
+    part_scores = scores[rows, partition]
+    order = np.argsort(-part_scores, axis=1, kind="stable")
+    top = partition[rows, order]
+    top_scores = part_scores[rows, order]
+    return [
+        items[row_scores > EXCLUDED_SCORE]
+        for items, row_scores in zip(top, top_scores)
+    ]
 
 
 def recommend_batch_reference(model, user_indices, k):
@@ -208,6 +228,45 @@ class TestBatchTopKEquivalence:
         assert len(batched[1]) == 5
         assert np.array_equal(batched[0], model.recommend(0, 5))
         assert np.array_equal(batched[1], model.recommend(1, 5))
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_slices_match_boolean_filter(self, data):
+        """Masks, exact ties, short rows, a fully masked row and
+        ``k >= n_items``: the prefix slices are the filtered lists."""
+        n_items = data.draw(st.integers(1, 12), label="n_items")
+        n_rows = data.draw(st.integers(1, 6), label="n_rows")
+        value = st.sampled_from([EXCLUDED_SCORE, -1.0, 0.0, 0.5, 2.0])
+        row = st.lists(value, min_size=n_items, max_size=n_items)
+        scores = np.asarray(
+            data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)),
+            dtype=np.float64,
+        )
+        scores[data.draw(st.integers(0, n_rows - 1), label="masked")] = (
+            EXCLUDED_SCORE
+        )
+        k = data.draw(st.integers(1, n_items + 3), label="k")
+        sliced = top_k_rows(scores, k)
+        filtered = top_k_rows_reference(scores, k)
+        assert len(sliced) == len(filtered) == n_rows
+        for items, expected, row_scores in zip(sliced, filtered, scores):
+            assert items.tolist() == expected.tolist()
+            assert items.tolist() == _top_k(row_scores, k).tolist()
+
+    @pytest.mark.parametrize("personalized", [False, True])
+    def test_most_read_tie_order(self, personalized):
+        """Training counts tie often here; Most Read breaks the ties by
+        item index, and the slices keep that order."""
+        train = _train_matrix(5)
+        model = MostReadItems(personalized=personalized).fit(train)
+        users = np.arange(train.n_users)
+        for k in (1, 7, train.n_items + 2):
+            sliced = model.recommend_batch(users, k)
+            filtered = top_k_rows_reference(model.masked_scores(users), k)
+            for items, expected in zip(sliced, filtered, strict=True):
+                assert items.tolist() == expected.tolist()
+                if not personalized:
+                    assert items.tolist() == model.top_items(k).tolist()
 
 
 class TestRankOnlyEvaluation:
