@@ -2,9 +2,10 @@
 """Compare a change with its parent on one perfbench workload, in pairs.
 
 Runs ``perfbench/run.py`` (the command ``BENCHMARK.json`` declares) in
-two checkouts, one run at a time since the benchmark pins itself to one
-CPU: one pair per seed, and the side that runs first alternates from
-pair to pair, so a slow stretch of the host lands on both sides alike.
+two checkouts for the run length that file sets (``run_seconds``), one
+run at a time since the benchmark pins itself to one CPU: one pair per
+seed, and the side that runs first alternates from pair to pair, so a
+slow stretch of the host lands on both sides alike.
 Make both checkouts fresh copies of the same layout (``git archive`` of
 each commit into sibling directories), so that only the program differs.
 
@@ -25,7 +26,7 @@ and attempted operations. The script only reads ``BENCHMARK.json`` and
 Usage::
 
     python scripts/bench_pairs.py PARENT CHANGE --workload serve-churn \\
-        --seeds 921-930 --seconds 30 [--trace 0]
+        --seeds 921-930 [--trace 0]
 """
 
 from __future__ import annotations
@@ -232,16 +233,13 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _run(
-    checkout: Path, command: list[str], args: argparse.Namespace, seed: int
-) -> dict:
-    """One perfbench run in ``checkout``; its result line, or a failed
-    stand-in when the run printed none."""
-    argv = command + [
-        "--workload", args.workload, "--seed", str(seed),
-        "--seconds", str(args.seconds), "--trace", str(args.trace),
-    ]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+def _run(checkout: Path, command: list[str], seed: int) -> dict:
+    """One perfbench run of ``command`` in ``checkout``; its result line,
+    or a failed stand-in when the run printed none."""
+    done = subprocess.run(
+        command + ["--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True,
+    )
     lines = done.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -260,17 +258,21 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 921-930 or 1,2,5")
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
     args = parser.parse_args(argv)
     contract = json.loads(
         (args.parent / "BENCHMARK.json").read_text(encoding="utf-8")
     )
+    seconds = contract["run_seconds"]
+    command = contract["command"] + [
+        "--workload", args.workload, "--seconds", str(seconds),
+        "--trace", str(args.trace),
+    ]
     checkouts = {"parent": args.parent, "change": args.change}
     records = []
     for number, seed in enumerate(_parse_seeds(args.seeds)):
         for side in SIDES if number % 2 == 0 else SIDES[::-1]:
-            result = _run(checkouts[side], contract["command"], args, seed)
+            result = _run(checkouts[side], command, seed)
             records.append({"side": side, "seed": seed, "result": result})
             print(
                 f"seed {seed} {side}: correct={result.get('correct')}",
@@ -278,7 +280,7 @@ def main(argv=None) -> int:
             )
     print(
         f"{args.workload}, seeds {args.seeds}, "
-        f"--seconds {args.seconds:g}, trace {args.trace}"
+        f"--seconds {seconds}, trace {args.trace}"
     )
     print(render(summarize(records, contract)))
     return 0

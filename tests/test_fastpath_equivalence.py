@@ -55,25 +55,6 @@ def _top_k(scores, k):
     return ordered[scores[ordered] > EXCLUDED_SCORE]
 
 
-def top_k_rows_reference(scores, k):
-    """The batched top-k cut with its original tail: one boolean-mask
-    copy per row drops the masked items, where :func:`top_k_rows` cuts a
-    prefix slice."""
-    if scores.shape[0] == 0:
-        return []
-    kth = min(k, scores.shape[1])
-    rows = np.arange(scores.shape[0])[:, None]
-    partition = np.argpartition(-scores, kth=kth - 1, axis=1)[:, :kth]
-    part_scores = scores[rows, partition]
-    order = np.argsort(-part_scores, axis=1, kind="stable")
-    top = partition[rows, order]
-    top_scores = part_scores[rows, order]
-    return [
-        items[row_scores > EXCLUDED_SCORE]
-        for items, row_scores in zip(top, top_scores)
-    ]
-
-
 def recommend_batch_reference(model, user_indices, k):
     """Per-row top-k over the masked scores, the batch path's oracle."""
     scores = model.masked_scores(user_indices)
@@ -247,10 +228,8 @@ class TestBatchTopKEquivalence:
         )
         k = data.draw(st.integers(1, n_items + 3), label="k")
         sliced = top_k_rows(scores, k)
-        filtered = top_k_rows_reference(scores, k)
-        assert len(sliced) == len(filtered) == n_rows
-        for items, expected, row_scores in zip(sliced, filtered, scores):
-            assert items.tolist() == expected.tolist()
+        assert len(sliced) == n_rows
+        for items, row_scores in zip(sliced, scores):
             assert items.tolist() == _top_k(row_scores, k).tolist()
 
     @pytest.mark.parametrize("personalized", [False, True])
@@ -262,9 +241,9 @@ class TestBatchTopKEquivalence:
         users = np.arange(train.n_users)
         for k in (1, 7, train.n_items + 2):
             sliced = model.recommend_batch(users, k)
-            filtered = top_k_rows_reference(model.masked_scores(users), k)
-            for items, expected in zip(sliced, filtered, strict=True):
-                assert items.tolist() == expected.tolist()
+            scores = model.masked_scores(users)
+            for items, row_scores in zip(sliced, scores, strict=True):
+                assert items.tolist() == _top_k(row_scores, k).tolist()
                 if not personalized:
                     assert items.tolist() == model.top_items(k).tolist()
 
