@@ -29,26 +29,6 @@ class Indexer:
     def __init__(self, ids: Iterable[Hashable]) -> None:
         self._ids: tuple = tuple(sorted(set(ids)))
         self._index_of = {value: i for i, value in enumerate(self._ids)}
-        # The ids are sorted, so bulk lookups can binary-search a cached
-        # array instead of doing one dict probe per element.
-        self._id_array = self._as_flat_array(self._ids)
-
-    @staticmethod
-    def _as_flat_array(values: Sequence[Hashable]) -> np.ndarray | None:
-        """A sortable 1-D array view of ``values``, or None if numpy would
-        mangle them (e.g. tuples becoming a 2-D array, or fixed-width
-        strings truncating trailing NULs so distinct ids collide)."""
-        if not values:
-            return None
-        try:
-            array = np.asarray(values)
-        except (TypeError, ValueError):
-            return None
-        if array.ndim != 1 or len(array) != len(values):
-            return None
-        if array.tolist() != list(values):
-            return None
-        return array
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -76,34 +56,16 @@ class Indexer:
     def ids(self) -> tuple:
         return self._ids
 
-    def indices_of(self, values: Sequence[Hashable]) -> np.ndarray:
-        """Vectorised :meth:`index_of` over a sequence.
+    def indices_of(self, values: Sequence[Hashable] | np.ndarray) -> np.ndarray:
+        """Indices of ``values``, a sequence or a 1-D array, as int64.
 
-        Uses one ``np.searchsorted`` over the sorted id array instead of a
-        per-element dict lookup; unknown values raise :class:`KeyError`
-        exactly like :meth:`index_of`.
+        One dict probe per value, read straight from the caller's list or
+        column; the first unknown value raises :class:`KeyError`, as
+        :meth:`index_of` does.
         """
-        values = list(values)
-        if not values:
-            return np.empty(0, dtype=np.int64)
-        values_array = self._as_flat_array(values)
-        if self._id_array is None or values_array is None:
-            return np.asarray(
-                [self._index_of[value] for value in values], dtype=np.int64
-            )
-        try:
-            positions = np.searchsorted(self._id_array, values_array)
-        except (TypeError, ValueError):
-            return np.asarray(
-                [self._index_of[value] for value in values], dtype=np.int64
-            )
-        positions = np.minimum(positions, len(self._ids) - 1)
-        matched = self._id_array[positions] == values_array
-        matched = np.asarray(matched, dtype=bool)
-        if not matched.all():
-            missing = values[int(np.flatnonzero(~matched)[0])]
-            raise KeyError(missing)
-        return positions.astype(np.int64, copy=False)
+        return np.fromiter(
+            map(self._index_of.__getitem__, values), dtype=np.int64, count=len(values)
+        )
 
 
 class InteractionMatrix:

@@ -28,7 +28,7 @@ from repro.datasets.models import (
     READINGS_SCHEMA,
 )
 from repro.errors import DatasetError
-from repro.tables import Table, ops
+from repro.tables import Table
 
 VALID_SOURCES = frozenset({"bct", "anobii"})
 
@@ -55,19 +55,17 @@ class MergedDataset:
 
     def validate(self) -> None:
         """Full integrity check; merged datasets must always pass this."""
-        known = set(self.books["book_id"].tolist())
-        read_books = set(self.readings["book_id"].tolist())
-        dangling = read_books - known
-        if dangling:
+        known = self.books["book_id"]
+        dangling = np.setdiff1d(self.readings["book_id"], known)
+        if len(dangling):
             raise DatasetError(
                 f"{len(dangling)} readings reference unknown books, "
-                f"e.g. {sorted(dangling)[:5]}"
+                f"e.g. {dangling[:5].tolist()}"
             )
-        sources = set(self.readings["source"].tolist())
-        if not sources <= VALID_SOURCES:
-            raise DatasetError(f"unknown reading sources: {sources - VALID_SOURCES}")
-        genre_books = set(self.genres["book_id"].tolist())
-        if not genre_books <= known:
+        unknown = set(self.readings["source"][~self._from_sources(VALID_SOURCES)])
+        if unknown:
+            raise DatasetError(f"unknown reading sources: {unknown}")
+        if not np.isin(self.genres["book_id"], known).all():
             raise DatasetError("genre rows reference unknown books")
         # Per-book genre probabilities must sum to ~1 (paper Section 3).
         sums: dict[int, float] = {}
@@ -96,13 +94,13 @@ class MergedDataset:
     @cached_property
     def user_ids(self) -> tuple[str, ...]:
         """All user ids, sorted (stable across runs)."""
-        return tuple(sorted(set(self.readings["user_id"].tolist())))
+        return tuple(sorted(set(self.readings["user_id"])))
 
     @cached_property
     def bct_user_ids(self) -> tuple[str, ...]:
         """Users coming from the BCT source — the recommendation targets."""
         mask = self.readings["source"] == "bct"
-        return tuple(sorted(set(self.readings["user_id"][mask].tolist())))
+        return tuple(sorted(set(self.readings["user_id"][mask])))
 
     @property
     def n_users(self) -> int:
@@ -113,16 +111,19 @@ class MergedDataset:
     # ------------------------------------------------------------------
 
     def readings_per_user(self) -> Table:
-        """Table (user_id, n_readings) — Fig. 1's per-user distribution."""
-        return self.readings.group_by("user_id").aggregate(
-            {"n_readings": ("book_id", ops.count)}
-        )
+        """Table (user_id, n_readings) in user id order — Fig. 1's per-user
+        distribution."""
+        return self._count_by("user_id")
 
     def readings_per_book(self) -> Table:
-        """Table (book_id, n_readings) — Fig. 1's per-book distribution."""
-        return self.readings.group_by("book_id").aggregate(
-            {"n_readings": ("user_id", ops.count)}
-        )
+        """Table (book_id, n_readings) in book id order — Fig. 1's per-book
+        distribution."""
+        return self._count_by("book_id")
+
+    def _count_by(self, key: str) -> Table:
+        """Readings per distinct ``key``, counted over the column."""
+        keys, counts = np.unique(self.readings[key], return_counts=True)
+        return Table.from_columns({key: keys, "n_readings": counts})
 
     # ------------------------------------------------------------------
     # metadata access for the content-based recommender
@@ -148,9 +149,16 @@ class MergedDataset:
         unknown = set(sources) - VALID_SOURCES
         if unknown:
             raise DatasetError(f"unknown sources: {sorted(unknown)}")
-        mask = np.asarray(
-            [source in sources for source in self.readings["source"]], dtype=bool
-        )
         return MergedDataset(
-            books=self.books, readings=self.readings.filter(mask), genres=self.genres
+            books=self.books,
+            readings=self.readings.filter(self._from_sources(sources)),
+            genres=self.genres,
         )
+
+    def _from_sources(self, sources: frozenset[str] | set[str]) -> np.ndarray:
+        """Mask of the readings whose ``source`` is one of ``sources``."""
+        column = self.readings["source"]
+        mask = np.zeros(len(column), dtype=bool)
+        for source in sources:
+            mask |= column == source
+        return mask

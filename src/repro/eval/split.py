@@ -102,8 +102,8 @@ def split_readings(
     users = Indexer(merged.user_ids)
     items = Indexer(int(b) for b in merged.books["book_id"])
     readings = merged.readings
-    user_of = users.indices_of(readings["user_id"].tolist())
-    item_of = items.indices_of(readings["book_id"].tolist())
+    user_of = users.indices_of(readings["user_id"])
+    item_of = items.indices_of(readings["book_id"])
     dates = np.asarray(readings["read_date"], dtype="datetime64[D]").view(np.int64)
 
     # Distinct pairs, each with its earliest date and its reading count.
@@ -134,7 +134,7 @@ def split_readings(
     position = np.arange(len(order)) - segment_start[segment]
 
     is_bct = np.zeros(len(users), dtype=bool)
-    is_bct[users.indices_of(list(merged.bct_user_ids))] = True
+    is_bct[users.indices_of(merged.bct_user_ids)] = True
     test_fraction = np.where(is_bct[appearance], config.test_fraction, 0.0)
     n_train, n_val = _cut_sizes(sizes, test_fraction, config.val_fraction)
     in_train = position < n_train[segment]

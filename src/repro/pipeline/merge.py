@@ -839,7 +839,9 @@ def _materialise_readings(rows: MergedRows) -> Table:
             epoch = corpus.anobii_epoch
         book_parts.append(book_ids)
         date_parts.append(epoch + shard["day"][final].astype("timedelta64[D]"))
-        source_parts.append(np.full(n, SOURCE_NAMES[source], dtype=object))
+        # np.full(n, label, dtype=object) would build a new str per row;
+        # repeat shares the one label object.
+        source_parts.append(np.repeat(SOURCE_NAMES[source:source + 1], n))
     return readings_table(user_parts, book_parts, date_parts, source_parts)
 
 

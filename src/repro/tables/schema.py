@@ -8,7 +8,7 @@ logical   numpy storage          notes
 ========  =====================  =========================================
 int       int64                  nullable values are not supported
 float     float64                NaN is the missing value
-str       object                 arbitrary python strings
+str       object                 python str or None, shared with the input
 bool      bool8                  ``True`` / ``False``
 date      datetime64[D]          calendar dates (loan dates, rating dates)
 ========  =====================  =========================================
@@ -117,11 +117,17 @@ class Schema:
         column = self[name]
         try:
             if column.dtype == "str":
-                array = np.empty(len(values), dtype=object)
-                for i, value in enumerate(values):
-                    if value is not None and not isinstance(value, str):
-                        raise TypeError(f"expected str, got {type(value).__name__}")
-                    array[i] = value
+                # fromiter keeps the caller's objects and never broadcasts
+                # a nested sequence into a second axis; the check runs over
+                # the set of element types, not over the rows.
+                array = np.fromiter(values, dtype=object, count=len(values))
+                bad = sorted(
+                    kind.__name__
+                    for kind in set(map(type, array))
+                    if kind is not type(None) and not issubclass(kind, str)
+                )
+                if bad:
+                    raise TypeError(f"expected str, got {', '.join(bad)}")
                 return array
             if column.dtype == "date":
                 return _coerce_dates(values)

@@ -1,5 +1,7 @@
 """Tests for Indexer and InteractionMatrix."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.interactions import Indexer, InteractionMatrix
 from repro.errors import DatasetError, UnknownUserError
 from tests.factories import matrix_from_ids, matrix_from_pairs
+
+#: Column forms a split hands to ``Indexer.indices_of``.
+OBJECT_ARRAY = partial(np.asarray, dtype=object)
+INT64_ARRAY = partial(np.asarray, dtype=np.int64)
 
 
 class TestIndexer:
@@ -44,27 +50,39 @@ class TestIndexer:
 
     def test_indices_of_unknown_raises(self):
         indexer = Indexer([10, 20, 30])
-        # Between two known ids, and beyond the last one (clamp path).
+        # Between two known ids, and beyond the last one.
         with pytest.raises(KeyError):
             indexer.indices_of([10, 15])
         with pytest.raises(KeyError):
             indexer.indices_of([99])
 
     def test_indices_of_unsortable_ids_fall_back(self):
-        # Tuple ids become a 2-D numpy array, so the searchsorted path is
-        # unusable; the dict fallback must still resolve them.
+        # Tuple ids would become a 2-D numpy array; the dict lookup
+        # resolves them as they are.
         indexer = Indexer([("a", 1), ("b", 2)])
         assert indexer.indices_of([("b", 2), ("a", 1)]).tolist() == [1, 0]
         with pytest.raises(KeyError):
             indexer.indices_of([("c", 3)])
 
     @settings(deadline=None, max_examples=50)
-    @given(st.lists(st.text(max_size=6), min_size=1, max_size=40))
-    def test_property_indices_of_matches_index_of(self, values):
+    @given(
+        st.one_of(
+            st.tuples(
+                st.lists(st.text(max_size=6), min_size=1, max_size=40),
+                st.sampled_from((list, OBJECT_ARRAY)),
+            ),
+            st.tuples(
+                st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40),
+                st.sampled_from((list, OBJECT_ARRAY, INT64_ARRAY)),
+            ),
+        )
+    )
+    def test_property_indices_of_matches_index_of(self, case):
+        values, form = case
         indexer = Indexer(values)
         queries = list(indexer.ids) + list(reversed(indexer.ids))
         expected = [indexer.index_of(value) for value in queries]
-        assert indexer.indices_of(queries).tolist() == expected
+        assert indexer.indices_of(form(queries)).tolist() == expected
 
 
 class TestInteractionMatrix:

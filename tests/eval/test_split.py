@@ -1,10 +1,20 @@
 """Tests for the per-user temporal split."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.datasets.merged import MergedDataset
+from repro.datasets.models import (
+    BOOK_GENRES_SCHEMA,
+    MERGED_BOOKS_SCHEMA,
+    READINGS_SCHEMA,
+)
 from repro.errors import EvaluationError
 from repro.eval.split import SplitConfig, _cut_sizes, split_readings
+from repro.tables import Table
 
 
 def _cut(ordered, test_fraction, val_fraction):
@@ -146,3 +156,50 @@ class TestSplitReadings:
         users = np.asarray(sorted(tiny_split.test_items))
         sizes = tiny_split.train_sizes(users)
         assert (sizes >= 1).all()
+
+
+def _hashed_id_dataset(n_readings: int, n_users: int, n_books: int) -> MergedDataset:
+    """Random readings of patrons with 64-character ids (SHA-256 hex)."""
+    rng = np.random.default_rng(5)
+    ids = np.asarray(
+        [hashlib.sha256(str(i).encode()).hexdigest() for i in range(n_users)],
+        dtype=object,
+    )
+    book_ids = np.arange(1, n_books + 1, dtype=np.int64)
+    users = rng.integers(0, n_users, n_readings)
+    readings = Table.from_columns(
+        {
+            "user_id": ids[users],
+            "book_id": book_ids[rng.integers(0, n_books, n_readings)],
+            "read_date": np.datetime64("2020-01-01")
+            + rng.integers(0, 700, n_readings).astype("timedelta64[D]"),
+            "source": np.asarray(["bct", "anobii"], dtype=object)[users % 2],
+        },
+        schema=READINGS_SCHEMA,
+    )
+    books = Table.from_columns(
+        {
+            "book_id": book_ids,
+            **{name: [""] * n_books for name in ("author", "title", "plot", "keywords")},
+        },
+        schema=MERGED_BOOKS_SCHEMA,
+    )
+    return MergedDataset(
+        books=books, readings=readings, genres=Table.empty(BOOK_GENRES_SCHEMA)
+    )
+
+
+class TestSplitMemory:
+    def test_working_memory_per_reading_is_a_few_int64_columns(self):
+        """The split holds its readings as int64 columns (about 20 at its
+        peak) and makes no Python object per reading, so what it
+        allocates per reading does not grow with the length of the ids."""
+        merged = _hashed_id_dataset(n_readings=40_000, n_users=1_000, n_books=300)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            split_readings(merged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / merged.n_readings < 24 * 8

@@ -84,6 +84,18 @@ class TestStreamingEquivalence:
             (result.dataset, result.report), oracle_merge(*sources, variant)
         )
 
+    def test_readings_share_the_corpus_objects(self, corpus):
+        """The merged columns point at one ``source`` label per source and
+        at the corpus's own user id objects, not at a copy per reading."""
+        readings = merge_sharded_corpus(corpus, MERGE).dataset.readings
+        labels = {id(label) for label in readings["source"]}
+        assert len(labels) == len(set(readings["source"])) == 2
+        corpus_ids = {
+            id(user_id)
+            for user_id in (*corpus.bct_user_ids, *corpus.anobii_user_ids)
+        }
+        assert {id(user_id) for user_id in readings["user_id"]} <= corpus_ids
+
 
 class TestCorruptInput:
     def test_swapped_input_shard_is_refused(self, corpus, tmp_path):

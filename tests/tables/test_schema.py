@@ -73,8 +73,18 @@ class TestCoercion:
 
     def test_str_rejects_numbers(self):
         schema = Schema([("a", "str")])
-        with pytest.raises(SchemaError):
-            schema.coerce_column("a", [1])
+        # Bytes and tuples are rejected too; a tuple stays one element
+        # rather than becoming a second axis.
+        for value in (1, b"x", ("x", "y")):
+            with pytest.raises(SchemaError, match=type(value).__name__):
+                schema.coerce_column("a", ["ok", value])
+
+    def test_str_keeps_the_given_objects(self):
+        schema = Schema([("a", "str")])
+        values = ["".join(("u", str(i))) for i in range(3)] + [None]
+        for given in (values, np.asarray(values, dtype=object)):
+            array = schema.coerce_column("a", given)
+            assert all(kept is value for kept, value in zip(array, values))
 
     def test_str_allows_none(self):
         schema = Schema([("a", "str")])
