@@ -3,14 +3,15 @@
 Shows the data-integration half of the paper in isolation: source-level
 cleaning reports, the entropy-guided genre aggregation (watch the 41 raw
 crowd-voted labels collapse to ~12), and the merged dataset's descriptive
-statistics, using the library's own columnar table engine throughout.
+statistics, using the library's own columnar tables throughout.
 
 Run with:  python examples/dataset_exploration.py
 """
 
+import numpy as np
+
 from repro.datasets import WorldConfig, generate_sources
 from repro.pipeline import MergeConfig, build_merged_dataset, stats
-from repro.tables import ops
 
 
 def main() -> None:
@@ -49,12 +50,11 @@ def main() -> None:
           f"(paper: 99%)")
 
     print("\n== table-engine queries on the readings table ==")
-    readings = merged.readings
-    by_source = readings.group_by("source").aggregate(
-        {"n": ("book_id", ops.count)}
+    labels, first, counts = np.unique(
+        merged.readings["source"], return_index=True, return_counts=True
     )
-    for row in by_source.iter_rows():
-        print(f"  {row['source']:8s} {row['n']} readings")
+    for i in np.argsort(first):  # in order of first appearance
+        print(f"  {labels[i]:8s} {counts[i]} readings")
     busiest = (
         merged.readings_per_user().sort("n_readings", descending=True).head(3)
     )

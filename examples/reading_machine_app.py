@@ -4,8 +4,8 @@ The paper's application is a VR GUI in Turin's public libraries: a reader
 walks up, the system recommends k = 20 books. This example reproduces that
 serving path, including the operational pieces the paper's Table 2 measures:
 
-1. build + persist the merged dataset and a trained BPR model (the
-   "offline" phase);
+1. merge the sources straight to disk, reload that dataset, and train
+   and persist a BPR model on it (the "offline" phase);
 2. restart from disk (no retraining — what the kiosk does on boot);
 3. answer interactive recommendation requests with latency accounting;
 4. show a reader's shelf (their borrowing history) next to the suggestions.
@@ -20,14 +20,12 @@ from repro.app import (
     RecommendationRequest,
     RecommendationService,
     load_bpr,
-    load_dataset,
     save_bpr,
-    save_dataset,
 )
 from repro.core import BPR, BPRConfig
 from repro.datasets import WorldConfig, generate_sources
 from repro.eval import split_readings
-from repro.pipeline import MergeConfig, build_merged_dataset
+from repro.pipeline import MergeConfig, SourceView, load_merged_corpus, run_merge
 
 
 def offline_phase(workdir: Path) -> None:
@@ -37,13 +35,14 @@ def offline_phase(workdir: Path) -> None:
         WorldConfig(n_books=400, n_authors=160, n_bct_users=160,
                     n_anobii_users=900)
     )
-    merged, _ = build_merged_dataset(
-        sources.bct, sources.anobii,
+    run_merge(
+        SourceView(sources.bct, sources.anobii),
         MergeConfig(min_user_readings=10, min_book_readings=8),
+        output_dir=workdir / "dataset",
     )
+    merged = load_merged_corpus(workdir / "dataset")
     split = split_readings(merged)
     model = BPR(BPRConfig(epochs=10, seed=1)).fit(split.train, merged)
-    save_dataset(merged, workdir / "dataset")
     save_bpr(model, split.train, workdir / "model.npz")
     print(f"[offline] artefacts saved under {workdir}")
 
@@ -51,7 +50,7 @@ def offline_phase(workdir: Path) -> None:
 def serve_phase(workdir: Path) -> None:
     """Kiosk boot: load artefacts and answer requests."""
     print("[serve] loading artefacts ...")
-    merged = load_dataset(workdir / "dataset")
+    merged = load_merged_corpus(workdir / "dataset")
     model, train = load_bpr(workdir / "model.npz")
     service = RecommendationService(model, train, merged)
 

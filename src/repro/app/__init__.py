@@ -4,8 +4,8 @@
 recommender behind the request/response interface the paper's VR GUI
 calls: resolve the user, produce the top-k unread books with their titles
 and authors, track per-request latency. :mod:`~repro.app.persistence`
-saves and loads fitted models and merged datasets so the service can start
-without retraining, and :mod:`~repro.app.lifecycle` versions those model
+saves and loads fitted models so the service can start without
+retraining, and :mod:`~repro.app.lifecycle` versions those model
 artefacts in a crash-safe :class:`~repro.app.lifecycle.ModelStore` with
 publish / rollback / gc operations and zero-downtime hot swap into the
 running service.
@@ -19,7 +19,7 @@ from repro.app.service import (
     ServiceStats,
 )
 from repro.app.lifecycle import ModelStore, ModelVersion
-from repro.app.persistence import load_bpr, load_dataset, save_bpr, save_dataset
+from repro.app.persistence import load_bpr, save_bpr
 
 __all__ = [
     "ModelStore",
@@ -30,7 +30,5 @@ __all__ = [
     "ServedResponse",
     "ServiceStats",
     "load_bpr",
-    "load_dataset",
     "save_bpr",
-    "save_dataset",
 ]

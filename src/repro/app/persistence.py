@@ -1,25 +1,25 @@
-"""Saving and loading artefacts: merged datasets and fitted BPR models.
+"""Saving and loading fitted BPR models.
 
-Datasets persist as a directory of typed CSV tables; BPR models as an
-uncompressed ``.npz`` of factor matrices plus indexer ids (deflating
-it cost every publish more time than the space was worth;
-:func:`numpy.load` also reads the compressed archives of older
-builds). This lets the deployed
-service (and the examples) start from disk instead of regenerating and
-refitting.
+A model persists as an uncompressed ``.npz`` of factor matrices plus
+indexer ids (deflating it cost every publish more time than the space
+was worth; :func:`numpy.load` also reads the compressed archives of
+older builds). This lets the deployed service (and the examples) start
+from disk instead of refitting. The merged dataset it serves has one
+on-disk layout, written by the merge itself
+(``run_merge(..., output_dir=...)``) and reloaded by
+:func:`repro.pipeline.merge.load_merged_corpus`.
 
-Every artefact is crash-safe and self-verifying:
+Every model artefact is crash-safe and self-verifying:
 
-- files are written through
+- the archive is written through
   :func:`repro.resilience.artefacts.atomic_write` (temp + fsync +
   rename), so an interrupted save never leaves a half-written file under
   the final name;
-- a SHA-256 checksum manifest is written beside each artefact
-  (``MANIFEST.json`` inside a dataset directory,
-  ``<model>.npz.manifest.json`` beside a model) and verified on load,
-  with precise :class:`~repro.errors.PersistenceError` subclasses for a
-  missing manifest, truncation, corruption, and version mismatch;
-- the model archive stores only plain numeric/string arrays, so loading
+- a SHA-256 checksum manifest (``<model>.npz.manifest.json``) is written
+  beside it and verified on load, with precise
+  :class:`~repro.errors.PersistenceError` subclasses for a missing
+  manifest, truncation, corruption, and version mismatch;
+- the archive stores only plain numeric/string arrays, so loading
   never needs ``allow_pickle`` (a pickle in an artefact is arbitrary code
   execution waiting to happen).
 """
@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.bpr import BPR, BPRConfig
 from repro.core.interactions import Indexer, InteractionMatrix
-from repro.datasets.merged import MergedDataset
 from repro.errors import ArtefactVersionError, PersistenceError
 from repro.resilience._ambient import fault_check
 from repro.resilience.artefacts import (
@@ -42,55 +41,14 @@ from repro.resilience.artefacts import (
     verify_manifest,
     write_manifest,
 )
-from repro.tables import read_csv, write_csv
 
-DATASET_FILES = ("books.csv", "readings.csv", "genres.csv")
-
-#: Kind tags stamped into manifests (a model manifest cannot vouch for a
-#: dataset and vice versa).
-DATASET_KIND = "dataset"
+#: Kind tag stamped into model manifests (a model manifest cannot vouch
+#: for a dataset and vice versa).
 BPR_KIND = "bpr-model"
 
 #: Version of the ``.npz`` layout; bumped when arrays are added/retyped.
 #: Version 2 dropped the pickled object arrays of version 1.
 BPR_FORMAT_VERSION = 2
-
-
-def save_dataset(dataset: MergedDataset, directory: str | Path) -> None:
-    """Write a merged dataset as three typed CSV files plus a manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_csv(dataset.books, directory / "books.csv")
-    write_csv(dataset.readings, directory / "readings.csv")
-    write_csv(dataset.genres, directory / "genres.csv")
-    write_manifest(
-        directory,
-        [directory / name for name in DATASET_FILES],
-        kind=DATASET_KIND,
-    )
-
-
-def load_dataset(directory: str | Path) -> MergedDataset:
-    """Load a dataset previously written by :func:`save_dataset`.
-
-    The checksum manifest is checked first, so truncated or corrupted
-    tables fail with a precise :class:`~repro.errors.PersistenceError`
-    subclass before any parsing.
-    """
-    directory = Path(directory)
-    for name in DATASET_FILES:
-        if not (directory / name).exists():
-            raise PersistenceError(
-                f"{directory} is not a saved dataset: missing {name}"
-            )
-    verify_manifest(directory, kind=DATASET_KIND)
-    dataset = MergedDataset(
-        books=read_csv(directory / "books.csv"),
-        readings=read_csv(directory / "readings.csv"),
-        genres=read_csv(directory / "genres.csv"),
-    )
-    dataset.validate()
-    return dataset
 
 
 def _npz_path(path: str | Path) -> Path:

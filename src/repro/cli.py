@@ -6,8 +6,10 @@ Commands:
   print its table/series. ``--scale small|default|paper``, ``--seed N``.
 - ``suite`` — run every experiment at one scale and print all outputs
   (this regenerates the EXPERIMENTS.md numbers).
-- ``generate <dir>`` — build the synthetic sources, run the merge
-  pipeline, and save the merged dataset as CSV tables.
+- ``generate <dir>`` — build the synthetic sources and run the merge
+  pipeline, which writes the merged dataset to ``<dir>`` (npz readings
+  shards, CSV catalogue, checksum manifest) for
+  :func:`~repro.pipeline.merge.load_merged_corpus` to reload.
 - ``serve-demo`` — fit BPR and answer a few sample recommendation
   requests through the application service.
 - ``health <path>`` — verify the checksum manifests of saved artefacts
@@ -62,7 +64,7 @@ EPILOG = """\
 commands:
   experiment <name>   run one paper experiment (table1, fig3, ...)
   suite               run every experiment at one scale
-  generate <dir>      build + merge the synthetic sources, save as CSV
+  generate <dir>      build + merge the synthetic sources into <dir> (npz + CSV)
   serve-demo          fit BPR and answer sample requests
   corpus <dir>        generate a sharded synthetic corpus (npz shards + manifests)
   health <path>       verify artefact checksum manifests (exit 1 = corrupt)
@@ -110,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("suite", help="run every experiment")
 
     generate = sub.add_parser(
-        "generate", help="generate and save the merged dataset"
+        "generate",
+        help="merge the synthetic sources and write the merged dataset "
+        "(npz readings + CSV catalogue + manifest)",
     )
     generate.add_argument("directory")
 
@@ -300,14 +304,19 @@ def _write_result(directory: str, name: str, result: object) -> None:
 
 
 def _generate(context: ExperimentContext, directory: str) -> None:
-    from repro.app.persistence import save_dataset
+    from repro.pipeline.merge import SourceView, run_merge
 
-    merged = context.merged
-    print(context.merge_report)
-    save_dataset(merged, directory)
+    sources = context.sources
+    report = run_merge(
+        SourceView(sources.bct, sources.anobii),
+        context.config.merge,
+        output_dir=directory,
+    ).report
+    print(report)
     print(
-        f"saved merged dataset to {directory}: {merged.n_books} books, "
-        f"{merged.n_users} users, {merged.n_readings} readings"
+        f"saved merged dataset to {directory}: {report.books_after_filter} "
+        f"books, {report.users_after_filter} users, "
+        f"{report.readings_after_filter} readings"
     )
 
 

@@ -17,20 +17,26 @@ Order of operations, as in the paper:
 
 Steps 1-3 are one merge (:func:`~repro.pipeline.merge.run_merge`) that
 streams the events in two passes. :func:`build_merged_dataset` runs it
-over in-memory sources; :mod:`repro.pipeline.streaming` runs it over a
-sharded corpus on disk
+over in-memory sources (a :class:`~repro.pipeline.merge.SourceView`);
+:mod:`repro.pipeline.streaming` runs it over a sharded corpus on disk
 (:func:`~repro.pipeline.streaming.merge_sharded_corpus`), with peak
-memory bounded by one shard.
+memory bounded by one shard. Given an ``output_dir``, the merge writes
+the one on-disk merged dataset, and
+:func:`~repro.pipeline.merge.load_merged_corpus` reloads it.
 """
 
 from repro.pipeline.cleaning import QuarantinedRow, QuarantineReport
 from repro.pipeline.genres import GenreModel, build_genre_model
-from repro.pipeline.merge import MergeConfig, MergeReport, build_merged_dataset
-from repro.pipeline.streaming import (
+from repro.pipeline.merge import (
+    MergeConfig,
+    MergeReport,
+    SourceView,
     StreamingMergeResult,
+    build_merged_dataset,
     load_merged_corpus,
-    merge_sharded_corpus,
+    run_merge,
 )
+from repro.pipeline.streaming import merge_sharded_corpus
 from repro.pipeline import stats
 
 __all__ = [
@@ -41,6 +47,8 @@ __all__ = [
     "MergeConfig",
     "MergeReport",
     "build_merged_dataset",
+    "run_merge",
+    "SourceView",
     "StreamingMergeResult",
     "load_merged_corpus",
     "merge_sharded_corpus",

@@ -17,9 +17,9 @@ and Anobii datasets").
 There is one merge, :func:`run_merge`. It reads the events as shards of
 raw column arrays — a :class:`~repro.datasets.corpus.ShardedCorpus` on
 disk (:func:`repro.pipeline.streaming.merge_sharded_corpus`), or the
-one-shard view :func:`build_merged_dataset` puts over in-memory sources —
-and never holds the event tables. The catalogue-side stages are O(books);
-the event side runs in two passes:
+one-shard :class:`SourceView` over in-memory sources — and never holds
+the event tables. The catalogue-side stages are O(books); the event side
+runs in two passes:
 
 1. **Accumulate.** Each shard is reduced to (a) a per-row survival mask
    through quarantine/cleaning/match, and (b) its *unique (user, book)
@@ -28,8 +28,10 @@ the event side runs in two passes:
    users/books, per-book event counts, readings counts — derives from the
    pair accumulator, whose size is O(unique pairs), not O(events).
 2. **Emit.** Shards are re-read and the rows surviving the activity
-   filter are assembled into the merged dataset, or handed to a writer
-   (the out-of-core mode of ``merge_sharded_corpus``).
+   filter are assembled into the merged dataset or, given an
+   ``output_dir``, written there as the one on-disk merged dataset: npz
+   readings shards with a CSV catalogue under a checksum manifest, which
+   :func:`load_merged_corpus` reloads.
 
 ``tests/pipeline/merge_oracle.py`` keeps the earlier per-row merge as the
 oracle this one is checked against, bit for bit.
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -62,10 +64,15 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, start_span
 from repro.pipeline.cleaning import CleaningReport, QuarantineReport, _keep_first_by_key
 from repro.pipeline.genres import GenreModel, build_genre_model
-from repro.tables import Table
+from repro.resilience.artefacts import verify_manifest, write_manifest
+from repro.tables import Table, read_csv, write_csv
+from repro.tables.io import read_npz_columns, write_npz_columns
 
 #: ``source`` column values, indexed by the source code of a shard.
-SOURCE_NAMES = np.asarray(["bct", "anobii"], dtype=object)
+_SOURCE_NAMES = np.asarray(["bct", "anobii"], dtype=object)
+
+#: Manifest ``kind`` of a merged dataset written by :func:`run_merge`.
+MERGED_CORPUS_KIND = "merged-corpus"
 
 #: Row-block size for the per-shard passes. Work inside a shard proceeds
 #: in fixed blocks so transient temporaries (membership positions, pair
@@ -140,13 +147,12 @@ class MergeReport:
 class StreamingMergeResult:
     """What :func:`run_merge` produced.
 
-    ``dataset`` is populated in ``materialise=True`` mode; ``output_dir``
-    when a writer ran. The ``report`` is always present.
+    ``dataset`` is the merged dataset, or ``None`` when the merge wrote it
+    to an ``output_dir`` instead. The ``report`` is always present.
     """
 
     report: MergeReport
     dataset: MergedDataset | None = None
-    output_dir: Path | None = None
 
 
 def build_merged_dataset(
@@ -174,14 +180,14 @@ def build_merged_dataset(
     source table and reason in the ``pipeline.quarantined_rows`` counter.
     """
     result = run_merge(
-        _SourceView(bct, anobii), config,
+        SourceView(bct, anobii), config,
         strict=strict, tracer=tracer, metrics=metrics,
     )
     assert result.dataset is not None
     return result.dataset, result.report
 
 
-class _SourceView:
+class SourceView:
     """In-memory sources read as one loan shard and one rating shard.
 
     Offers what :func:`run_merge` reads from a
@@ -190,6 +196,9 @@ class _SourceView:
     integer ``user`` column indexing it; dates as day offsets from
     1970-01-01 and loan durations in days. The columns are derived when
     the merge first reads them, so their cost lands in its stage spans.
+    :func:`build_merged_dataset` merges through it in memory;
+    ``run_merge(SourceView(bct, anobii), config, output_dir=...)`` writes
+    the merged dataset to disk instead.
     """
 
     bct_epoch = anobii_epoch = np.datetime64("1970-01-01", "D")
@@ -258,7 +267,7 @@ class _SourceView:
 
 
 #: What :func:`run_merge` reads its sources from.
-_Corpus = ShardedCorpus | _SourceView
+_Corpus = ShardedCorpus | SourceView
 
 
 def _membership(sorted_array: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -349,7 +358,7 @@ class _PairAccumulator:
 
 
 @dataclass(frozen=True)
-class MergedRows:
+class _MergedRows:
     """The rows that survive the merge: pass 1's result, pass 2's input.
 
     :meth:`shards` re-reads the corpus and yields, shard by shard, which
@@ -375,7 +384,7 @@ class MergedRows:
     ) -> Iterator[tuple[int, dict[str, np.ndarray], np.ndarray, np.ndarray]]:
         """Yield ``(source, shard, final_mask, final_book_ids)`` per shard.
 
-        ``source`` indexes :data:`SOURCE_NAMES`. ``final_mask`` selects rows
+        ``source`` indexes :data:`_SOURCE_NAMES`. ``final_mask`` selects rows
         that survived pass 1 *and* whose (user, book) pair is still active
         after the activity filter; ``final_book_ids`` holds the merged book
         id of exactly those rows (compact — never a full-shard scratch
@@ -437,20 +446,20 @@ def run_merge(
     corpus: _Corpus,
     config: MergeConfig | None = None,
     *,
-    materialise: bool = True,
-    write: Callable[[MergedRows], Path] | None = None,
+    output_dir: str | Path | None = None,
     strict: bool = False,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> StreamingMergeResult:
     """The Section-3 merge over a corpus's event shards (module docstring).
 
-    ``corpus`` is a :class:`~repro.datasets.corpus.ShardedCorpus` or the
-    view :func:`build_merged_dataset` puts over in-memory sources. With
-    ``materialise=True`` the merged dataset is assembled in memory;
-    ``write``, when given, receives the surviving rows in pass 2 and
-    returns the directory it wrote them to. ``strict=True`` raises
-    :class:`PipelineError` when any source row is malformed.
+    ``corpus`` is a :class:`~repro.datasets.corpus.ShardedCorpus` or a
+    :class:`SourceView` over in-memory sources. Without ``output_dir`` the
+    merged dataset is assembled in memory and returned. With it, pass 2
+    writes the surviving rows there instead, shard by shard, and the
+    result's ``dataset`` is ``None``; :func:`load_merged_corpus` reloads
+    the directory. ``strict=True`` raises :class:`PipelineError` when any
+    source row is malformed.
     """
     config = config or MergeConfig()
     with start_span(tracer, "pipeline.merge_streaming"):
@@ -603,7 +612,7 @@ def run_merge(
         # ------------------------------------------------------------------
         # event pass 2: emit surviving rows
         # ------------------------------------------------------------------
-        rows = MergedRows(
+        rows = _MergedRows(
             corpus=corpus,
             loan_keeps=loan_keeps,
             rating_keeps=rating_keeps,
@@ -618,17 +627,16 @@ def run_merge(
             n_readings=readings_after,
         )
         dataset: MergedDataset | None = None
-        out_path: Path | None = None
         with start_span(tracer, "pipeline.emit") as span:
-            if write is not None:
-                out_path = write(rows)
-            if materialise:
+            if output_dir is None:
                 dataset = MergedDataset(
                     books=books_table,
                     readings=_materialise_readings(rows),
                     genres=genres_table,
                 )
                 dataset.validate()
+            else:
+                _write_merged_corpus(Path(output_dir), config, rows)
             span.set_attrs(readings=readings_after)
 
     if metrics is not None:
@@ -648,7 +656,7 @@ def run_merge(
         genre_model=genre_model,
         quarantine=quarantine,
     )
-    return StreamingMergeResult(report=report, dataset=dataset, output_dir=out_path)
+    return StreamingMergeResult(report=report, dataset=dataset)
 
 
 def _loan_shard_pass(
@@ -823,7 +831,7 @@ def _rating_context(corpus: _Corpus, shard: dict[str, np.ndarray], i: int) -> di
     }
 
 
-def _materialise_readings(rows: MergedRows) -> Table:
+def _materialise_readings(rows: _MergedRows) -> Table:
     """Assemble the merged readings table: loans first, then ratings."""
     corpus = rows.corpus
     user_parts, book_parts, date_parts, source_parts = [], [], [], []
@@ -841,11 +849,11 @@ def _materialise_readings(rows: MergedRows) -> Table:
         date_parts.append(epoch + shard["day"][final].astype("timedelta64[D]"))
         # np.full(n, label, dtype=object) would build a new str per row;
         # repeat shares the one label object.
-        source_parts.append(np.repeat(SOURCE_NAMES[source:source + 1], n))
-    return readings_table(user_parts, book_parts, date_parts, source_parts)
+        source_parts.append(np.repeat(_SOURCE_NAMES[source:source + 1], n))
+    return _readings_table(user_parts, book_parts, date_parts, source_parts)
 
 
-def readings_table(
+def _readings_table(
     user_parts: list[np.ndarray],
     book_parts: list[np.ndarray],
     date_parts: list[np.ndarray],
@@ -869,6 +877,107 @@ def readings_table(
         },
         schema=READINGS_SCHEMA,
     )
+
+
+def _write_merged_corpus(out_dir: Path, config: MergeConfig, rows: _MergedRows) -> None:
+    """Write the merged readings as npz shards + csv catalogues + manifest.
+
+    The readings shards index one ``users.npz`` id table, so no user id
+    string is written per reading. The manifest goes last and vouches for
+    every file, so a write cut short once its first file has landed is
+    refused on load.
+    """
+    corpus = rows.corpus
+    out_dir.mkdir(parents=True, exist_ok=True)
+    user_ids = np.concatenate(
+        [
+            np.asarray(ids, dtype=str)
+            for ids in (corpus.bct_user_ids, corpus.anobii_user_ids)
+        ]
+    )
+    files: list[Path] = []
+    users_path = out_dir / "users.npz"
+    write_npz_columns(users_path, {"user_id": user_ids})
+    files.append(users_path)
+
+    epoch_days = {
+        0: int(corpus.bct_epoch.astype("datetime64[D]").astype(np.int64)),
+        1: int(corpus.anobii_epoch.astype("datetime64[D]").astype(np.int64)),
+    }
+    shard_rows: list[int] = []
+    for index, (source, shard, final, book_ids) in enumerate(rows.shards()):
+        n = int(final.sum())
+        users = shard["user"][final]
+        if source == 1:
+            users = users + np.int32(rows.n_bct_users)
+        path = out_dir / f"readings-{index:05d}.npz"
+        write_npz_columns(
+            path,
+            {
+                "user": users,
+                "book_id": book_ids,
+                "day": shard["day"][final].astype(np.int64) + epoch_days[source],
+                "source": np.full(n, source, dtype=np.int8),
+            },
+        )
+        files.append(path)
+        shard_rows.append(n)
+
+    books_path = out_dir / "books.csv"
+    write_csv(rows.books, books_path)
+    files.append(books_path)
+    genres_path = out_dir / "genres.csv"
+    write_csv(rows.genres, genres_path)
+    files.append(genres_path)
+
+    write_manifest(
+        out_dir,
+        files,
+        kind=MERGED_CORPUS_KIND,
+        extra={
+            "merged": {
+                "readings": rows.n_readings,
+                "shards": len(shard_rows),
+                "shard_rows": shard_rows,
+                "books": rows.books.num_rows,
+                "min_user_readings": config.min_user_readings,
+                "min_book_readings": config.min_book_readings,
+            }
+        },
+    )
+
+
+def load_merged_corpus(path: str | Path) -> MergedDataset:
+    """Reload the merged dataset that ``run_merge(..., output_dir=path)`` wrote.
+
+    Verifies every file against the directory's checksum manifest first
+    (:class:`~repro.errors.PersistenceError` on a missing manifest or file,
+    a truncated or altered file, or a manifest of another kind), then
+    rebuilds the same :class:`~repro.datasets.MergedDataset` the in-memory
+    merge returns (validated), reading the readings shards in order.
+    """
+    path = Path(path)
+    manifest = verify_manifest(path, kind=MERGED_CORPUS_KIND)
+    meta = manifest.get("merged", {})
+    user_ids = np.asarray(
+        read_npz_columns(path / "users.npz")["user_id"].tolist(), dtype=object
+    )
+    user_parts, book_parts, date_parts, source_parts = [], [], [], []
+    for index in range(int(meta.get("shards", 0))):
+        shard = read_npz_columns(path / f"readings-{index:05d}.npz")
+        if not len(shard["user"]):
+            continue
+        user_parts.append(user_ids[shard["user"]])
+        book_parts.append(shard["book_id"])
+        date_parts.append(shard["day"].astype("datetime64[D]"))
+        source_parts.append(_SOURCE_NAMES[shard["source"].astype(np.int64)])
+    merged = MergedDataset(
+        books=read_csv(path / "books.csv"),
+        readings=_readings_table(user_parts, book_parts, date_parts, source_parts),
+        genres=read_csv(path / "genres.csv"),
+    )
+    merged.validate()
+    return merged
 
 
 def _match_catalogues(

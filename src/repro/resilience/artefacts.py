@@ -123,7 +123,7 @@ def write_manifest(
         artefact: the artefact the manifest describes (file or directory);
             determines the manifest location via :func:`manifest_path_for`.
         files: the files to fingerprint (hashed as they are on disk now).
-        kind: artefact kind tag (``"dataset"``, ``"bpr-model"``, ...);
+        kind: artefact kind tag (``"merged-corpus"``, ``"bpr-model"``, ...);
             checked on load so a model manifest cannot vouch for a dataset.
         extra: optional extra keys merged into the manifest root.
     """
@@ -163,7 +163,7 @@ def read_manifest(artefact: str | Path, kind: str | None = None) -> dict:
     if not manifest_path.exists():
         raise ManifestMissingError(
             f"{artefact} has no checksum manifest ({manifest_path.name}); "
-            "was it written by save_dataset/save_bpr?"
+            "was it written by run_merge(output_dir=...) or save_bpr?"
         )
     fault_check("io.read")
     try:

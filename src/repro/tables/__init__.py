@@ -4,7 +4,7 @@ The preprocessing pipeline of the paper is a data-integration task: filter
 two catalogues, join them, aggregate crowd-sourced genre votes, and build a
 unified readings table. This subpackage provides the relational substrate
 those steps run on — a typed, immutable, numpy-backed columnar
-:class:`Table` with filter/take/group-by/sort operations and CSV and
+:class:`Table` with filter/take/sort operations and CSV and
 columnar-npz round-trips.
 
 Example:
@@ -22,7 +22,6 @@ from repro.tables.io import (
     write_csv,
     write_npz_columns,
 )
-from repro.tables import ops
 
 __all__ = [
     "Column",
@@ -33,5 +32,4 @@ __all__ = [
     "read_npz_columns",
     "write_csv",
     "write_npz_columns",
-    "ops",
 ]

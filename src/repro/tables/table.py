@@ -155,71 +155,12 @@ class Table:
             return np.asarray([value if value is not None else "" for value in array])
         return array
 
-    def group_by(self, by: str | Sequence[str]) -> "GroupedTable":
-        """Group rows by one or more key columns."""
-        names = [by] if isinstance(by, str) else list(by)
-        if not names:
-            raise SchemaError("group_by requires at least one column")
-        for name in names:
-            self[name]  # raises ColumnNotFoundError early
-        return GroupedTable(self, names)
-
-
-def _key_rows(table: Table, keys: Sequence[str]) -> list[tuple]:
-    columns = [table[key] for key in keys]
-    return [tuple(_unwrap(col[i]) for col in columns) for i in range(table.num_rows)]
-
 
 def _unwrap(value: object) -> object:
-    """Convert numpy scalar types to plain python for row dicts and keys."""
+    """Convert numpy scalar types to plain python for row dicts."""
     if isinstance(value, np.generic):
         return value.item()
     return value
-
-
-class GroupedTable:
-    """The result of :meth:`Table.group_by`: grouped row indices plus keys."""
-
-    def __init__(self, table: Table, keys: Sequence[str]) -> None:
-        self._table = table
-        self._keys = list(keys)
-        index: dict[tuple, list[int]] = {}
-        for i, key in enumerate(_key_rows(table, self._keys)):
-            index.setdefault(key, []).append(i)
-        self._groups = index
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def __iter__(self) -> Iterator[tuple[tuple, Table]]:
-        """Iterate ``(key_tuple, sub_table)`` pairs in first-seen order."""
-        for key, rows in self._groups.items():
-            yield key, self._table.take(np.asarray(rows, dtype=np.int64))
-
-    def aggregate(
-        self, spec: Mapping[str, tuple[str, Callable[[np.ndarray], object]]]
-    ) -> Table:
-        """Aggregate each group into one output row.
-
-        ``spec`` maps an output column name to ``(input column, function)``
-        where the function reduces a numpy array to a scalar, e.g.
-        ``{"n_loans": ("loan_id", ops.count)}``. Key columns are always
-        included in the output.
-        """
-        out: dict[str, list] = {key: [] for key in self._keys}
-        for name in spec:
-            if name in out:
-                raise SchemaError(
-                    f"aggregate output {name!r} collides with a group key"
-                )
-            out[name] = []
-        for key, rows in self._groups.items():
-            for key_name, key_value in zip(self._keys, key):
-                out[key_name].append(key_value)
-            indices = np.asarray(rows, dtype=np.int64)
-            for name, (source, func) in spec.items():
-                out[name].append(func(self._table[source][indices]))
-        return Table.from_columns(out)
 
 
 def concat_tables(tables: Sequence[Table]) -> Table:

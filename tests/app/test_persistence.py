@@ -1,4 +1,9 @@
-"""Tests for dataset/model persistence."""
+"""Tests for dataset/model persistence.
+
+A merged dataset reaches disk only through the merge's own writer
+(``run_merge(..., output_dir=...)``, the ``tiny_dataset_dir`` fixture) and
+comes back only through :func:`repro.pipeline.merge.load_merged_corpus`.
+"""
 
 import json
 import zipfile
@@ -11,9 +16,7 @@ from repro.app.persistence import (
     BPR_FORMAT_VERSION,
     BPR_KIND,
     load_bpr,
-    load_dataset,
     save_bpr,
-    save_dataset,
 )
 from repro.app.service import (
     SERVED_BY_PRIMARY,
@@ -21,31 +24,29 @@ from repro.app.service import (
     RecommendationService,
 )
 from repro.core.bpr import BPR, BPRConfig
-from repro.errors import PersistenceError
+from repro.errors import ManifestMissingError, PersistenceError
+from repro.pipeline.merge import load_merged_corpus
 from repro.resilience.artefacts import atomic_write, write_manifest
 
 
 class TestDatasetRoundtrip:
-    def test_roundtrip_preserves_tables(self, tiny_merged, tmp_path):
-        save_dataset(tiny_merged, tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds")
+    def test_roundtrip_preserves_tables(self, tiny_merged, tiny_dataset_dir):
+        loaded = load_merged_corpus(tiny_dataset_dir)
         assert loaded.books == tiny_merged.books
         assert loaded.readings == tiny_merged.readings
         assert loaded.genres == tiny_merged.genres
 
-    def test_loaded_dataset_validates(self, tiny_merged, tmp_path):
-        save_dataset(tiny_merged, tmp_path / "ds")
-        load_dataset(tmp_path / "ds").validate()
+    def test_loaded_dataset_validates(self, tiny_dataset_dir):
+        load_merged_corpus(tiny_dataset_dir).validate()
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(PersistenceError, match="not a saved dataset"):
-            load_dataset(tmp_path / "nowhere")
+        with pytest.raises(ManifestMissingError, match="no checksum manifest"):
+            load_merged_corpus(tmp_path / "nowhere")
 
-    def test_partial_directory(self, tiny_merged, tmp_path):
-        save_dataset(tiny_merged, tmp_path / "ds")
-        (tmp_path / "ds" / "genres.csv").unlink()
+    def test_partial_directory(self, tiny_dataset_dir):
+        (tiny_dataset_dir / "genres.csv").unlink()
         with pytest.raises(PersistenceError, match="genres.csv"):
-            load_dataset(tmp_path / "ds")
+            load_merged_corpus(tiny_dataset_dir)
 
 
 class TestBPRRoundtrip:

@@ -5,14 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.app.persistence import (
-    BPR_KIND,
-    DATASET_KIND,
-    load_bpr,
-    load_dataset,
-    save_bpr,
-    save_dataset,
-)
+from repro.app.persistence import BPR_KIND, load_bpr, save_bpr
 from repro.errors import (
     ArtefactVersionError,
     ChecksumMismatchError,
@@ -20,6 +13,7 @@ from repro.errors import (
     PersistenceError,
     TruncatedArtefactError,
 )
+from repro.pipeline.merge import MERGED_CORPUS_KIND, load_merged_corpus
 from repro.resilience.artefacts import (
     MANIFEST_NAME,
     manifest_path_for,
@@ -32,13 +26,6 @@ def saved_model(tmp_path, tiny_bpr, tiny_split):
     path = tmp_path / "model.npz"
     save_bpr(tiny_bpr, tiny_split.train, path)
     return path
-
-
-@pytest.fixture()
-def saved_dataset(tmp_path, tiny_merged):
-    directory = tmp_path / "dataset"
-    save_dataset(tiny_merged, directory)
-    return directory
 
 
 def rewrite_npz(path, **overrides):
@@ -86,7 +73,7 @@ class TestModelCorruption:
     def test_kind_mismatch(self, saved_model):
         manifest_path = manifest_path_for(saved_model)
         manifest = json.loads(manifest_path.read_text())
-        manifest["kind"] = DATASET_KIND
+        manifest["kind"] = MERGED_CORPUS_KIND
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ArtefactVersionError, match="expected 'bpr-model'"):
             load_bpr(saved_model)
@@ -142,41 +129,43 @@ class TestModelCorruption:
 
 
 class TestDatasetCorruption:
-    def test_roundtrip_is_clean(self, saved_dataset, tiny_merged):
-        loaded = load_dataset(saved_dataset)
+    """The merged dataset as the merge's writer leaves it, then damaged."""
+
+    def test_roundtrip_is_clean(self, tiny_dataset_dir, tiny_merged):
+        loaded = load_merged_corpus(tiny_dataset_dir)
         assert list(loaded.books["book_id"]) == list(
             tiny_merged.books["book_id"]
         )
 
-    def test_truncated_csv(self, saved_dataset):
-        readings = saved_dataset / "readings.csv"
-        blob = readings.read_bytes()
-        readings.write_bytes(blob[: len(blob) - 40])
+    def test_truncated_csv(self, tiny_dataset_dir):
+        books = tiny_dataset_dir / "books.csv"
+        blob = books.read_bytes()
+        books.write_bytes(blob[: len(blob) - 40])
         with pytest.raises(TruncatedArtefactError, match="truncated"):
-            load_dataset(saved_dataset)
+            load_merged_corpus(tiny_dataset_dir)
 
-    def test_checksum_mismatched_csv(self, saved_dataset):
-        books = saved_dataset / "books.csv"
+    def test_checksum_mismatched_csv(self, tiny_dataset_dir):
+        books = tiny_dataset_dir / "books.csv"
         blob = bytearray(books.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         books.write_bytes(bytes(blob))
         with pytest.raises(ChecksumMismatchError, match="books.csv"):
-            load_dataset(saved_dataset)
+            load_merged_corpus(tiny_dataset_dir)
 
-    def test_missing_manifest(self, saved_dataset):
-        (saved_dataset / MANIFEST_NAME).unlink()
+    def test_missing_manifest(self, tiny_dataset_dir):
+        (tiny_dataset_dir / MANIFEST_NAME).unlink()
         with pytest.raises(ManifestMissingError):
-            load_dataset(saved_dataset)
+            load_merged_corpus(tiny_dataset_dir)
 
-    def test_missing_table(self, saved_dataset):
-        (saved_dataset / "genres.csv").unlink()
+    def test_missing_table(self, tiny_dataset_dir):
+        (tiny_dataset_dir / "genres.csv").unlink()
         with pytest.raises(PersistenceError, match="genres.csv"):
-            load_dataset(saved_dataset)
+            load_merged_corpus(tiny_dataset_dir)
 
-    def test_kind_mismatch(self, saved_dataset):
-        manifest_path = saved_dataset / MANIFEST_NAME
+    def test_kind_mismatch(self, tiny_dataset_dir):
+        manifest_path = tiny_dataset_dir / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         manifest["kind"] = BPR_KIND
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ArtefactVersionError, match="expected 'dataset'"):
-            load_dataset(saved_dataset)
+        with pytest.raises(ArtefactVersionError, match="expected 'merged-corpus'"):
+            load_merged_corpus(tiny_dataset_dir)

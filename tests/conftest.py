@@ -15,7 +15,7 @@ from repro.datasets import WorldConfig, generate_sources
 from repro.eval import split_readings
 from repro.experiments import ExperimentContext
 from repro.experiments.config import ExperimentConfig
-from repro.pipeline import MergeConfig, build_merged_dataset
+from repro.pipeline import MergeConfig, SourceView, build_merged_dataset, run_merge
 
 TINY_WORLD = WorldConfig(
     n_books=220,
@@ -65,6 +65,19 @@ def tiny_merged(tiny_sources):
         tiny_sources.bct, tiny_sources.anobii, TINY_MERGE
     )
     return merged
+
+
+@pytest.fixture()
+def tiny_dataset_dir(tmp_path, tiny_sources):
+    """The tiny world's merged dataset, written by the merge's own writer
+    into a fresh directory (each test gets its own copy to damage)."""
+    directory = tmp_path / "dataset"
+    run_merge(
+        SourceView(tiny_sources.bct, tiny_sources.anobii),
+        TINY_MERGE,
+        output_dir=directory,
+    )
+    return directory
 
 
 @pytest.fixture(scope="session")

@@ -289,14 +289,15 @@ def apply_activity_filters(readings: Table, config: MergeConfig) -> Table:
 def assert_same_merge(actual, expected) -> None:
     """Two ``(MergedDataset, MergeReport)`` results agree bit for bit.
 
-    Every column of the books, readings and genres tables is
-    ``np.array_equal`` with the same dtype, and the reports are equal both
-    as values and as rendered text.
+    The books, readings and genres tables have the same schemas and every
+    column is ``np.array_equal`` with the same dtype, and the reports are
+    equal both as values and as rendered text.
     """
     actual_merged, actual_report = actual
     expected_merged, expected_report = expected
     for name in ("books", "readings", "genres"):
         got, want = getattr(actual_merged, name), getattr(expected_merged, name)
+        assert got.schema == want.schema, name
         assert got.column_names == want.column_names, name
         assert got.num_rows == want.num_rows, name
         for column in want.column_names:

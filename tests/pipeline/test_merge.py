@@ -10,11 +10,17 @@ from repro.datasets.bct import BCTDataset, italian_monographs
 from repro.datasets.synthetic import ANOBII_ID_BASE, BCT_ID_BASE
 from repro.errors import PipelineError
 from repro.experiments.config import config_for_scale
-from repro.pipeline.merge import MergeConfig, build_merged_dataset
+from repro.pipeline.merge import (
+    MergeConfig,
+    SourceView,
+    build_merged_dataset,
+    load_merged_corpus,
+    run_merge,
+)
 
 from tests.factories import replace_column
 from tests.conftest import TINY_MERGE
-from tests.pipeline.merge_oracle import assert_matches_oracle
+from tests.pipeline.merge_oracle import assert_matches_oracle, assert_same_merge
 
 
 class TestMergeConfigValidation:
@@ -128,6 +134,22 @@ class TestOracleEquivalence:
         merged, report = assert_matches_oracle(bct, anobii, TINY_MERGE)
         assert merged.n_readings == 0 and merged.n_books == 0
         assert report.users_before_filter == 0
+
+    @pytest.mark.parametrize(
+        "config", [TINY_MERGE, replace(TINY_MERGE, min_loan_days=7)]
+    )
+    def test_written_dataset_reloads_equal(self, tiny_sources, config, tmp_path):
+        """What the merge writes to ``output_dir`` reloads as the dataset
+        it returns in memory, with the same report."""
+        expected = build_merged_dataset(tiny_sources.bct, tiny_sources.anobii, config)
+        result = run_merge(
+            SourceView(tiny_sources.bct, tiny_sources.anobii),
+            config,
+            output_dir=tmp_path / "dataset",
+        )
+        assert result.dataset is None
+        loaded = load_merged_corpus(tmp_path / "dataset")
+        assert_same_merge((loaded, result.report), expected)
 
     def test_user_id_in_both_sources_is_refused(self, tiny_sources):
         """BCT patrons and Anobii users are counted in separate spaces."""

@@ -18,8 +18,8 @@ from repro.datasets.corpus import CorpusConfig, ShardedCorpus, ShardedCorpusWrit
 from repro.errors import ChecksumMismatchError, PersistenceError
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.rss import measure_phase_rss, reset_peak_rss
-from repro.pipeline.merge import MergeConfig
-from repro.pipeline.streaming import load_merged_corpus, merge_sharded_corpus
+from repro.pipeline.merge import MergeConfig, load_merged_corpus
+from repro.pipeline.streaming import merge_sharded_corpus
 
 from tests.conftest import strip_timing_series
 from tests.pipeline.merge_oracle import assert_same_merge, oracle_merge
@@ -111,9 +111,7 @@ class TestCorruptInput:
 class TestOutOfCoreOutput:
     def test_roundtrip_matches_reference(self, corpus, reference, tmp_path):
         expected_merged, expected_report = reference
-        result = merge_sharded_corpus(
-            corpus, MERGE, materialise=False, output_dir=tmp_path / "merged"
-        )
+        result = merge_sharded_corpus(corpus, MERGE, output_dir=tmp_path / "merged")
         assert result.dataset is None
         assert result.report == expected_report
         loaded = load_merged_corpus(tmp_path / "merged")
@@ -122,16 +120,14 @@ class TestOutOfCoreOutput:
     def test_output_is_manifested(self, corpus, tmp_path):
         from repro.resilience.artefacts import verify_manifest
 
-        merge_sharded_corpus(
-            corpus, MERGE, materialise=False, output_dir=tmp_path / "merged"
-        )
+        merge_sharded_corpus(corpus, MERGE, output_dir=tmp_path / "merged")
         manifest = verify_manifest(tmp_path / "merged")
         assert manifest["merged"]["readings"] > 0
 
     def test_swapped_shard_is_refused(self, corpus, tmp_path):
         """A shard copied over another fails the manifest check on load."""
         out = tmp_path / "merged"
-        merge_sharded_corpus(corpus, MERGE, materialise=False, output_dir=out)
+        merge_sharded_corpus(corpus, MERGE, output_dir=out)
         shutil.copyfile(out / "readings-00000.npz", out / "readings-00001.npz")
         with pytest.raises(PersistenceError):
             load_merged_corpus(out)
@@ -141,7 +137,9 @@ class TestStreamingRss:
     def test_merge_rss_bounded_by_shard_size(self, tmp_path):
         """Streaming a 1M-row merge costs < 4x the largest single shard.
 
-        The regression this pins: the streaming path must never quietly
+        The merge writes its output as ``repro generate`` does, given an
+        ``output_dir`` and nothing else. The regression this pins: the
+        streaming path must never quietly
         materialise the corpus (the old ``from_pairs``/``Counter`` paths
         were O(events) in Python objects). Peak attribution needs the
         resettable ``VmHWM`` source — skip where the kernel refuses.
@@ -166,10 +164,7 @@ class TestStreamingRss:
         assert largest > 1_000_000  # the budget unit is a real shard
         _, rss = measure_phase_rss(
             lambda: merge_sharded_corpus(
-                corpus,
-                MergeConfig(),
-                materialise=False,
-                output_dir=tmp_path / "merged",
+                corpus, MergeConfig(), output_dir=tmp_path / "merged"
             )
         )
         assert rss.source == "vmhwm"

@@ -16,11 +16,12 @@ Everything here is deterministic: faults come from a seeded or scripted
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.app.persistence import load_bpr, load_dataset, save_bpr, save_dataset
+from repro.app.persistence import load_bpr, save_bpr
 from repro.app.service import (
     SERVED_BY_MOST_READ,
     SERVED_BY_NONE,
@@ -30,12 +31,15 @@ from repro.app.service import (
     RecommendationService,
 )
 from repro.core.most_read import MostReadItems
+from repro.datasets import generate_sources
 from repro.errors import PersistenceError
+from repro.pipeline.merge import SourceView, load_merged_corpus, run_merge
 from repro.resilience.breaker import (
     STATE_CLOSED,
     STATE_OPEN,
     CircuitBreaker,
 )
+from tests.conftest import TINY_MERGE, TINY_WORLD
 from tests.resilience.faults import (
     SITE_IO_RENAME,
     SITE_IO_WRITE,
@@ -299,52 +303,54 @@ class TestSaveBprCrashPoints:
 
 
 class TestSaveDatasetCrashPoints:
-    # save_dataset's crash points: (write, rename) for each of books.csv,
-    # readings.csv, genres.csv, MANIFEST.json — eight in total. Only a
-    # crash before the first CSV lands leaves the old artefact; every
-    # later one must be detected by checksum verification at load time.
+    # The merge's writer has a (write, rename) pair for each of
+    # users.npz, the two readings shards of in-memory sources, books.csv,
+    # genres.csv and MANIFEST.json: twelve crash points. Only a crash
+    # before users.npz lands leaves the old dataset; every later one must
+    # be detected by checksum verification at load time.
+    FILES = 6
     CRASH_POINTS = [
-        (SITE_IO_WRITE, 0, "old"),
-        (SITE_IO_RENAME, 0, "old"),
-        (SITE_IO_WRITE, 1, "detected"),
-        (SITE_IO_RENAME, 1, "detected"),
-        (SITE_IO_WRITE, 2, "detected"),
-        (SITE_IO_RENAME, 2, "detected"),
-        (SITE_IO_WRITE, 3, "detected"),
-        (SITE_IO_RENAME, 3, "detected"),
+        (site, index, "old" if index == 0 else "detected")
+        for index in range(FILES)
+        for site in (SITE_IO_WRITE, SITE_IO_RENAME)
     ]
 
     @pytest.fixture(scope="class")
-    def other_merged(self, tiny_merged):
-        # A dataset whose every table differs from ``tiny_merged``'s, so
-        # any CSV that lands mid-crash is guaranteed to change on disk.
-        from repro.datasets.merged import MergedDataset
-
-        return MergedDataset(
-            books=tiny_merged.books.head(tiny_merged.books.num_rows - 1),
-            readings=tiny_merged.readings.head(
-                tiny_merged.readings.num_rows - 1
-            ),
-            genres=tiny_merged.genres.head(tiny_merged.genres.num_rows - 1),
-        )
+    def other_sources(self):
+        # Another world: its user ids, readings and catalogue all differ
+        # from the tiny world's, so any file that lands mid-crash is
+        # guaranteed to change on disk.
+        return generate_sources(replace(TINY_WORLD, seed=TINY_WORLD.seed + 1))
 
     @pytest.mark.parametrize("site,call_index,expected", CRASH_POINTS)
     def test_interrupted_overwrite(
-        self, tmp_path, tiny_merged, other_merged, site, call_index, expected
+        self, tiny_dataset_dir, other_sources, site, call_index, expected
     ):
-        target = tmp_path / "dataset"
-        save_dataset(tiny_merged, target)
-        old_book_ids = list(tiny_merged.books["book_id"])
+        target = tiny_dataset_dir
+        old_book_ids = list(load_merged_corpus(target).books["book_id"])
+        other = SourceView(other_sources.bct, other_sources.anobii)
 
         injector = FaultInjector(script=crash_script(site, call_index))
         with injector.injecting():
             with pytest.raises(InjectedFaultError):
-                save_dataset(other_merged, target)
+                run_merge(other, TINY_MERGE, output_dir=target)
         assert_no_temp_files(target)
 
         if expected == "old":
-            loaded = load_dataset(target)
+            loaded = load_merged_corpus(target)
             assert list(loaded.books["book_id"]) == old_book_ids
         else:
             with pytest.raises(PersistenceError):
-                load_dataset(target)
+                load_merged_corpus(target)
+
+    def test_every_crash_point_is_covered(self, tmp_path, other_sources):
+        """The writer makes exactly ``FILES`` atomic writes."""
+        injector = FaultInjector()
+        with injector.injecting():
+            run_merge(
+                SourceView(other_sources.bct, other_sources.anobii),
+                TINY_MERGE,
+                output_dir=tmp_path / "dataset",
+            )
+        assert injector.checked[SITE_IO_WRITE] == self.FILES
+        assert injector.checked[SITE_IO_RENAME] == self.FILES

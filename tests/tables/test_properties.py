@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.tables import Table, concat_tables, ops, read_csv, write_csv
+from repro.tables import Table, concat_tables, read_csv, write_csv
 from repro.tables.schema import Schema
 
 settings.register_profile("tables", deadline=None, max_examples=60)
@@ -66,24 +66,3 @@ def test_csv_roundtrip(tmp_path_factory, ints, strs):
     write_csv(table, path)
     assert read_csv(path) == table
 
-
-@given(ids, names)
-def test_group_sizes_partition_rows(ints, strs):
-    table = make_table(ints, strs)
-    if table.num_rows == 0:
-        return
-    sizes = table.group_by("a").aggregate({"n": ("b", ops.count)})
-    assert sum(sizes["n"].tolist()) == table.num_rows
-
-
-@given(ids, names)
-def test_value_counts_total(ints, strs):
-    table = make_table(ints, strs)
-    if table.num_rows == 0:
-        return
-    counts = table.group_by("a").aggregate({"n": ("a", ops.count)})
-    keys, expected = np.unique(table["a"], return_counts=True)
-    assert dict(zip(counts["a"].tolist(), counts["n"].tolist())) == dict(
-        zip(keys.tolist(), expected.tolist())
-    )
-    assert sum(counts["n"].tolist()) == table.num_rows

@@ -78,11 +78,22 @@ class TestCommands:
         assert "BPR (BCT only)" in out
 
     def test_generate(self, tmp_path, capsys):
+        from repro.pipeline.merge import load_merged_corpus
+
         target = tmp_path / "dataset"
         assert main(["--scale", "small", "generate", str(target)]) == 0
-        assert (target / "books.csv").exists()
-        assert (target / "readings.csv").exists()
-        assert "saved merged dataset" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert sorted(path.name for path in target.iterdir()) == [
+            "MANIFEST.json", "books.csv", "genres.csv",
+            "readings-00000.npz", "readings-00001.npz", "users.npz",
+        ]
+        merged = load_merged_corpus(target)
+        assert (
+            f"saved merged dataset to {target}: {merged.n_books} books, "
+            f"{merged.n_users} users, {merged.n_readings} readings"
+        ) in out
+        assert main(["health", str(target)]) == 0
+        assert "status: ok" in capsys.readouterr().out
 
     def test_output_directory(self, tmp_path, capsys):
         target = tmp_path / "results"
@@ -114,11 +125,9 @@ class TestCommands:
 
 class TestHealth:
     @pytest.fixture()
-    def saved(self, tmp_path, tiny_merged, tiny_bpr, tiny_split):
-        from repro.app.persistence import save_bpr, save_dataset
+    def saved(self, tmp_path, tiny_dataset_dir, tiny_bpr, tiny_split):
+        from repro.app.persistence import save_bpr
 
-        dataset_dir = tmp_path / "dataset"
-        save_dataset(tiny_merged, dataset_dir)
         save_bpr(tiny_bpr, tiny_split.train, tmp_path / "model.npz")
         return tmp_path
 

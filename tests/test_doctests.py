@@ -3,7 +3,6 @@
 import doctest
 
 import repro.tables
-import repro.tables.ops
 
 
 def test_tables_docstring_examples():
@@ -11,8 +10,3 @@ def test_tables_docstring_examples():
     assert results.failed == 0
     assert results.attempted > 0
 
-
-def test_ops_docstring_examples():
-    results = doctest.testmod(repro.tables.ops, verbose=False)
-    assert results.failed == 0
-    assert results.attempted > 0

@@ -29,8 +29,9 @@ ALLOWED = {
     "bucket_counts": "tests read a histogram's buckets through it to check bucket placement",
     "active_span": "tests check through it that no span is left open",
     "set_ambient": "chaos tests arm the fault_check crash points of persistence code with it",
-    "load_merged_corpus": "reads back what merge_sharded_corpus(output_dir=...) writes; "
-    "the writer and its reader stand or go together",
+    "materialise": "ShardedCorpus.materialise loads a corpus into memory as the sources the "
+    "per-row oracle merges in the streaming-merge tests; ROADMAP item 3 makes it the "
+    "in-memory generator",
 }
 
 

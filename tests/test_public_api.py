@@ -14,7 +14,7 @@ PUBLIC_API = {
     "repro.tables": [
         "Table", "Schema", "Column", "concat_tables",
         "read_csv", "write_csv",
-        "read_npz_columns", "write_npz_columns", "ops",
+        "read_npz_columns", "write_npz_columns",
     ],
     "repro.datasets": [
         "WorldConfig", "LatentWorld", "generate_sources",
@@ -25,6 +25,7 @@ PUBLIC_API = {
         "build_genre_model", "GenreModel",
         "MergeConfig", "MergeReport", "build_merged_dataset", "stats",
         "QuarantineReport", "QuarantinedRow",
+        "run_merge", "SourceView",
         "merge_sharded_corpus", "StreamingMergeResult", "load_merged_corpus",
     ],
     "repro.text": [
@@ -53,7 +54,7 @@ PUBLIC_API = {
     "repro.app": [
         "RecommendationService", "RecommendationRequest", "ServedBook",
         "ServedResponse", "ServiceStats",
-        "save_dataset", "load_dataset", "save_bpr", "load_bpr",
+        "save_bpr", "load_bpr",
     ],
     "repro.resilience": [
         "CircuitBreaker", "fault_check",
